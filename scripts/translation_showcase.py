@@ -39,7 +39,7 @@ def main() -> None:
     H = torus_structure(2, 3)
     PROD = product_structure(H, H)
 
-    print("braid:3 (N = 3, central Delta power m0 =", delta_central_exponent(B3).m0, ")")
+    print("braid:3 (N = 3, central Delta power m0 =", delta_central_exponent(B3), ")")
     for word in ("a1", "a1 a2", "a1 a1 a2", "a1^-1 a2"):
         show(B3, word)
 

@@ -6,7 +6,6 @@ proper-power and generalized-power problems and their conjugacy versions.
 """
 
 from .conjugacy import (
-    ConjugacyWitness,
     ResourceLimitError,
     SummitData,
     are_conjugate,
@@ -19,20 +18,16 @@ from .core import (
     Atom,
     Element,
     GarsideStructure,
-    Rational,
     Simple,
     StructureMismatchError,
     delta_power_element,
     identity_element,
     invert,
     lmax,
-    make_left_weighted_pair,
     multiply,
     normalize,
     power,
-    right_complement,
     simple_element,
-    simple_meet,
     tau_element,
     validate_element,
     word_length,
@@ -58,7 +53,6 @@ from .structures import (
 )
 from .translation import (
     MultipleCandidatesError,
-    QuotientContext,
     TranslationTriple,
     conjugate_straightness,
     delta_central_exponent,
@@ -68,5 +62,3 @@ from .translation import (
     translation_number,
     translation_triple,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

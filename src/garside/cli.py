@@ -214,13 +214,13 @@ def _run(args) -> int:
 
     if args.command == "tnum":
         g = parse_word(S, args.word)
+        # The quotient value t_Dbar is t_len.
         triple = translation.translation_triple(g)
-        t_d = translation.translation_number(g)
-        t_bar = translation.quotient_translation_number(g)
         _emit(
             {"t_inf": str(triple.t_inf), "t_sup": str(triple.t_sup),
-             "t_len": str(triple.t_len), "t_D": str(t_d), "t_Dbar": str(t_bar)},
-            f"t_inf={triple.t_inf} t_sup={triple.t_sup} t_len={triple.t_len} t_D={t_d} t_Dbar={t_bar}",
+             "t_len": str(triple.t_len), "t_D": str(triple.t_D), "t_Dbar": str(triple.t_len)},
+            f"t_inf={triple.t_inf} t_sup={triple.t_sup} t_len={triple.t_len} "
+            f"t_D={triple.t_D} t_Dbar={triple.t_len}",
             args.json,
         )
         return 0
@@ -267,8 +267,8 @@ def _run(args) -> int:
         if witness is None:
             _emit({"conjugate": False}, "not conjugate", args.json)
         else:
-            _emit({"conjugate": True, "witness": element_json(witness.conjugator)},
-                  f"conjugate, witness {_witness_text(witness.conjugator)}", args.json)
+            _emit({"conjugate": True, "witness": element_json(witness)},
+                  f"conjugate, witness {_witness_text(witness)}", args.json)
         return 0
 
     if args.command == "power":

@@ -22,7 +22,6 @@ from .core import (
     identity_element,
     invert,
     multiply,
-    normalize,
     simple_element,
 )
 
@@ -47,39 +46,33 @@ class SummitData:
     witness: Element
 
 
-@dataclass(frozen=True)
-class ConjugacyWitness:
-    """A conjugator w with w^{-1} · g · w = h for the queried pair (g, h)."""
-
-    conjugator: Element
-
-
 def cycling(g: Element) -> tuple[Element, Simple]:
     """Conjugate g by a = tau^{-inf}(first factor); returns (result, a).
 
-    Since Delta^r s_1 = a Delta^r, the result is the normal form of
-    Delta^r s_2 ... s_k a, so cycling never lowers inf nor raises sup.
-    Elements without factors are returned unchanged with identity conjugator.
+    Since Delta^r s_1 = a Delta^r, the result is the product of the normal
+    form Delta^r s_2 ... s_k with a, so cycling never lowers inf nor raises
+    sup.  Elements without factors are returned unchanged with identity
+    conjugator.
     """
     S = g.structure
     if not g.factors:
         return g, S.identity_simple()
     a = S.tau_power(g.factors[0], -g.inf)
-    return normalize(S, g.inf, g.factors[1:] + (a,)), a
+    return multiply(Element(S, g.inf, g.factors[1:]), simple_element(a)), a
 
 
 def decycling(g: Element) -> tuple[Element, Simple]:
     """Conjugate g by the inverse of its final factor s_k; returns (result, s_k).
 
-    The result is the normal form of s_k · g · s_k^{-1}, i.e. of
-    Delta^r tau^r(s_k) s_1 ... s_{k-1}; the conjugator in the w^{-1} g w
-    sense is s_k^{-1}.
+    The result is s_k · g · s_k^{-1}, the product of s_k with the normal
+    form Delta^r s_1 ... s_{k-1}; the conjugator in the w^{-1} g w sense is
+    s_k^{-1}.
     """
     S = g.structure
     if not g.factors:
         return g, S.identity_simple()
     s = g.factors[-1]
-    return normalize(S, g.inf, (S.tau_power(s, g.inf),) + g.factors[:-1]), s
+    return multiply(simple_element(s), Element(S, g.inf, g.factors[:-1])), s
 
 
 def summit(g: Element) -> SummitData:
@@ -148,8 +141,8 @@ def super_summit_set(g: Element, cap: int = DEFAULT_SSS_CAP) -> tuple[Element, .
     return tuple(sorted(closure, key=Element.sort_key))
 
 
-def are_conjugate(g: Element, h: Element, cap: int = DEFAULT_SSS_CAP) -> ConjugacyWitness | None:
-    """A verified witness if g and h are conjugate, None otherwise."""
+def are_conjugate(g: Element, h: Element, cap: int = DEFAULT_SSS_CAP) -> Element | None:
+    """A conjugator w with w^{-1} · g · w = h if g and h are conjugate, None otherwise."""
     if g.structure != h.structure:
         raise StructureMismatchError("conjugacy query across structures")
     sd_g = summit(g)
@@ -160,4 +153,4 @@ def are_conjugate(g: Element, h: Element, cap: int = DEFAULT_SSS_CAP) -> Conjuga
     if sd_h.representative not in closure:
         return None
     chain = multiply(sd_g.witness, closure[sd_h.representative])
-    return ConjugacyWitness(multiply(chain, invert(sd_h.witness)))
+    return multiply(chain, invert(sd_h.witness))

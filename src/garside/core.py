@@ -12,11 +12,12 @@ satisfies the local left-weighted condition
     right_complement(s_i)  ∧  s_{i+1}  =  identity.
 
 The normal form is unique, so structural equality of (inf, factors) is group
-equality.  All arithmetic (products, inverses, powers) renormalises through
-local "slides" that move weight from a factor into its left neighbour; a
-slide that fills a factor up to Delta bubbles it to the front of the word,
-and a slide that empties a factor bubbles the hole to the back, so a single
-fixpoint loop plus boundary trimming produces the normal form.
+equality.  Raw input and products renormalise through local "slides" that
+move weight from a factor into its left neighbour; a slide that fills a
+factor up to Delta bubbles it to the front of the word, and a slide that
+empties a factor bubbles the hole to the back, so a single fixpoint loop
+plus boundary trimming produces the normal form.  Inverses need no repair:
+their normal form is read off directly.
 
 A `GarsideStructure` supplies the presentation-specific primitives on simple
 elements (meet, complements, products, tau) at the payload level; this module
@@ -29,11 +30,7 @@ from __future__ import annotations
 import abc
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Iterable, Iterator
-
-# Exact reduced fractions carry every translation number in this package.
-Rational = Fraction
 
 
 class StructureMismatchError(ValueError):
@@ -297,30 +294,6 @@ class Element:
 
 
 # ----------------------------------------------------------------------
-# simple-level operations (thin wrappers over the owning structure)
-# ----------------------------------------------------------------------
-
-
-def simple_meet(a: Simple, b: Simple) -> Simple:
-    """Greatest simple dividing both a and b on the left."""
-    if a.structure != b.structure:
-        raise StructureMismatchError("meet of simples from different structures")
-    return a.structure.meet(a, b)
-
-
-def right_complement(s: Simple) -> Simple:
-    """The simple t with s·t = Delta."""
-    return s.structure.right_complement(s)
-
-
-def make_left_weighted_pair(a: Simple, b: Simple) -> tuple[Simple, Simple]:
-    """Slide weight left so the pair becomes left-weighted; product preserved."""
-    if a.structure != b.structure:
-        raise StructureMismatchError("pair of simples from different structures")
-    return a.structure.slide(a, b)
-
-
-# ----------------------------------------------------------------------
 # normal-form engine
 # ----------------------------------------------------------------------
 
@@ -410,17 +383,19 @@ def invert(g: Element) -> Element:
     """Normal form of g^{-1}.
 
     (Delta^r s_1 ... s_k)^{-1} = Delta^{-r-k} · u_k ... u_1 where
-    u_i = tau^{-(r+i)}(right_complement(s_i)); the sequence is then
-    renormalised.
+    u_i = tau^{-(r+i)}(right_complement(s_i)).  This is already the normal
+    form: complements of proper simples are proper, and applying
+    tau^{r+i+1} to the pair (u_{i+1}, u_i) turns its left-weightedness test
+    into tau(right_complement(s_i) ∧ s_{i+1}) = identity, which holds because
+    (s_i, s_{i+1}) is left-weighted.
     """
     S = g.structure
     r, k = g.inf, len(g.factors)
-    factors = [
+    factors = tuple(
         S.tau_power(S.right_complement(g.factors[i]), -(r + i + 1))
         for i in range(k - 1, -1, -1)
-    ]
-    _fix_factors(S, factors, list(range(len(factors) - 1)))
-    return _finalize(S, -(r + k), factors)
+    )
+    return Element(S, -(r + k), factors)
 
 
 def power(g: Element, n: int) -> Element:

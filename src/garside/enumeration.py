@@ -57,12 +57,6 @@ def factor_sequences(S: GarsideStructure, length: int) -> Iterator[tuple[Simple,
     yield from walk()
 
 
-def normal_forms(S: GarsideStructure, inf: int, length: int) -> Iterator[Element]:
-    """All elements with the given inf and canonical length."""
-    for factors in factor_sequences(S, length):
-        yield Element(S, inf, factors)
-
-
 def sample_element(
     S: GarsideStructure,
     rng: random.Random,

@@ -102,7 +102,7 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
             if up_to_conjugacy:
                 witness = are_conjugate(hn, g)
                 if witness is not None:
-                    return ProblemAnswer(Outcome.SOLUTION, n=n, witness=witness.conjugator)
+                    return ProblemAnswer(Outcome.SOLUTION, n=n, witness=witness)
             elif hn == g:
                 return ProblemAnswer(Outcome.SOLUTION, n=n)
         return ProblemAnswer.no_solution()
@@ -135,11 +135,10 @@ def solve_root_conjugacy(
         return ProblemAnswer(Outcome.SOLUTION, n=1, root=g, witness=identity_element(S))
     N = S.delta_norm()
     try:
-        t_g = translation_number(g)
-        if (t_g / n).denominator > N * N:
+        triple = translation_triple(g)
+        if (triple.t_D / n).denominator > N * N:
             # No element of the group has that translation number.
             return ProblemAnswer.no_solution()
-        triple = translation_triple(g)
         sd = summit(g)
         closure = _sss_closure(sd.representative, sss_cap)
         inf_cands = _integers_in(triple.t_inf / n - 1, triple.t_inf / n)
@@ -236,9 +235,7 @@ def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = Fals
             if up_to_conjugacy:
                 witness = are_conjugate(gp, hq)
                 if witness is not None:
-                    return ProblemAnswer(
-                        Outcome.SOLUTION, n=p * r, m=sign * q * r, witness=witness.conjugator
-                    )
+                    return ProblemAnswer(Outcome.SOLUTION, n=p * r, m=sign * q * r, witness=witness)
             elif gp == hq:
                 return ProblemAnswer(Outcome.SOLUTION, n=p * r, m=sign * q * r)
         return ProblemAnswer.no_solution()

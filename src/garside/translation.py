@@ -14,9 +14,10 @@ so the whole computation is finite.  t_sup is always derived as
 
 The translation number t_D(g) with respect to the simples follows the
 three-case split on the summit invariants: t_sup if inf_s >= 0, -t_inf if
-sup_s <= 0, and t_len otherwise.  It is at least 1/N for g != 1, and the
-translation number of the image of g in the central quotient
-G / <Delta^{m0}> equals t_len(g).
+sup_s <= 0, and t_len otherwise; since inf_s <= t_inf <= inf_s + 1 - 1/N
+and likewise for sup_s, that split is decided by the triple alone.  It is
+at least 1/N for g != 1, and the translation number of the image of g in
+the central quotient G / <Delta^{m0}> equals t_len(g).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .conjugacy import summit
-from .core import Element, GarsideStructure, Rational, invert, power
+from .core import Element, GarsideStructure, invert, power
 
 
 class MultipleCandidatesError(RuntimeError):
@@ -42,22 +43,23 @@ class MultipleCandidatesError(RuntimeError):
 class TranslationTriple:
     """The exact limits of inf, sup and canonical length per power."""
 
-    t_inf: Rational
-    t_sup: Rational
+    t_inf: Fraction
+    t_sup: Fraction
 
     @property
-    def t_len(self) -> Rational:
+    def t_len(self) -> Fraction:
         return self.t_sup - self.t_inf
 
+    @property
+    def t_D(self) -> Fraction:
+        """The translation number with respect to the simples."""
+        # inf_s = floor(t_inf) and sup_s = ceil(t_sup), so the summit case
+        # split (t_sup if inf_s >= 0, -t_inf if sup_s <= 0, else t_len)
+        # always picks the largest of the three.
+        return max(self.t_sup, -self.t_inf, self.t_len)
 
-@dataclass(frozen=True)
-class QuotientContext:
-    """m0 is the least positive power of Delta that is central."""
 
-    m0: int
-
-
-def rational_in_interval(lo: Rational, hi: Rational, maxden: int) -> Rational | None:
+def rational_in_interval(lo: Fraction, hi: Fraction, maxden: int) -> Fraction | None:
     """The unique rational with denominator <= maxden in [lo, hi], if any.
 
     Scans the denominators directly; returns None when no candidate exists
@@ -77,7 +79,7 @@ def rational_in_interval(lo: Rational, hi: Rational, maxden: int) -> Rational | 
     return found.pop() if found else None
 
 
-def _t_inf(g: Element) -> Rational:
+def _t_inf(g: Element) -> Fraction:
     S = g.structure
     N = S.delta_norm()
     # Any n >= N^2 makes the bracket width 1/n small enough to isolate a
@@ -97,15 +99,9 @@ def translation_triple(g: Element) -> TranslationTriple:
     return TranslationTriple(_t_inf(g), -_t_inf(invert(g)))
 
 
-def translation_number(g: Element) -> Rational:
+def translation_number(g: Element) -> Fraction:
     """The translation number of g with respect to the simples."""
-    sd = summit(g)
-    triple = translation_triple(g)
-    if sd.inf_s >= 0:
-        return triple.t_sup
-    if sd.sup_s <= 0:
-        return -triple.t_inf
-    return triple.t_len
+    return translation_triple(g).t_D
 
 
 def straightness(g: Element) -> tuple[bool, bool]:
@@ -123,12 +119,12 @@ def conjugate_straightness(g: Element) -> tuple[bool, bool]:
     return (sd_N.inf_s == N * sd.inf_s, sd_N.sup_s == N * sd.sup_s)
 
 
-def delta_central_exponent(S: GarsideStructure) -> QuotientContext:
+def delta_central_exponent(S: GarsideStructure) -> int:
     """The least m0 with Delta^{m0} central: the order of tau on the atoms."""
-    return QuotientContext(S.tau_order())
+    return S.tau_order()
 
 
-def quotient_translation_number(g: Element) -> Rational:
+def quotient_translation_number(g: Element) -> Fraction:
     """Translation number of the image of g in G / <Delta^{m0}>.
 
     Collapsing the central Delta power changes word lengths by at most the

@@ -13,22 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conjugacy import summit
-from .core import Element, Rational, identity_element, invert, multiply, power, simple_element
+from garside import Element, identity_element, invert, multiply, power, simple_element, summit
 
 
 @dataclass(frozen=True)
 class Bracket:
     """A closed interval guaranteed to contain an exact translation value."""
 
-    lo: Rational
-    hi: Rational
+    lo: Fraction
+    hi: Fraction
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("empty bracket")
 
-    def __contains__(self, value: Rational) -> bool:
+    def __contains__(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
 
 

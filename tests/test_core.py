@@ -13,13 +13,10 @@ from garside import (
     delta_power_element,
     invert,
     lmax,
-    make_left_weighted_pair,
     multiply,
     normalize,
     power,
-    right_complement,
     simple_element,
-    simple_meet,
     tau_element,
     torus_structure,
     validate_element,
@@ -40,21 +37,21 @@ def test_simple_meet_b3_fixture(b3):
     s12 = simple_by_perm(b3, (2, 0, 1))  # a1 then a2
     common = simple_divisors(b3, s21) & simple_divisors(b3, s12)
     assert common == {b3.identity_simple()}
-    assert simple_meet(s21, s12) == b3.identity_simple()
+    assert b3.meet(s21, s12) == b3.identity_simple()
 
 
 def test_simple_meet_idempotent(b3, torus53):
     for S in (b3, torus53):
         for s in S.enumerate_simples():
-            assert simple_meet(s, s) == s
+            assert S.meet(s, s) == s
 
 
 def test_simple_meet_torus_chains(torus53):
     x2 = torus53.make_simple(("x", 2))
     x4 = torus53.make_simple(("x", 4))
     y2 = torus53.make_simple(("y", 2))
-    assert simple_meet(x2, x4) == x2
-    assert simple_meet(x2, y2) == torus53.identity_simple()
+    assert torus53.meet(x2, x4) == x2
+    assert torus53.meet(x2, y2) == torus53.identity_simple()
 
 
 def test_meet_is_greatest_common_divisor(b3, torus53):
@@ -72,21 +69,21 @@ def test_meet_is_greatest_common_divisor(b3, torus53):
 
 def test_meet_structure_mismatch(b3, b4):
     with pytest.raises(StructureMismatchError):
-        simple_meet(b3.atom_simple(0), b4.atom_simple(0))
+        b3.meet(b3.atom_simple(0), b4.atom_simple(0))
 
 
 def test_right_complement_fixture(b3):
     # a1 * complement = Delta, checked with raw permutation arithmetic.
     a1 = b3.atom_simple(0)
-    comp = right_complement(a1)
+    comp = b3.right_complement(a1)
     assert comp.payload == (1, 2, 0)  # a2 a1
     assert perm_mul(a1.payload, comp.payload) == (2, 1, 0)
 
 
 def test_right_complement_boundaries(b3, torus53):
     for S in (b3, torus53):
-        assert right_complement(S.identity_simple()) == S.delta()
-        assert right_complement(S.delta()) == S.identity_simple()
+        assert S.right_complement(S.identity_simple()) == S.delta()
+        assert S.right_complement(S.delta()) == S.identity_simple()
 
 
 def test_complement_norm_sum_braids(b3, b4):
@@ -94,7 +91,7 @@ def test_complement_norm_sum_braids(b3, b4):
     for S in (b3, b4):
         N = S.delta_norm()
         for s in S.enumerate_simples():
-            assert right_complement(s).atom_norm == N - s.atom_norm
+            assert S.right_complement(s).atom_norm == N - s.atom_norm
 
 
 def test_left_right_complement_inverse_laws(b3, b4, torus53):
@@ -107,10 +104,10 @@ def test_left_right_complement_inverse_laws(b3, b4, torus53):
 def test_make_left_weighted_pair_fixtures(b3):
     a1 = b3.atom_simple(0)
     s12 = simple_by_perm(b3, (2, 0, 1))
-    assert make_left_weighted_pair(s12, a1) == (b3.delta(), b3.identity_simple())
-    assert make_left_weighted_pair(a1, s12) == (a1, s12)
+    assert b3.slide(s12, a1) == (b3.delta(), b3.identity_simple())
+    assert b3.slide(a1, s12) == (a1, s12)
     s = simple_by_perm(b3, (1, 2, 0))
-    assert make_left_weighted_pair(b3.identity_simple(), s) == (s, b3.identity_simple())
+    assert b3.slide(b3.identity_simple(), s) == (s, b3.identity_simple())
 
 
 def test_slide_left_weights_every_pair(b3, torus53):
@@ -119,11 +116,11 @@ def test_slide_left_weights_every_pair(b3, torus53):
     for S in (b3, torus53):
         identity = S.identity_simple()
         for a, b in itertools.product(S.enumerate_simples(), repeat=2):
-            a2, b2 = make_left_weighted_pair(a, b)
+            a2, b2 = S.slide(a, b)
             lhs = multiply(simple_element(a), simple_element(b))
             rhs = multiply(simple_element(a2), simple_element(b2))
             assert lhs == rhs
-            assert simple_meet(right_complement(a2), b2) == identity
+            assert S.meet(S.right_complement(a2), b2) == identity
 
 
 def test_normalize_fixtures(b3, torus53):
@@ -131,7 +128,7 @@ def test_normalize_fixtures(b3, torus53):
     g = normalize(b3, 0, (a1, a1, a2))
     assert g.inf == 0
     assert [s.payload for s in g.factors] == [(1, 0, 2), (2, 0, 1)]
-    assert simple_meet(right_complement(g.factors[0]), g.factors[1]) == b3.identity_simple()
+    assert b3.meet(b3.right_complement(g.factors[0]), g.factors[1]) == b3.identity_simple()
 
     assert normalize(b3, 0, (a1, a2, a1)) == delta_power_element(b3, 1)
     assert normalize(b3, 0, ()) == identity_element(b3)
@@ -324,4 +321,4 @@ def test_lmax_divisibility(a):
     a = normalize(B3, max(a.inf, 0), a.factors)
     for s in proper_simples(B3):
         sa = multiply(simple_element(s), a)
-        assert simple_meet(s, lmax(sa)) == s
+        assert B3.meet(s, lmax(sa)) == s

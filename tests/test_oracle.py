@@ -16,9 +16,9 @@ from garside import (
 )
 from garside.cli import parse_word
 from garside.enumeration import factor_sequences
-from garside.oracle import Bracket, bfs_word_length, brute_summit_inf, estimate_translation
 
 from .conftest import random_word_element
+from .oracle import Bracket, bfs_word_length, brute_summit_inf, estimate_translation
 
 B3 = braid_structure(3)
 T53 = torus_structure(5, 3)

@@ -80,11 +80,11 @@ def test_conjugate_straightness_fixtures():
 
 
 def test_delta_central_exponent_fixtures():
-    assert delta_central_exponent(B3).m0 == 2
-    assert delta_central_exponent(T53).m0 == 1
-    assert delta_central_exponent(PROD).m0 == 1
-    assert delta_central_exponent(braid_structure(4)).m0 == 2
-    assert delta_central_exponent(braid_structure(2)).m0 == 1
+    assert delta_central_exponent(B3) == 2
+    assert delta_central_exponent(T53) == 1
+    assert delta_central_exponent(PROD) == 1
+    assert delta_central_exponent(braid_structure(4)) == 2
+    assert delta_central_exponent(braid_structure(2)) == 1
 
 
 def test_quotient_translation_fixtures():
