@@ -15,10 +15,10 @@ limit or unsupported structure, 2 = usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from . import conjugacy, problems, translation
 from .core import (
@@ -41,14 +41,8 @@ class WordParseError(ValueError):
     """A word failed to parse; the message carries the offending position."""
 
 
-@dataclass(frozen=True)
-class WordExpr:
-    """A parsed word: (generator token, nonzero exponent) pairs."""
-
-    terms: tuple[tuple[str, int], ...]
-
-
-def parse_tokens(text: str) -> WordExpr:
+def parse_tokens(text: str) -> tuple[tuple[str, int], ...]:
+    """A word as (generator token, nonzero exponent) pairs."""
     terms = []
     for position, token in enumerate(text.split(), start=1):
         match = _TOKEN.match(token)
@@ -59,12 +53,12 @@ def parse_tokens(text: str) -> WordExpr:
         if exponent == 0:
             raise WordParseError(f"zero exponent in {token!r} at position {position}")
         terms.append((match.group("name"), exponent))
-    return WordExpr(tuple(terms))
+    return tuple(terms)
 
 
-def evaluate_word(S: GarsideStructure, expr: WordExpr) -> Element:
+def evaluate_word(S: GarsideStructure, terms: tuple[tuple[str, int], ...]) -> Element:
     result = identity_element(S)
-    for position, (name, exponent) in enumerate(expr.terms, start=1):
+    for position, (name, exponent) in enumerate(terms, start=1):
         if name == "D":
             term = delta_power_element(S, exponent)
         else:
@@ -163,6 +157,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="garside", description="Garside group calculator")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,6 +7,11 @@ simultaneously form the finite, nonempty super summit set.  Iterated
 cycling raises inf, iterated decycling lowers sup, and conjugating by
 simples walks the whole super summit set, which decides conjugacy.
 
+`summit(g)` is the class data of g: the invariants, a representative, its
+witness and, built on first use, the super summit set.  Its
+`conjugator_to` is the one place that compares invariants, tests
+membership and chains witnesses.
+
 Every positive answer carries a conjugating witness that verifies by direct
 multiplication; nothing is a trust-me boolean.
 """
@@ -14,6 +19,7 @@ multiplication; nothing is a trust-me boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     Element,
@@ -22,6 +28,7 @@ from .core import (
     identity_element,
     invert,
     multiply,
+    normalize,
     simple_element,
 )
 
@@ -37,13 +44,27 @@ class SummitData:
     """Summit invariants of a conjugacy class plus a realising conjugate.
 
     The witness w satisfies w^{-1} · g · w = representative for the queried
-    element g.
+    element g; `closure` is computed once, on first use.
     """
 
     inf_s: int
     sup_s: int
     representative: Element
     witness: Element
+
+    @cached_property
+    def closure(self) -> dict[Element, Element]:
+        """The super summit set as {element: witness} rooted at the representative."""
+        return _sss_closure(self.representative, DEFAULT_SSS_CAP)
+
+    def conjugator_to(self, other: SummitData) -> Element | None:
+        """With self = summit(g) and other = summit(h): w with w^{-1} · g · w = h, or None."""
+        if (self.inf_s, self.sup_s) != (other.inf_s, other.sup_s):
+            return None
+        path = self.closure.get(other.representative)
+        if path is None:
+            return None
+        return multiply(multiply(self.witness, path), invert(other.witness))
 
 
 def cycling(g: Element) -> tuple[Element, Simple]:
@@ -84,22 +105,25 @@ def summit(g: Element) -> SummitData:
     S = g.structure
     window = S.delta_norm()
     h = g
-    witness = identity_element(S)
 
+    cycled = []
     fails = 0
     while fails < window and h.factors:
         h2, a = cycling(h)
         fails = 0 if h2.inf > h.inf else fails + 1
-        witness = multiply(witness, simple_element(a))
+        cycled.append(a)
         h = h2
 
+    decycled = []
     fails = 0
     while fails < window and h.factors:
         h2, s = decycling(h)
         fails = 0 if h2.sup < h.sup else fails + 1
-        witness = multiply(witness, invert(simple_element(s)))
+        decycled.append(s)
         h = h2
 
+    # The witness is a_1 ... a_p · s_1^{-1} ... s_q^{-1} = a_1 ... a_p · (s_q ... s_1)^{-1}.
+    witness = multiply(normalize(S, 0, cycled), invert(normalize(S, 0, decycled[::-1])))
     return SummitData(h.inf, h.sup, h, witness)
 
 
@@ -141,16 +165,8 @@ def super_summit_set(g: Element, cap: int = DEFAULT_SSS_CAP) -> tuple[Element, .
     return tuple(sorted(closure, key=Element.sort_key))
 
 
-def are_conjugate(g: Element, h: Element, cap: int = DEFAULT_SSS_CAP) -> Element | None:
+def are_conjugate(g: Element, h: Element) -> Element | None:
     """A conjugator w with w^{-1} · g · w = h if g and h are conjugate, None otherwise."""
     if g.structure != h.structure:
         raise StructureMismatchError("conjugacy query across structures")
-    sd_g = summit(g)
-    sd_h = summit(h)
-    if (sd_g.inf_s, sd_g.sup_s) != (sd_h.inf_s, sd_h.sup_s):
-        return None
-    closure = _sss_closure(sd_g.representative, cap)
-    if sd_h.representative not in closure:
-        return None
-    chain = multiply(sd_g.witness, closure[sd_h.representative])
-    return multiply(chain, invert(sd_h.witness))
+    return summit(g).conjugator_to(summit(h))

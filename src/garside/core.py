@@ -372,7 +372,8 @@ def multiply(g: Element, h: Element) -> Element:
         return g
     if g.is_identity:
         return h
-    left = [S.tau_power(s, h.inf) for s in g.factors]
+    k = h.inf % S.tau_order()
+    left = [S.tau_power(s, k) for s in g.factors] if k else list(g.factors)
     factors = left + list(h.factors)
     dirty = [len(left) - 1] if left and h.factors else []
     _fix_factors(S, factors, dirty)

@@ -19,16 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from .conjugacy import (
-    DEFAULT_SSS_CAP,
-    ResourceLimitError,
-    _sss_closure,
-    are_conjugate,
-    summit,
-)
+from .conjugacy import ResourceLimitError, SummitData, summit
 from .core import Element, StructureMismatchError, identity_element, invert, multiply, power
 from .enumeration import factor_sequences
-from .translation import translation_number, translation_triple
+from .translation import TranslationTriple, translation_number, translation_triple
 
 DEFAULT_CANDIDATE_CAP = 1_000_000
 
@@ -97,10 +91,11 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
         if ratio.denominator != 1:
             return ProblemAnswer.no_solution()
         m = int(ratio)
+        sd_g = summit(g) if up_to_conjugacy else None
         for n in (m, -m):
             hn = power(h, n)
             if up_to_conjugacy:
-                witness = are_conjugate(hn, g)
+                witness = summit(hn).conjugator_to(sd_g)
                 if witness is not None:
                     return ProblemAnswer(Outcome.SOLUTION, n=n, witness=witness)
             elif hn == g:
@@ -114,13 +109,8 @@ def _integers_in(lo: Fraction, hi: Fraction) -> list[int]:
     return list(range(ceil(lo), floor(hi) + 1))
 
 
-def solve_root_conjugacy(
-    g: Element,
-    n: int,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-    sss_cap: int = DEFAULT_SSS_CAP,
-) -> ProblemAnswer:
-    """Find h with h^n conjugate to g, or prove there is none.
+def _root_search(triple: TranslationTriple, sd: SummitData, n: int, candidate_cap: int) -> ProblemAnswer:
+    """Find h with h^n conjugate to g, given the triple and summit of g and n >= 2.
 
     Any root has a conjugate at its summit values, and homogeneity forces
     inf into [t_inf(g)/n - 1, t_inf(g)/n] and sup into
@@ -128,55 +118,53 @@ def solve_root_conjugacy(
     most four (inf, sup) windows.  The witness satisfies
     w^{-1} · h^n · w = g.
     """
+    S = sd.representative.structure
+    N = S.delta_norm()
+    if (triple.t_D / n).denominator > N * N:
+        # No element of the group has that translation number.
+        return ProblemAnswer.no_solution()
+    inf_cands = _integers_in(triple.t_inf / n - 1, triple.t_inf / n)
+    sup_cands = _integers_in(triple.t_sup / n, triple.t_sup / n + 1)
+    windows = sorted(
+        ((lo, hi) for lo in inf_cands for hi in sup_cands if hi >= lo),
+        key=lambda w: (w[1] - w[0], -w[0]),
+    )
+    scanned = 0
+    for lo, hi in windows:
+        for factors in factor_sequences(S, hi - lo):
+            scanned += 1
+            if scanned > candidate_cap:
+                return ProblemAnswer.resource_limit(
+                    f"root search exceeded {candidate_cap} candidates"
+                )
+            h = Element(S, lo, factors)
+            hn = power(h, n)
+            if hn.inf > sd.inf_s or hn.sup < sd.sup_s:
+                continue
+            w = sd.conjugator_to(summit(hn))
+            if w is not None:
+                return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
+    return ProblemAnswer.no_solution()
+
+
+def solve_root_conjugacy(g: Element, n: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> ProblemAnswer:
+    """Find h with h^n conjugate to g, or prove there is none.
+
+    The witness satisfies w^{-1} · h^n · w = g.
+    """
     if n < 1:
         raise ValueError("root degree must be at least 1")
-    S = g.structure
     if n == 1:
-        return ProblemAnswer(Outcome.SOLUTION, n=1, root=g, witness=identity_element(S))
-    N = S.delta_norm()
+        return ProblemAnswer(Outcome.SOLUTION, n=1, root=g, witness=identity_element(g.structure))
     try:
-        triple = translation_triple(g)
-        if (triple.t_D / n).denominator > N * N:
-            # No element of the group has that translation number.
-            return ProblemAnswer.no_solution()
-        sd = summit(g)
-        closure = _sss_closure(sd.representative, sss_cap)
-        inf_cands = _integers_in(triple.t_inf / n - 1, triple.t_inf / n)
-        sup_cands = _integers_in(triple.t_sup / n, triple.t_sup / n + 1)
-        windows = sorted(
-            ((lo, hi) for lo in inf_cands for hi in sup_cands if hi >= lo),
-            key=lambda w: (w[1] - w[0], -w[0]),
-        )
-        scanned = 0
-        for lo, hi in windows:
-            for factors in factor_sequences(S, hi - lo):
-                scanned += 1
-                if scanned > candidate_cap:
-                    return ProblemAnswer.resource_limit(
-                        f"root search exceeded {candidate_cap} candidates"
-                    )
-                h = Element(S, lo, factors)
-                hn = power(h, n)
-                if hn.inf > sd.inf_s or hn.sup < sd.sup_s:
-                    continue
-                sd_hn = summit(hn)
-                if (sd_hn.inf_s, sd_hn.sup_s) != (sd.inf_s, sd.sup_s):
-                    continue
-                if sd_hn.representative not in closure:
-                    continue
-                # w^{-1} h^n w = g  from the two summit witnesses and the
-                # closure path between the representatives.
-                chain = multiply(sd_hn.witness, invert(closure[sd_hn.representative]))
-                witness = multiply(chain, invert(sd.witness))
-                return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=witness)
-        return ProblemAnswer.no_solution()
+        return _root_search(translation_triple(g), summit(g), n, candidate_cap)
     except ResourceLimitError as exc:
         return ProblemAnswer.resource_limit(str(exc))
 
 
-def solve_root(g: Element, n: int, **caps) -> ProblemAnswer:
+def solve_root(g: Element, n: int) -> ProblemAnswer:
     """Find h with h^n = g exactly: conjugate the root search answer back."""
-    answer = solve_root_conjugacy(g, n, **caps)
+    answer = solve_root_conjugacy(g, n)
     if not answer.is_solution:
         return answer
     w = answer.witness
@@ -184,29 +172,27 @@ def solve_root(g: Element, n: int, **caps) -> ProblemAnswer:
     return ProblemAnswer(Outcome.SOLUTION, n=n, root=exact)
 
 
-def solve_proper_power_conjugacy(
-    g: Element,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-    sss_cap: int = DEFAULT_SSS_CAP,
-) -> ProblemAnswer:
+def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
     """Find (h, n >= 2) with h^n conjugate to g.
 
     Any solution has n = t_D(g)/t_D(h) <= N·t_D(g), so the search reduces to
-    finitely many root problems, tried in increasing n.
+    finitely many root problems, tried in increasing n on one triple and one
+    summit of g.
     """
     if g.is_identity:
         # Torsion-freeness leaves only the trivial h = 1, which is excluded.
         return ProblemAnswer.no_solution()
     N = g.structure.delta_norm()
     try:
-        bound = floor(N * translation_number(g))
+        triple = translation_triple(g)
+        sd = summit(g)
+        for n in range(2, floor(N * triple.t_D) + 1):
+            answer = _root_search(triple, sd, n, DEFAULT_CANDIDATE_CAP)
+            if not answer.is_no_solution:
+                return answer
+        return ProblemAnswer.no_solution()
     except ResourceLimitError as exc:
         return ProblemAnswer.resource_limit(str(exc))
-    for n in range(2, bound + 1):
-        answer = solve_root_conjugacy(g, n, candidate_cap=candidate_cap, sss_cap=sss_cap)
-        if not answer.is_no_solution:
-            return answer
-    return ProblemAnswer.no_solution()
 
 
 def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> ProblemAnswer:
@@ -230,10 +216,11 @@ def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = Fals
         ratio = translation_number(h) / translation_number(g)
         p, q = ratio.numerator, ratio.denominator
         gp = power(g, p * r)
+        sd_gp = summit(gp) if up_to_conjugacy else None
         for sign in (1, -1):
             hq = power(h, sign * q * r)
             if up_to_conjugacy:
-                witness = are_conjugate(gp, hq)
+                witness = sd_gp.conjugator_to(summit(hq))
                 if witness is not None:
                     return ProblemAnswer(Outcome.SOLUTION, n=p * r, m=sign * q * r, witness=witness)
             elif gp == hq:

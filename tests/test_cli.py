@@ -132,6 +132,14 @@ def test_cli_solver_commands(capsys):
     assert "inf_straight=False" in capsys.readouterr().out
 
 
+def test_cli_flags_do_not_carry_over_between_calls(capsys):
+    # The parser is built once per process; each call must parse afresh.
+    assert run_command(["power", "--group", "braid:3", "a1", "a2", "--conjugacy", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "solution"
+    assert run_command(["power", "--group", "braid:3", "a1", "a2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"outcome": "no_solution"}
+
+
 def test_cli_exit_codes(capsys):
     # parse errors and usage errors exit 2
     assert run_command(["nf", "--group", "braid:3", "a5"]) == 2

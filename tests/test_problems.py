@@ -21,6 +21,7 @@ from garside import (
     solve_root_conjugacy,
     torus_structure,
 )
+from garside import conjugacy, problems, translation
 from garside.cli import parse_word
 
 from .conftest import assert_conjugate_by, random_word_element
@@ -190,3 +191,35 @@ def test_root_search_resource_limit_is_distinct():
     answer = solve_root_conjugacy(delta_power_element(B3, 2), 3, candidate_cap=0)
     assert answer.outcome is Outcome.RESOURCE_LIMIT
     assert answer.diagnostic
+
+
+def test_proper_power_search_computes_class_data_once(monkeypatch):
+    calls = {"translation_triple": 0, "_sss_closure": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, fn in (("translation_triple", translation.translation_triple),
+                     ("_sss_closure", conjugacy._sss_closure)):
+        for module in (translation, conjugacy, problems):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    g = parse_word(B3, "a1^5 a2^3")
+    assert solve_proper_power_conjugacy(g).is_no_solution
+    assert calls["translation_triple"] == 1
+    assert calls["_sss_closure"] <= 1
+
+
+def test_root_search_builds_super_summit_set_only_when_needed(monkeypatch):
+    # Both elements have a two-element super summit set, above this cap.
+    monkeypatch.setattr(conjugacy, "DEFAULT_SSS_CAP", 1)
+    # No candidate square reaches the summit invariants of a1.
+    assert solve_root_conjugacy(parse_word(B3, "a1"), 2).is_no_solution
+    # The candidate a1 does reach those of a1^2, so the set is built and trips the cap.
+    answer = solve_root_conjugacy(parse_word(B3, "a1^2"), 2)
+    assert answer.outcome is Outcome.RESOURCE_LIMIT
+    assert "cap of 1" in answer.diagnostic
