@@ -9,7 +9,8 @@ the literal ``D`` denotes Delta.  Structures are chosen with
 ``--group product:(<desc>,<desc>)``.
 
 Exit codes: 0 = computed (a no-solution answer is an answer), 1 = resource
-limit or unsupported structure, 2 = usage or parse error.
+limit (including a word of more than MAX_WORD_ATOMS atom letters) or
+unsupported structure, 2 = usage or parse error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ from .core import (
 from .problems import ProblemAnswer, UnsupportedStructureError
 from .structures import DescriptorError, structure_from_descriptor
 
+# A word of k atom letters normalises through about k factors, so the atom
+# count is bounded before any arithmetic; Delta powers cost nothing and are
+# not counted.
+MAX_WORD_ATOMS = 100_000
+
 _TOKEN = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9.]*)(\^(?P<exp>-?\d+))?$")
 
 
@@ -57,6 +63,11 @@ def parse_tokens(text: str) -> tuple[tuple[str, int], ...]:
 
 
 def evaluate_word(S: GarsideStructure, terms: tuple[tuple[str, int], ...]) -> Element:
+    atom_letters = sum(abs(exponent) for name, exponent in terms if name != "D")
+    if atom_letters > MAX_WORD_ATOMS:
+        raise conjugacy.ResourceLimitError(
+            f"word has {atom_letters} atom letters, above the bound of {MAX_WORD_ATOMS}"
+        )
     result = identity_element(S)
     for position, (name, exponent) in enumerate(terms, start=1):
         if name == "D":

@@ -5,7 +5,11 @@ The conjugacy class of g carries the invariants inf_s (the largest inf of
 any conjugate) and sup_s (the smallest sup); the conjugates realising both
 simultaneously form the finite, nonempty super summit set.  Iterated
 cycling raises inf, iterated decycling lowers sup, and conjugating by
-simples walks the whole super summit set, which decides conjugacy.
+minimal simples walks the whole super summit set, which decides conjugacy.
+The minimal simple of an atom a at x is the ≼-least simple above a that
+keeps x in its super summit set (Franco and González-Meneses, 2003); it is
+found by climbing joins of simples, so each element has at most one
+outgoing conjugator per atom instead of one per simple.
 
 `summit(g)` is the class data of g: the invariants, a representative, its
 witness and, built on first use, the super summit set.  Its
@@ -127,29 +131,68 @@ def summit(g: Element) -> SummitData:
     return SummitData(h.inf, h.sup, h, witness)
 
 
+def _inf_closure(x: Element, c: Simple) -> Simple:
+    r"""The least simple above c that conjugates x to an element of inf >= inf(x).
+
+    With x = Delta^p · y, the conjugate c^{-1} x c = Delta^p · tau^p(c)^{-1} y c
+    has inf >= p exactly when tau^p(c) ≼ y c, that is when y\tau^p(c) ≼ c,
+    where y\t = y^{-1} (y ∨ t) is taken one factor f of y at a time as
+    t <- f^{-1} (f ∨ t).  Both sides are monotone in c, so climbing
+    c <- c ∨ y\tau^p(c) stops at the least such simple.
+    """
+    S = x.structure
+    while True:
+        t = S.tau_power(c, x.inf)
+        for f in x.factors:
+            t = S.simple_left_divide(f, S.join(f, t))
+        grown = S.join(c, t)
+        if grown == c:
+            return c
+        c = grown
+
+
+def _min_simple(x: Element, x_inv: Element, s: Simple) -> Simple:
+    """The ≼-least simple c above s with c^{-1} x c at the (inf, sup) of x.
+
+    sup(c^{-1} x c) <= sup(x) exactly when inf(c^{-1} x^{-1} c) >= inf(x^{-1}),
+    so alternating the inf closure on x and on x^{-1} reaches the least
+    simple meeting both conditions.  For x in its super summit set this is
+    the minimal simple for s of Franco and González-Meneses.
+    """
+    while True:
+        c = _inf_closure(x, s)
+        s = _inf_closure(x_inv, c)
+        if s == c:
+            return c
+
+
 def _sss_closure(rep: Element, cap: int) -> dict[Element, Element]:
     """The super summit set as {element: witness}, witnesses rooted at rep.
 
-    Closure of rep under conjugation by all simples, keeping exactly the
-    conjugates with the same (inf, sup); each witness w satisfies
+    rep must lie in its super summit set, any two elements of which are
+    linked by conjugations by simples that stay in the set (Elrifai and
+    Morton).  Such a simple s for h lies above some atom, hence above that
+    atom's minimal simple c at h, and c^{-1} s is a shorter simple of the
+    same kind for c^{-1} h c; so conjugating each h by the distinct minimal
+    simples of the atoms, at most one per atom, reaches the whole set.  The
+    conjugators of each h are tried in canonical order, as in the
+    closure under all simples.  Each witness w satisfies
     w^{-1} · rep · w = element.
     """
     S = rep.structure
-    conjugators = [
-        (simple_element(s), invert(simple_element(s)))
-        for s in S.enumerate_simples()
-        if s.atom_norm > 0
-    ]
+    atoms = [S.atom_simple(i) for i in range(len(S.atoms()))]
     seen: dict[Element, Element] = {rep: identity_element(S)}
     frontier = [rep]
     while frontier:
         nxt = []
         for h in frontier:
-            for s_elt, s_inv in conjugators:
-                h2 = multiply(multiply(s_inv, h), s_elt)
-                if h2.inf != rep.inf or h2.sup != rep.sup or h2 in seen:
+            h_inv = invert(h)
+            for c in sorted({_min_simple(h, h_inv, a) for a in atoms}):
+                c_elt = simple_element(c)
+                h2 = multiply(multiply(invert(c_elt), h), c_elt)
+                if h2 in seen:
                     continue
-                seen[h2] = multiply(seen[h], s_elt)
+                seen[h2] = multiply(seen[h], c_elt)
                 nxt.append(h2)
                 if len(seen) > cap:
                     raise ResourceLimitError(

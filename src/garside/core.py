@@ -20,9 +20,10 @@ plus boundary trimming produces the normal form.  Inverses need no repair:
 their normal form is read off directly.
 
 A `GarsideStructure` supplies the presentation-specific primitives on simple
-elements (meet, complements, products, tau) at the payload level; this module
-wraps them with interning, caching and validation, and implements all
-element-level arithmetic on top.  Concrete structures live in `structures`.
+elements (meet, complements, products, tau, word reversal) at the payload
+level; this module wraps them with interning, caching and validation,
+derives the join from them, and implements all element-level arithmetic on
+top.  Concrete structures live in `structures`.
 """
 
 from __future__ import annotations
@@ -119,6 +120,14 @@ class GarsideStructure(abc.ABC):
     @abc.abstractmethod
     def _tau(self, a) -> Any:
         """Conjugation by Delta: Delta^{-1}·a·Delta."""
+
+    @abc.abstractmethod
+    def _reverse(self, a) -> Any:
+        """The simple spelled by a's atom words read backwards.
+
+        Word reversal is an anti-automorphism of the positive monoid that
+        fixes the atoms and Delta, so it swaps left and right divisibility.
+        """
 
     @abc.abstractmethod
     def _all_payloads(self) -> Iterator[Any]:
@@ -233,6 +242,23 @@ class GarsideStructure(abc.ABC):
     def tau_simple(self, s: Simple) -> Simple:
         self._check(s)
         return self.make_simple(self._tau(s.payload))
+
+    def reverse(self, s: Simple) -> Simple:
+        self._check(s)
+        return self.make_simple(self._reverse(s.payload))
+
+    @functools.cache
+    def join(self, a: Simple, b: Simple) -> Simple:
+        """Least common right multiple a ∨ b: the least simple both left-divide.
+
+        c is a right multiple of a exactly when right_complement(c) is a
+        right divisor of right_complement(a), so right_complement(a ∨ b) is
+        the greatest common right divisor of the two complements, which
+        word reversal turns into a meet.
+        """
+        rev = self.reverse
+        suffix = rev(self.meet(rev(self.right_complement(a)), rev(self.right_complement(b))))
+        return self.left_complement(suffix)
 
     def tau_power(self, s: Simple, k: int) -> Simple:
         for _ in range(k % self.tau_order()):

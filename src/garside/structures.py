@@ -126,6 +126,11 @@ class BraidStructure(GarsideStructure):
         n = self.n
         return tuple(n - 1 - a[n - 1 - i] for i in range(n))
 
+    def _reverse(self, a):
+        # A reversed word multiplies the inverse transpositions in the
+        # opposite order, which is the inverse permutation.
+        return _inverse(a)
+
     def _all_payloads(self):
         return itertools.permutations(range(self.n))
 
@@ -233,6 +238,10 @@ class TorusStructure(GarsideStructure):
     def _tau(self, a):
         return a
 
+    def _reverse(self, a):
+        # Every simple is a power of one letter, or Delta = x^N.
+        return a
+
     def _all_payloads(self):
         yield ("e", 0)
         for i in range(1, self.exp_x):
@@ -313,6 +322,9 @@ class ProductStructure(GarsideStructure):
 
     def _tau(self, a):
         return (self.left.tau_simple(a[0]), self.right.tau_simple(a[1]))
+
+    def _reverse(self, a):
+        return (self.left.reverse(a[0]), self.right.reverse(a[1]))
 
     def _all_payloads(self):
         return itertools.product(self.left.enumerate_simples(), self.right.enumerate_simples())

@@ -4,8 +4,9 @@ Brute-force oracles for tests.
 These are deliberately naive and share only the normal-form arithmetic with
 the algorithms they audit: word lengths come from breadth-first search over
 the simple generators, summit infima from exhaustive conjugation up to a
-word-length cap, and translation estimates from the one-power bracket that
-must contain the exact value for every n >= 1.
+word-length cap, super summit sets from conjugation by every simple, and
+translation estimates from the one-power bracket that must contain the exact
+value for every n >= 1.
 """
 
 from __future__ import annotations
@@ -96,6 +97,35 @@ def brute_summit_inf(g: Element, conj_len_cap: int = 6) -> int:
                     best = h2.inf
         frontier = nxt
     return best
+
+
+def brute_sss_closure(rep: Element) -> dict[Element, Element]:
+    """The super summit set of rep as {element: witness}, by every simple.
+
+    Closure of rep under conjugation by all nontrivial simples, keeping
+    exactly the conjugates with the same (inf, sup); each witness w
+    satisfies w^{-1} · rep · w = element.  rep must lie in its super summit
+    set.
+    """
+    S = rep.structure
+    conjugators = [
+        (simple_element(s), invert(simple_element(s)))
+        for s in S.enumerate_simples()
+        if s.atom_norm > 0
+    ]
+    seen: dict[Element, Element] = {rep: identity_element(S)}
+    frontier = [rep]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for s_elt, s_inv in conjugators:
+                h2 = multiply(multiply(s_inv, h), s_elt)
+                if h2.inf != rep.inf or h2.sup != rep.sup or h2 in seen:
+                    continue
+                seen[h2] = multiply(seen[h], s_elt)
+                nxt.append(h2)
+        frontier = nxt
+    return seen
 
 
 def estimate_translation(g: Element, n: int) -> Bracket:

@@ -153,6 +153,9 @@ def test_cli_exit_codes(capsys):
     # unsupported structure exits 1
     assert run_command(["genpower", "--group", "torus:5:3", "x", "y"]) == 1
     capsys.readouterr()
+    # a word above the atom-letter bound is refused before it is evaluated
+    assert run_command(["nf", "--group", "braid:3", "a1^1000000000"]) == 1
+    assert "100000" in capsys.readouterr().err
     # answered questions exit 0 even when the answer is "no solution"
     assert run_command(["root", "--group", "braid:3", "-n", "2", "a1"]) == 0
     capsys.readouterr()
