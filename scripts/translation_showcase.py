@@ -10,7 +10,6 @@ are attained exactly.
 from garside import (
     braid_structure,
     conjugate_straightness,
-    delta_central_exponent,
     product_structure,
     quotient_translation_number,
     straightness,
@@ -39,7 +38,7 @@ def main() -> None:
     H = torus_structure(2, 3)
     PROD = product_structure(H, H)
 
-    print("braid:3 (N = 3, central Delta power m0 =", delta_central_exponent(B3), ")")
+    print("braid:3 (N = 3, central Delta power m0 =", B3.tau_order(), ")")
     for word in ("a1", "a1 a2", "a1 a1 a2", "a1^-1 a2"):
         show(B3, word)
 

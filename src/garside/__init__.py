@@ -55,7 +55,6 @@ from .translation import (
     MultipleCandidatesError,
     TranslationTriple,
     conjugate_straightness,
-    delta_central_exponent,
     quotient_translation_number,
     rational_in_interval,
     straightness,

@@ -46,7 +46,7 @@ class Atom:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Simple:
     """A left divisor of Delta, tagged with its atom-length norm.
 
@@ -54,6 +54,10 @@ class Simple:
     tagged exponent for torus groups, a pair of component simples for
     products) and is only ever interpreted by the owning structure.  The
     norm ||s|| is carried eagerly so length queries are O(1).
+
+    Simples are interned: `GarsideStructure.make_simple` is the only
+    constructor, and its cache is keyed on the structure's value, so equal
+    simples are the same object and compare and hash by identity.
     """
 
     structure: "GarsideStructure" = field(repr=False)

@@ -4,20 +4,21 @@ Exact translation numbers and straightness predicates.
 The limits t_inf(g) = lim inf(g^n)/n and t_sup(g) = lim sup(g^n)/n are
 rational with denominator at most N = ||Delta||, and t_len = t_sup - t_inf
 has denominator at most N^2.  Both are pinned down exactly by a single
-summit computation: for n >= N^2 the value t_inf(g) is the unique rational
-with denominator <= N inside the closed interval
+summit computation: for n >= N^2 the summit of x = g^n brackets each of
+them in a closed interval of width 1/n,
 
-    [ inf_s(g^n)/n ,  inf_s(g^n)/n + 1/n ],
+    t_inf(g)  in  [ inf_s(x)/n ,  (inf_s(x) + 1)/n ],
+    t_sup(g)  in  [ (sup_s(x) - 1)/n ,  sup_s(x)/n ],
 
-so the whole computation is finite.  t_sup is always derived as
--t_inf(g^{-1}), never computed independently.
+and each interval holds exactly one rational with denominator <= N, so the
+whole computation is finite.  The t_sup bracket is the t_inf bracket of
+g^{-1} negated, since inf_s(x^{-1}) = -sup_s(x).
 
-The translation number t_D(g) with respect to the simples follows the
-three-case split on the summit invariants: t_sup if inf_s >= 0, -t_inf if
-sup_s <= 0, and t_len otherwise; since inf_s <= t_inf <= inf_s + 1 - 1/N
-and likewise for sup_s, that split is decided by the triple alone.  It is
-at least 1/N for g != 1, and the translation number of the image of g in
-the central quotient G / <Delta^{m0}> equals t_len(g).
+The translation number t_D(g) with respect to the simples is the largest of
+t_sup, -t_inf and t_len.  It is at least 1/N for g != 1, and the
+translation number of the image of g in the central quotient
+G / <Delta^{m0}>, where m0 = S.tau_order() is the least central Delta
+power, equals t_len(g).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .conjugacy import summit
-from .core import Element, GarsideStructure, invert, power
+from .core import Element, power
 
 
 class MultipleCandidatesError(RuntimeError):
@@ -79,24 +80,19 @@ def rational_in_interval(lo: Fraction, hi: Fraction, maxden: int) -> Fraction | 
     return found.pop() if found else None
 
 
-def _t_inf(g: Element) -> Fraction:
-    S = g.structure
-    N = S.delta_norm()
+def translation_triple(g: Element) -> TranslationTriple:
+    """Exact (t_inf, t_sup, t_len) for g, from one summit of g^n."""
+    N = g.structure.delta_norm()
     # Any n >= N^2 makes the bracket width 1/n small enough to isolate a
     # unique candidate; n = 2 covers the infinite-cyclic case N = 1, where
     # a width-1 closed interval would contain two integers.
     n = max(N * N, 2)
-    a = summit(power(g, n)).inf_s
-    lo = Fraction(a, n)
-    value = rational_in_interval(lo, lo + Fraction(1, n), N)
-    if value is None:
+    sd = summit(power(g, n))
+    t_inf = rational_in_interval(Fraction(sd.inf_s, n), Fraction(sd.inf_s + 1, n), N)
+    t_sup = rational_in_interval(Fraction(sd.sup_s - 1, n), Fraction(sd.sup_s, n), N)
+    if t_inf is None or t_sup is None:
         raise AssertionError("bracket interval contained no admissible rational")
-    return value
-
-
-def translation_triple(g: Element) -> TranslationTriple:
-    """Exact (t_inf, t_sup, t_len) for g."""
-    return TranslationTriple(_t_inf(g), -_t_inf(invert(g)))
+    return TranslationTriple(t_inf, t_sup)
 
 
 def translation_number(g: Element) -> Fraction:
@@ -117,11 +113,6 @@ def conjugate_straightness(g: Element) -> tuple[bool, bool]:
     sd = summit(g)
     sd_N = summit(power(g, N))
     return (sd_N.inf_s == N * sd.inf_s, sd_N.sup_s == N * sd.sup_s)
-
-
-def delta_central_exponent(S: GarsideStructure) -> int:
-    """The least m0 with Delta^{m0} central: the order of tau on the atoms."""
-    return S.tau_order()
 
 
 def quotient_translation_number(g: Element) -> Fraction:

@@ -4,9 +4,10 @@ Brute-force oracles for tests.
 These are deliberately naive and share only the normal-form arithmetic with
 the algorithms they audit: word lengths come from breadth-first search over
 the simple generators, summit infima from exhaustive conjugation up to a
-word-length cap, super summit sets from conjugation by every simple, and
+word-length cap, super summit sets from conjugation by every simple,
 translation estimates from the one-power bracket that must contain the exact
-value for every n >= 1.
+value for every n >= 1, and the exact translation triple from two summits,
+one of g^n and one of g^{-n}.
 """
 
 from __future__ import annotations
@@ -14,7 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from garside import Element, identity_element, invert, multiply, power, simple_element, summit
+from garside import (
+    Element,
+    TranslationTriple,
+    identity_element,
+    invert,
+    multiply,
+    power,
+    rational_in_interval,
+    simple_element,
+    summit,
+)
 
 
 @dataclass(frozen=True)
@@ -135,3 +146,20 @@ def estimate_translation(g: Element, n: int) -> Bracket:
     a = summit(power(g, n)).inf_s
     lo = Fraction(a, n)
     return Bracket(lo, lo + Fraction(1, n))
+
+
+def two_summit_triple(g: Element) -> TranslationTriple:
+    """The exact translation triple from two summits, at g and at g^{-1}.
+
+    t_inf(g) is the one rational with denominator <= N in the power-n
+    bracket of g, and t_sup(g) = -t_inf(g^{-1}) the negated one in the
+    bracket of g^{-1}, with n = max(N^2, 2).
+    """
+    N = g.structure.delta_norm()
+    n = max(N * N, 2)
+
+    def t_inf(x: Element) -> Fraction:
+        bracket = estimate_translation(x, n)
+        return rational_in_interval(bracket.lo, bracket.hi, N)
+
+    return TranslationTriple(t_inf(g), -t_inf(invert(g)))

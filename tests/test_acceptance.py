@@ -13,7 +13,6 @@ import pytest
 
 from garside import (
     braid_structure,
-    delta_central_exponent,
     invert,
     multiply,
     power,
@@ -170,7 +169,7 @@ def test_criterion_6_case_split_and_quotient(sample500):
             expected = triple.t_sup - triple.t_inf
         assert translation_number(g) == expected
         assert quotient_translation_number(g) == triple.t_len
-    assert delta_central_exponent(B3) == 2
+    assert B3.tau_order() == 2
     assert quotient_translation_number(parse_word(B3, "a1")) == 1
     elapsed = time.monotonic() - start
     _passline(6, f"case split and quotient identity on {len(sample500)} elements; "

@@ -5,6 +5,9 @@ import random
 import pytest
 
 from garside import (
+    BraidStructure,
+    ProductStructure,
+    TorusStructure,
     braid_structure,
     multiply,
     power,
@@ -13,6 +16,7 @@ from garside import (
     structure_from_descriptor,
     torus_structure,
 )
+from garside.cli import parse_word
 from garside.structures import DescriptorError
 
 from .conftest import random_word_element, simple_divisors
@@ -25,6 +29,21 @@ def test_braid_constants():
     assert len(braid_structure(2).enumerate_simples()) == 2
     assert braid_structure(4).delta_norm() == 6
     assert len(braid_structure(4).enumerate_simples()) == 24
+
+
+def test_simples_are_interned():
+    # Simples hash and compare by identity, so equal simples must be one
+    # object however their structure was built.
+    for p in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:
+        assert BraidStructure(3).make_simple(p) is braid_structure(3).make_simple(p)
+    built = ProductStructure(BraidStructure(3), TorusStructure(2, 3))
+    parsed = [structure_from_descriptor("product:(braid:3,torus:2:3)") for _ in range(2)]
+    for a, b, c in zip(built.enumerate_simples(), *(S.enumerate_simples() for S in parsed)):
+        assert a is b is c
+    word = "L.a1 R.x^-1 L.a2 R.y^2 D"
+    g, h, k = (parse_word(S, word) for S in (built, *parsed))
+    assert g == h == k
+    assert hash(g) == hash(h) == hash(k)
 
 
 def test_braid_unique_root_exponent():

@@ -5,34 +5,63 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from garside import (
     MultipleCandidatesError,
     braid_structure,
     conjugate_straightness,
-    delta_central_exponent,
     delta_power_element,
     identity_element,
     invert,
     multiply,
+    normalize,
     power,
     product_structure,
     quotient_translation_number,
     rational_in_interval,
     straightness,
+    structure_from_descriptor,
     summit,
     torus_structure,
     translation_number,
     translation_triple,
 )
+from garside import translation
 from garside.cli import parse_word
 
 from .conftest import elements_of, random_word_element
+from .oracle import two_summit_triple
 
 B3 = braid_structure(3)
 B4 = braid_structure(4)
 T53 = torus_structure(5, 3)
 PROD = product_structure(torus_structure(2, 3), torus_structure(2, 3))
+
+# braid:2 is the infinite-cyclic case N = 1, bracketed at n = 2; the two
+# products are those of test_repair_paths.
+REFERENCE_STRUCTURES = [
+    structure_from_descriptor(d)
+    for d in (
+        "braid:2",
+        "braid:3",
+        "braid:4",
+        "torus:5:3",
+        "product:(torus:2:3,torus:2:3)",
+        "product:(product:(braid:3,torus:2:3),braid:3)",
+    )
+]
+
+
+def shifted_elements_of(S, lo, hi):
+    """Products of up to 6 random simples, shifted by Delta to inf in [lo, hi]."""
+    raw = st.lists(st.sampled_from(S.enumerate_simples()), max_size=6)
+    g = st.builds(normalize, st.just(S), st.just(0), raw)
+    return st.builds(
+        lambda g, inf: multiply(delta_power_element(S, inf - g.inf), g),
+        g,
+        st.integers(lo, hi),
+    )
 
 
 def test_rational_in_interval_fixtures():
@@ -80,11 +109,11 @@ def test_conjugate_straightness_fixtures():
 
 
 def test_delta_central_exponent_fixtures():
-    assert delta_central_exponent(B3) == 2
-    assert delta_central_exponent(T53) == 1
-    assert delta_central_exponent(PROD) == 1
-    assert delta_central_exponent(braid_structure(4)) == 2
-    assert delta_central_exponent(braid_structure(2)) == 1
+    assert B3.tau_order() == 2
+    assert T53.tau_order() == 1
+    assert PROD.tau_order() == 1
+    assert braid_structure(4).tau_order() == 2
+    assert braid_structure(2).tau_order() == 1
 
 
 def test_quotient_translation_fixtures():
@@ -183,3 +212,31 @@ def test_infinite_cyclic_edge_case():
     t = translation_triple(g)
     assert (t.t_inf, t.t_sup, t.t_len) == (3, 3, 0)
     assert translation_number(g) == 3
+
+
+@pytest.mark.parametrize("S", REFERENCE_STRUCTURES, ids=lambda S: S.descriptor())
+@pytest.mark.parametrize("lo, hi", [(-3, -1), (0, 0), (1, 3)], ids=["inf<0", "inf=0", "inf>0"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_one_summit_triple_matches_two_summit_reference(S, lo, hi, data):
+    # 18 cases of 8 examples each: every family with inf < 0, = 0 and > 0.
+    g = data.draw(shifted_elements_of(S, lo, hi))
+    assert lo <= g.inf <= hi
+    assert translation_triple(g) == two_summit_triple(g)
+
+
+def test_translation_triple_makes_one_power_and_one_summit(monkeypatch):
+    calls = {"power": 0, "summit": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(translation, name, counting(name, getattr(translation, name)))
+    t = translation_triple(parse_word(PROD, "L.x R.y"))
+    assert (t.t_inf, t.t_sup) == (Fraction(1, 3), Fraction(1, 2))
+    assert calls == {"power": 1, "summit": 1}
