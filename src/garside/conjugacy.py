@@ -210,6 +210,6 @@ def super_summit_set(g: Element, cap: int = DEFAULT_SSS_CAP) -> tuple[Element, .
 
 def are_conjugate(g: Element, h: Element) -> Element | None:
     """A conjugator w with w^{-1} · g · w = h if g and h are conjugate, None otherwise."""
-    if g.structure != h.structure:
+    if g.structure is not h.structure:
         raise StructureMismatchError("conjugacy query across structures")
     return summit(g).conjugator_to(summit(h))

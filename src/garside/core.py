@@ -19,6 +19,16 @@ empties a factor bubbles the hole to the back, so a single fixpoint loop
 plus boundary trimming produces the normal form.  Inverses need no repair:
 their normal form is read off directly.
 
+Each slide is read from a row on its left simple: `a.slides` maps a right
+neighbour b to the left-weighted pair of (a, b).  Rows fill on first use
+from the cached `S.slide`, so they hold only the pairs that occur and cost
+one dict lookup per repaired pair; no |S|^2 table is ever allocated.
+
+Structures and simples are interned: every structure value is one object
+(see `_Interned`), and `GarsideStructure.make_simple` is the only simple
+constructor, so both compare and hash by identity: a cache or row lookup
+keyed on simples hashes addresses only, never a structure or a payload.
+
 A `GarsideStructure` supplies the presentation-specific primitives on simple
 elements (meet, complements, products, tau, word reversal) at the payload
 level; this module wraps them with interning, caching and validation,
@@ -29,6 +39,7 @@ top.  Concrete structures live in `structures`.
 from __future__ import annotations
 
 import abc
+import dataclasses
 import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
@@ -56,13 +67,19 @@ class Simple:
     norm ||s|| is carried eagerly so length queries are O(1).
 
     Simples are interned: `GarsideStructure.make_simple` is the only
-    constructor, and its cache is keyed on the structure's value, so equal
+    constructor, and its cache is keyed on the interned structure, so equal
     simples are the same object and compare and hash by identity.
+
+    `slides` is the simple's row of left-weighted pairs, filled by
+    `_fix_factors`: `slides[b]` is `structure.slide(self, b)`.
     """
 
     structure: "GarsideStructure" = field(repr=False)
     payload: Any
     atom_norm: int
+    slides: dict["Simple", tuple["Simple", "Simple"]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __lt__(self, other: "Simple"):
         if not isinstance(other, Simple):
@@ -70,10 +87,30 @@ class Simple:
         return (self.atom_norm, self.payload) < (other.atom_norm, other.payload)
 
 
-class GarsideStructure(abc.ABC):
+_STRUCTURES: dict[tuple, "GarsideStructure"] = {}
+
+
+class _Interned(abc.ABCMeta):
+    """Metaclass that makes each structure value a single object.
+
+    A constructor call builds the instance as usual, then returns the first
+    instance built with the same class and field values.  Components of a
+    product are themselves interned, so the key hashes by identity all the
+    way down, and structures can use identity for `==` and `hash`.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        candidate = super().__call__(*args, **kwargs)
+        key = (cls, *(getattr(candidate, f.name) for f in dataclasses.fields(candidate)))
+        return _STRUCTURES.setdefault(key, candidate)
+
+
+class GarsideStructure(abc.ABC, metaclass=_Interned):
     """Primitive operations of one Garside presentation.
 
-    Subclasses implement the payload-level primitives (prefixed with an
+    Subclasses are frozen dataclasses declared with ``eq=False``: instances
+    are interned by value (see `_Interned`), so they compare and hash by
+    identity.  They implement the payload-level primitives (prefixed with an
     underscore); this base class wraps them in interned `Simple` values,
     argument validation and caching.  All public simple-level operations are
     cached, so after warm-up the normal-form machinery runs on table lookups.
@@ -205,7 +242,7 @@ class GarsideStructure(abc.ABC):
     # ------------------------------------------------------------------
 
     def _check(self, s: Simple) -> None:
-        if s.structure != self:
+        if s.structure is not self:
             raise StructureMismatchError(f"simple of {s.structure!r} used with {self!r}")
 
     @functools.cache
@@ -308,9 +345,6 @@ class Element:
     def sort_key(self):
         return (self.inf, self.factors)
 
-    def inverse(self) -> "Element":
-        return invert(self)
-
     def __mul__(self, other: "Element") -> "Element":
         return multiply(self, other)
 
@@ -335,14 +369,19 @@ def _fix_factors(S: GarsideStructure, factors: list[Simple], dirty: list[int]) -
     violate the condition; fixing a pair can only disturb its two
     neighbours, which are pushed back onto the stack.  Deltas bubble to the
     front and identity factors to the back as a side effect of the slides.
+    Each slide is read from the row `a.slides`, filled from `S.slide` on a
+    miss.
     """
     while dirty:
         p = dirty.pop()
         if p < 0 or p + 1 >= len(factors):
             continue
         a, b = factors[p], factors[p + 1]
-        a2, b2 = S.slide(a, b)
-        if a2 == a:
+        pair = a.slides.get(b)
+        if pair is None:
+            pair = a.slides[b] = S.slide(a, b)
+        a2, b2 = pair
+        if a2 is a:
             continue
         factors[p] = a2
         factors[p + 1] = b2
@@ -354,10 +393,10 @@ def _finalize(S: GarsideStructure, delta_power: int, factors: list[Simple]) -> E
     delta = S.delta()
     identity = S.identity_simple()
     lead = 0
-    while lead < len(factors) and factors[lead] == delta:
+    while lead < len(factors) and factors[lead] is delta:
         lead += 1
     tail = len(factors)
-    while tail > lead and factors[tail - 1] == identity:
+    while tail > lead and factors[tail - 1] is identity:
         tail -= 1
     return Element(S, delta_power + lead, tuple(factors[lead:tail]))
 
@@ -366,7 +405,7 @@ def normalize(structure: GarsideStructure, delta_power: int, raw_factors: Iterab
     """The unique normal form of Delta^delta_power · (product of raw factors)."""
     factors = []
     for s in raw_factors:
-        if s.structure != structure:
+        if s.structure is not structure:
             raise StructureMismatchError("factor belongs to a different structure")
         if s.atom_norm == 0:
             continue
@@ -395,7 +434,7 @@ def multiply(g: Element, h: Element) -> Element:
     left-weightedness outward from the single junction: both halves are
     already normal, so only slides triggered there can propagate.
     """
-    if g.structure != h.structure:
+    if g.structure is not h.structure:
         raise StructureMismatchError("product of elements from different structures")
     S = g.structure
     if h.is_identity:
@@ -476,7 +515,7 @@ def validate_element(g: Element) -> None:
     identity = S.identity_simple()
     delta = S.delta()
     for s in g.factors:
-        if s.structure != S:
+        if s.structure is not S:
             raise ValueError("factor owned by a different structure")
         if s == identity or s == delta:
             raise ValueError("normal form contains an identity or Delta factor")

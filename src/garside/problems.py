@@ -80,7 +80,7 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
     For g, h != 1 the only candidate magnitude is m = t_D(g)/t_D(h); the
     answer is +m or -m according to whether h^m matches g or g^{-1}.
     """
-    if g.structure != h.structure:
+    if g.structure is not h.structure:
         raise StructureMismatchError("power query across structures")
     if g.is_identity:
         return ProblemAnswer(Outcome.SOLUTION, n=0, witness=identity_element(g.structure))
@@ -203,7 +203,7 @@ def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = Fals
     With p/q = t_D(h)/t_D(g) reduced, a solution exists if and only if
     g^{pr} matches h^{qr} or h^{-qr}, so the check is a single comparison.
     """
-    if g.structure != h.structure:
+    if g.structure is not h.structure:
         raise StructureMismatchError("generalized power query across structures")
     r = g.structure.unique_root_exponent
     if r is None:

@@ -15,11 +15,14 @@ is the identity; mixed-letter proper simples meet in the identity.
 
 A direct product of two structures is again a Garside structure with all
 primitives componentwise and Delta = (Delta_1, Delta_2).
+
+Every structure is interned by value (`core._Interned`): factories, direct
+constructors and parsed descriptors of one group all return one object,
+which compares and hashes by identity.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,7 +53,7 @@ def _inversions(p: tuple[int, ...]) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BraidStructure(GarsideStructure):
     """The classical Garside structure on the braid group with n strands."""
 
@@ -150,7 +153,7 @@ class BraidStructure(GarsideStructure):
         return tuple(word)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusStructure(GarsideStructure):
     """The group <x, y | x^N = y^M> with Delta = x^N = y^M (central).
 
@@ -259,7 +262,7 @@ class TorusStructure(GarsideStructure):
         return (0,) * k if tag == "x" else (1,) * k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductStructure(GarsideStructure):
     """Direct product of two Garside structures; everything componentwise.
 
@@ -341,7 +344,6 @@ class ProductStructure(GarsideStructure):
 # ----------------------------------------------------------------------
 
 
-@functools.cache
 def braid_structure(n: int, max_strands: int = DEFAULT_MAX_STRANDS) -> BraidStructure:
     """The braid group B_n; capped because simples are tabulated eagerly."""
     if n < 2 or n > max_strands:
@@ -349,7 +351,6 @@ def braid_structure(n: int, max_strands: int = DEFAULT_MAX_STRANDS) -> BraidStru
     return BraidStructure(n)
 
 
-@functools.cache
 def torus_structure(exp_x: int, exp_y: int) -> TorusStructure:
     """The group <x, y | x^exp_x = y^exp_y>; exponents in either order."""
     if exp_x < 2 or exp_y < 2:
@@ -357,7 +358,6 @@ def torus_structure(exp_x: int, exp_y: int) -> TorusStructure:
     return TorusStructure(exp_x, exp_y)
 
 
-@functools.cache
 def product_structure(left: GarsideStructure, right: GarsideStructure) -> ProductStructure:
     return ProductStructure(left, right)
 

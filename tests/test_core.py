@@ -1,6 +1,7 @@
 """Normal-form engine: meets, complements, normalization, group arithmetic."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,13 @@ from garside import (
     normalize,
     power,
     simple_element,
+    structure_from_descriptor,
     tau_element,
     torus_structure,
     validate_element,
     word_length,
 )
+from garside.core import _fix_factors
 from garside.enumeration import proper_simples
 
 from .conftest import elements_of, perm_mul, simple_divisors
@@ -121,6 +124,46 @@ def test_slide_left_weights_every_pair(b3, torus53):
             rhs = multiply(simple_element(a2), simple_element(b2))
             assert lhs == rhs
             assert S.meet(S.right_complement(a2), b2) == identity
+
+
+SLIDE_ROW_SAMPLE = 3_000
+
+
+def payload_slide(S, a, b):
+    """The left-weighted pair of payloads (a, b), from the payload primitives alone."""
+    c = S._meet(S._right_complement(a), b)
+    if S._norm(c) == 0:
+        return (a, b)
+    return (S._product(a, c), S._left_divide(c, b))
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        "braid:3",
+        "braid:4",
+        "torus:5:3",
+        "torus:2:3",
+        "product:(braid:3,torus:2:3)",
+        "braid:5",
+        "product:(product:(braid:3,torus:2:3),braid:3)",
+    ],
+)
+def test_slide_rows_match_payload_slides(descriptor):
+    # All pairs where there are at most SLIDE_ROW_SAMPLE, else a seeded
+    # sample.  One repair of each pair fills the row of its left simple; the
+    # row must then hold the interned pair a fresh payload slide gives.
+    S = structure_from_descriptor(descriptor)
+    pairs = list(itertools.product(S.enumerate_simples(), repeat=2))
+    if len(pairs) > SLIDE_ROW_SAMPLE:
+        pairs = random.Random(61).sample(pairs, SLIDE_ROW_SAMPLE)
+    for a, b in pairs:
+        _fix_factors(S, [a, b], [0])
+    for a, b in pairs:
+        row = a.slides[b]
+        expected = payload_slide(S, a.payload, b.payload)
+        assert tuple(s.payload for s in row) == expected
+        assert all(s is S.make_simple(p) for s, p in zip(row, expected))
 
 
 def test_normalize_fixtures(b3, torus53):

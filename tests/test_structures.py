@@ -9,6 +9,7 @@ from garside import (
     ProductStructure,
     TorusStructure,
     braid_structure,
+    invert,
     multiply,
     power,
     product_structure,
@@ -44,6 +45,73 @@ def test_simples_are_interned():
     g, h, k = (parse_word(S, word) for S in (built, *parsed))
     assert g == h == k
     assert hash(g) == hash(h) == hash(k)
+
+
+NESTED = "product:(product:(braid:3,torus:2:3),braid:3)"
+
+
+def test_structures_are_interned_by_value():
+    # Factories (with and without max_strands), direct constructors,
+    # descriptors with surrounding whitespace and products of parsed
+    # components all give one object per value, hashed by identity.
+    routes = {
+        "braid:3": (
+            "a1 a2^-1 D a1",
+            [
+                braid_structure(3),
+                braid_structure(3, max_strands=8),
+                braid_structure(3, max_strands=3),
+                BraidStructure(3),
+                BraidStructure(n=3),
+                structure_from_descriptor("braid:3"),
+                structure_from_descriptor("  braid:3\n"),
+            ],
+        ),
+        "torus:2:3": (
+            "x y^-1 D x",
+            [
+                torus_structure(2, 3),
+                TorusStructure(2, 3),
+                TorusStructure(exp_x=2, exp_y=3),
+                structure_from_descriptor(" torus:2:3 "),
+            ],
+        ),
+        NESTED: (
+            "L.L.a1 L.R.y^2 R.a2^-1 D L.R.x",
+            [
+                structure_from_descriptor(NESTED),
+                structure_from_descriptor(" product:( product:(braid:3, torus:2:3 ), braid:3 ) "),
+                product_structure(
+                    product_structure(braid_structure(3), torus_structure(2, 3)),
+                    BraidStructure(3),
+                ),
+                ProductStructure(
+                    ProductStructure(BraidStructure(3), TorusStructure(2, 3)),
+                    structure_from_descriptor("braid:3"),
+                ),
+                product_structure(
+                    structure_from_descriptor("product:(braid:3,torus:2:3)"),
+                    braid_structure(3, max_strands=4),
+                ),
+            ],
+        ),
+    }
+    for descriptor, (word, built) in routes.items():
+        first = built[0]
+        assert all(S is first for S in built)
+        assert first.descriptor() == descriptor
+        assert type(first).__hash__ is object.__hash__
+        assert type(first).__eq__ is object.__eq__
+        elements = [parse_word(S, word) for S in built]
+        square = parse_word(first, f"{word} {word}")
+        for g, h in zip(elements, elements[1:] + elements[:1]):
+            assert g.structure is h.structure
+            assert multiply(g, h) == square
+            assert multiply(g, invert(h)).is_identity
+    for cls in (BraidStructure, TorusStructure, ProductStructure):
+        assert cls.__hash__ is object.__hash__
+    assert braid_structure(4) is not braid_structure(3)
+    assert torus_structure(3, 2) is not torus_structure(2, 3)
 
 
 def test_braid_unique_root_exponent():
