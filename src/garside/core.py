@@ -21,8 +21,9 @@ their normal form is read off directly.
 
 Each slide is read from a row on its left simple: `a.slides` maps a right
 neighbour b to the left-weighted pair of (a, b).  Rows fill on first use
-from the cached `S.slide`, so they hold only the pairs that occur and cost
-one dict lookup per repaired pair; no |S|^2 table is ever allocated.
+from `S.slide`, so they hold only the pairs that occur and cost one dict
+lookup per repaired pair; they are the only slide store, and no |S|^2
+table is ever allocated.
 
 Structures and simples are interned: every structure value is one object
 (see `_Interned`), and `GarsideStructure.make_simple` is the only simple
@@ -30,10 +31,11 @@ constructor, so both compare and hash by identity: a cache or row lookup
 keyed on simples hashes addresses only, never a structure or a payload.
 
 A `GarsideStructure` supplies the presentation-specific primitives on simple
-elements (meet, complements, products, tau, word reversal) at the payload
-level; this module wraps them with interning, caching and validation,
-derives the join from them, and implements all element-level arithmetic on
-top.  Concrete structures live in `structures`.
+elements (meet, right complement, products, left division, word reversal)
+at the payload level; this module wraps them with interning, caching and
+validation, derives the identity, tau, the left complement and the join
+from them, and implements all element-level arithmetic on top.  Concrete
+structures live in `structures`.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class Simple:
     simples are the same object and compare and hash by identity.
 
     `slides` is the simple's row of left-weighted pairs, filled by
-    `_fix_factors`: `slides[b]` is `structure.slide(self, b)`.
+    `_fix_factors`: `slides[b]` is `structure.slide(self, b)`, kept only here.
     """
 
     structure: "GarsideStructure" = field(repr=False)
@@ -111,9 +113,12 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
     Subclasses are frozen dataclasses declared with ``eq=False``: instances
     are interned by value (see `_Interned`), so they compare and hash by
     identity.  They implement the payload-level primitives (prefixed with an
-    underscore); this base class wraps them in interned `Simple` values,
-    argument validation and caching.  All public simple-level operations are
-    cached, so after warm-up the normal-form machinery runs on table lookups.
+    underscore) and `descriptor`; this base class wraps them in interned
+    `Simple` values, argument validation and caching.  With ∂ the right
+    complement it derives the rest: the identity is ∂(Delta), tau is ∂∘∂ and
+    the left complement is tau^{-1}∘∂.  The public simple-level operations
+    are cached, so after warm-up the normal-form machinery runs on table
+    lookups.
     """
 
     # Optional certificates a presentation may provide.
@@ -127,9 +132,6 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
     @abc.abstractmethod
     def _atom_payloads(self) -> tuple[tuple[str, Any], ...]:
         """Pairs (display name, payload), one per atom, in table order."""
-
-    @abc.abstractmethod
-    def _identity_payload(self) -> Any: ...
 
     @abc.abstractmethod
     def _delta_payload(self) -> Any: ...
@@ -147,20 +149,12 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         """The simple t with a·t = Delta."""
 
     @abc.abstractmethod
-    def _left_complement(self, a) -> Any:
-        """The simple t with t·a = Delta."""
-
-    @abc.abstractmethod
     def _product(self, a, b) -> Any:
         """a·b, assuming b divides the right complement of a."""
 
     @abc.abstractmethod
     def _left_divide(self, a, b) -> Any:
         """a^{-1}·b, assuming a divides b on the left."""
-
-    @abc.abstractmethod
-    def _tau(self, a) -> Any:
-        """Conjugation by Delta: Delta^{-1}·a·Delta."""
 
     @abc.abstractmethod
     def _reverse(self, a) -> Any:
@@ -192,7 +186,7 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
 
     @functools.cache
     def identity_simple(self) -> Simple:
-        return self.make_simple(self._identity_payload())
+        return self.right_complement(self.delta())
 
     @functools.cache
     def delta(self) -> Simple:
@@ -258,8 +252,8 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
 
     @functools.cache
     def left_complement(self, s: Simple) -> Simple:
-        self._check(s)
-        return self.make_simple(self._left_complement(s.payload))
+        """The simple t with t·s = Delta: Delta·s^{-1} = tau^{-1}(right_complement(s))."""
+        return self.tau_power(self.right_complement(s), -1)
 
     @functools.cache
     def simple_product(self, a: Simple, c: Simple) -> Simple:
@@ -281,8 +275,8 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
 
     @functools.cache
     def tau_simple(self, s: Simple) -> Simple:
-        self._check(s)
-        return self.make_simple(self._tau(s.payload))
+        """Delta^{-1}·s·Delta = ∂(∂(s)), since s·∂(s) = Delta = ∂(s)·∂(∂(s))."""
+        return self.right_complement(self.right_complement(s))
 
     def reverse(self, s: Simple) -> Simple:
         self._check(s)
@@ -306,7 +300,9 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
             s = self.tau_simple(s)
         return s
 
-    @functools.cache
+    # The rows `a.slides` are the only slide store, so this cache keeps no
+    # entries; `cache_info()` still counts the calls, one per row miss.
+    @functools.lru_cache(maxsize=0)
     def slide(self, a: Simple, b: Simple) -> tuple[Simple, Simple]:
         """Left-weight the pair (a, b), preserving the product a·b."""
         c = self.meet(self.right_complement(a), b)
@@ -424,7 +420,12 @@ def delta_power_element(structure: GarsideStructure, k: int) -> Element:
 
 def simple_element(s: Simple) -> Element:
     """The element represented by a single simple (identity and Delta allowed)."""
-    return normalize(s.structure, 0, (s,))
+    S = s.structure
+    if s is S.delta():
+        return Element(S, 1, ())
+    if s.atom_norm == 0:
+        return Element(S, 0, ())
+    return Element(S, 0, (s,))
 
 
 def multiply(g: Element, h: Element) -> Element:

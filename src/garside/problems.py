@@ -109,14 +109,15 @@ def _integers_in(lo: Fraction, hi: Fraction) -> list[int]:
     return list(range(ceil(lo), floor(hi) + 1))
 
 
-def _root_search(triple: TranslationTriple, sd: SummitData, n: int, candidate_cap: int) -> ProblemAnswer:
+def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAnswer:
     """Find h with h^n conjugate to g, given the triple and summit of g and n >= 2.
 
     Any root has a conjugate at its summit values, and homogeneity forces
     inf into [t_inf(g)/n - 1, t_inf(g)/n] and sup into
     [t_sup(g)/n, t_sup(g)/n + 1], so candidates are the normal forms over at
     most four (inf, sup) windows.  The witness satisfies
-    w^{-1} · h^n · w = g.
+    w^{-1} · h^n · w = g.  Raises `ResourceLimitError` after
+    `DEFAULT_CANDIDATE_CAP` candidates.
     """
     S = sd.representative.structure
     N = S.delta_norm()
@@ -133,10 +134,8 @@ def _root_search(triple: TranslationTriple, sd: SummitData, n: int, candidate_ca
     for lo, hi in windows:
         for factors in factor_sequences(S, hi - lo):
             scanned += 1
-            if scanned > candidate_cap:
-                return ProblemAnswer.resource_limit(
-                    f"root search exceeded {candidate_cap} candidates"
-                )
+            if scanned > DEFAULT_CANDIDATE_CAP:
+                raise ResourceLimitError(f"root search exceeded {DEFAULT_CANDIDATE_CAP} candidates")
             h = Element(S, lo, factors)
             hn = power(h, n)
             if hn.inf > sd.inf_s or hn.sup < sd.sup_s:
@@ -147,7 +146,7 @@ def _root_search(triple: TranslationTriple, sd: SummitData, n: int, candidate_ca
     return ProblemAnswer.no_solution()
 
 
-def solve_root_conjugacy(g: Element, n: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> ProblemAnswer:
+def solve_root_conjugacy(g: Element, n: int) -> ProblemAnswer:
     """Find h with h^n conjugate to g, or prove there is none.
 
     The witness satisfies w^{-1} · h^n · w = g.
@@ -157,7 +156,7 @@ def solve_root_conjugacy(g: Element, n: int, candidate_cap: int = DEFAULT_CANDID
     if n == 1:
         return ProblemAnswer(Outcome.SOLUTION, n=1, root=g, witness=identity_element(g.structure))
     try:
-        return _root_search(translation_triple(g), summit(g), n, candidate_cap)
+        return _root_search(translation_triple(g), summit(g), n)
     except ResourceLimitError as exc:
         return ProblemAnswer.resource_limit(str(exc))
 
@@ -187,8 +186,8 @@ def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
         triple = translation_triple(g)
         sd = summit(g)
         for n in range(2, floor(N * triple.t_D) + 1):
-            answer = _root_search(triple, sd, n, DEFAULT_CANDIDATE_CAP)
-            if not answer.is_no_solution:
+            answer = _root_search(triple, sd, n)
+            if answer.is_solution:
                 return answer
         return ProblemAnswer.no_solution()
     except ResourceLimitError as exc:

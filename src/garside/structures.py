@@ -81,9 +81,6 @@ class BraidStructure(GarsideStructure):
             payloads.append((f"a{i + 1}", tuple(word)))
         return tuple(payloads)
 
-    def _identity_payload(self):
-        return tuple(range(self.n))
-
     def _delta_payload(self):
         return tuple(range(self.n - 1, -1, -1))
 
@@ -114,20 +111,11 @@ class BraidStructure(GarsideStructure):
         inv = _inverse(a)
         return tuple(n - 1 - inv[i] for i in range(n))
 
-    def _left_complement(self, a):
-        n = self.n
-        inv = _inverse(a)
-        return tuple(inv[n - 1 - i] for i in range(n))
-
     def _product(self, a, b):
         return _compose(a, b)
 
     def _left_divide(self, a, b):
         return _compose(_inverse(a), b)
-
-    def _tau(self, a):
-        n = self.n
-        return tuple(n - 1 - a[n - 1 - i] for i in range(n))
 
     def _reverse(self, a):
         # A reversed word multiplies the inverse transpositions in the
@@ -172,9 +160,6 @@ class TorusStructure(GarsideStructure):
     def _atom_payloads(self):
         return (("x", ("x", 1)), ("y", ("y", 1)))
 
-    def _identity_payload(self):
-        return ("e", 0)
-
     def _delta_payload(self):
         return ("D", 0)
 
@@ -212,10 +197,6 @@ class TorusStructure(GarsideStructure):
         rest = self._chain_length(tag) - k
         return (tag, rest) if rest else ("D", 0)
 
-    def _left_complement(self, a):
-        # Delta is central, so the two complements agree.
-        return self._right_complement(a)
-
     def _product(self, a, b):
         if a[0] == "e":
             return b
@@ -237,9 +218,6 @@ class TorusStructure(GarsideStructure):
         if b[0] == "D":
             return self._right_complement(a)
         return (a[0], b[1] - a[1])
-
-    def _tau(self, a):
-        return a
 
     def _reverse(self, a):
         # Every simple is a power of one letter, or Delta = x^N.
@@ -299,9 +277,6 @@ class ProductStructure(GarsideStructure):
         ]
         return tuple(out)
 
-    def _identity_payload(self):
-        return (self.left.identity_simple(), self.right.identity_simple())
-
     def _delta_payload(self):
         return (self.left.delta(), self.right.delta())
 
@@ -314,17 +289,11 @@ class ProductStructure(GarsideStructure):
     def _right_complement(self, a):
         return (self.left.right_complement(a[0]), self.right.right_complement(a[1]))
 
-    def _left_complement(self, a):
-        return (self.left.left_complement(a[0]), self.right.left_complement(a[1]))
-
     def _product(self, a, b):
         return (self.left.simple_product(a[0], b[0]), self.right.simple_product(a[1], b[1]))
 
     def _left_divide(self, a, b):
         return (self.left.simple_left_divide(a[0], b[0]), self.right.simple_left_divide(a[1], b[1]))
-
-    def _tau(self, a):
-        return (self.left.tau_simple(a[0]), self.right.tau_simple(a[1]))
 
     def _reverse(self, a):
         return (self.left.reverse(a[0]), self.right.reverse(a[1]))
@@ -366,6 +335,10 @@ class DescriptorError(ValueError):
     """Raised for malformed structure descriptor strings."""
 
 
+# Deepest product nesting a descriptor may have; parsing recurses once per level.
+MAX_PRODUCT_NESTING = 16
+
+
 def structure_from_descriptor(text: str) -> GarsideStructure:
     """Parse ``braid:<n>``, ``torus:<N>:<M>`` or ``product:(<desc>,<desc>)``."""
     text = text.strip()
@@ -380,6 +353,8 @@ def structure_from_descriptor(text: str) -> GarsideStructure:
         body = text[len("product:"):]
         if not (body.startswith("(") and body.endswith(")")):
             raise DescriptorError(f"expected product:(<desc>,<desc>), got {text!r}")
+        if _nesting(body) > MAX_PRODUCT_NESTING:
+            raise DescriptorError(f"products nested deeper than {MAX_PRODUCT_NESTING} levels")
         left, right = _split_product(body[1:-1], text)
         return product_structure(structure_from_descriptor(left), structure_from_descriptor(right))
     raise DescriptorError(f"unknown structure descriptor {text!r}")
@@ -390,6 +365,11 @@ def _parse_int(chunk: str, full: str) -> int:
         return int(chunk)
     except ValueError:
         raise DescriptorError(f"bad integer {chunk!r} in descriptor {full!r}") from None
+
+
+def _nesting(body: str) -> int:
+    """The deepest parenthesis nesting in body."""
+    return max(itertools.accumulate((ch == "(") - (ch == ")") for ch in body), default=0)
 
 
 def _split_product(body: str, full: str) -> tuple[str, str]:

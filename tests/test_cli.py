@@ -146,6 +146,9 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
     assert run_command(["nf", "--group", "wat:3", "a1"]) == 2
     capsys.readouterr()
+    deep = "product:(braid:2," * 3000 + "braid:2" + ")" * 3000
+    assert run_command(["nf", "--group", deep, "D"]) == 2
+    assert "nested deeper than 16" in capsys.readouterr().err
     assert run_command(["bogus"]) == 2
     capsys.readouterr()
     assert run_command(["nf"]) == 2

@@ -24,7 +24,7 @@ from garside import (
     validate_element,
     word_length,
 )
-from garside.core import _fix_factors
+from garside.core import GarsideStructure, _fix_factors
 from garside.enumeration import proper_simples
 
 from .conftest import elements_of, perm_mul, simple_divisors
@@ -164,6 +164,32 @@ def test_slide_rows_match_payload_slides(descriptor):
         expected = payload_slide(S, a.payload, b.payload)
         assert tuple(s.payload for s in row) == expected
         assert all(s is S.make_simple(p) for s, p in zip(row, expected))
+    # The rows are the only slide store.
+    assert GarsideStructure.slide.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        "braid:2",
+        "braid:3",
+        "braid:4",
+        "braid:5",
+        "torus:5:3",
+        "torus:2:3",
+        "torus:3:5",
+        "product:(braid:3,torus:2:3)",
+        "product:(product:(braid:3,torus:2:3),braid:3)",
+    ],
+)
+def test_derived_operations_match_slides(descriptor):
+    # tau, the left complement and the identity are derived from the right
+    # complement; normalize reaches the same elements through slides alone.
+    S = structure_from_descriptor(descriptor)
+    for s in S.enumerate_simples():
+        assert normalize(S, 0, (s, S.delta())) == normalize(S, 1, (S.tau_simple(s),))
+        assert normalize(S, 0, (S.left_complement(s), s)) == Element(S, 1, ())
+        assert simple_element(s) == normalize(S, 0, (s,))
 
 
 def test_normalize_fixtures(b3, torus53):

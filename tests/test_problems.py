@@ -187,8 +187,9 @@ def test_generalized_power_on_product_of_braids():
     assert power(power(w, 2), answer.n) == power(power(w, 3), answer.m)
 
 
-def test_root_search_resource_limit_is_distinct():
-    answer = solve_root_conjugacy(delta_power_element(B3, 2), 3, candidate_cap=0)
+def test_root_search_resource_limit_is_distinct(monkeypatch):
+    monkeypatch.setattr(problems, "DEFAULT_CANDIDATE_CAP", 0)
+    answer = solve_root_conjugacy(delta_power_element(B3, 2), 3)
     assert answer.outcome is Outcome.RESOURCE_LIMIT
     assert answer.diagnostic
 

@@ -18,6 +18,7 @@ from garside import (
     torus_structure,
 )
 from garside.cli import parse_word
+from garside.core import GarsideStructure
 from garside.structures import DescriptorError
 
 from .conftest import random_word_element, simple_divisors
@@ -288,6 +289,17 @@ def test_descriptor_round_trip():
 
 
 def test_descriptor_errors():
-    for bad in ("braid:x", "torus:5", "product:braid:2", "product:(braid:2)", "wat:3"):
+    deep = "product:(braid:2," * 3000 + "braid:2" + ")" * 3000
+    for bad in ("braid:x", "torus:5", "product:braid:2", "product:(braid:2)", "wat:3", deep):
         with pytest.raises(DescriptorError):
             structure_from_descriptor(bad)
+
+
+def test_presentation_contract():
+    # A presentation implements these and nothing the base class derives.
+    assert GarsideStructure.__abstractmethods__ == {
+        "_atom_payloads", "_delta_payload", "_norm", "_meet", "_right_complement", "_product",
+        "_left_divide", "_reverse", "_all_payloads", "_atom_word", "descriptor",
+    }
+    for cls in (BraidStructure, TorusStructure, ProductStructure):
+        assert not {"_identity_payload", "_tau", "_left_complement"} & set(vars(cls))
