@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""Check that two garside source trees give the same CLI answers.
+
+    python3 scripts/same_answers.py OLD_SRC NEW_SRC [--seed 5] [--per-workload 300] [--per-command 5]
+
+OLD_SRC and NEW_SRC are ``src/`` directories (each holding the ``garside``
+package).  One seeded list of ``--json`` CLI queries is drawn, then run in a
+fresh interpreter per tree, and the exit code, stdout and stderr of every
+query are compared.  The list is
+
+* the first ``--per-workload`` queries of each benchmark workload's pool,
+  drawn through ``bench/workloads.generate`` with ``--seed`` and the OLD_SRC
+  tree (the pool is only read);
+* every CLI command on ``braid:2``, ``braid:3``, ``braid:4``,
+  ``torus:5:3``, ``torus:2:3`` and the nested product
+  ``product:(product:(braid:3,torus:2:3),braid:3)``, ``--per-command``
+  short random words each, with powers and conjugates of them as the
+  second word so that positive answers occur too.
+
+Prints the query count and every difference; exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+WORKLOADS = ("tnum-long", "sss-conj", "solver-mix")
+STRUCTURES = (
+    "braid:2",
+    "braid:3",
+    "braid:4",
+    "torus:5:3",
+    "torus:2:3",
+    "product:(product:(braid:3,torus:2:3),braid:3)",
+)
+# A whole tree's run must end within this many seconds.
+RUN_TIMEOUT_S = 3600
+
+
+def _import_garside(src: str):
+    sys.path.insert(0, str(Path(src).resolve()))
+    import garside
+
+    if not Path(garside.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise ImportError(f"garside imported from {garside.__file__}, not from {src}")
+    return garside
+
+
+def _inverse(tokens: list[str]) -> list[str]:
+    out = []
+    for token in reversed(tokens):
+        name, _, exp = token.partition("^")
+        out.append(f"{name}^{-int(exp or 1)}")
+    return out
+
+
+def _command_queries(desc: str, atoms: list[str], rng: random.Random, count: int) -> list[list[str]]:
+    """Every CLI command on `count` short random words over `atoms`."""
+    queries = []
+    for _ in range(count):
+        w = [f"{rng.choice(atoms)}^{rng.choice((1, -1))}" for _ in range(rng.randint(1, 3))]
+        c = [f"{rng.choice(atoms)}^{rng.choice((1, -1))}" for _ in range(rng.randint(0, 2))]
+        word = " ".join(w)
+        other = " ".join(f"{rng.choice(atoms)}^{rng.choice((1, -1))}" for _ in range(len(w)))
+        conjugate = " ".join(_inverse(c) + w + c)
+        n = rng.choice((2, 3))
+        nth_power = " ".join(w * n)
+        base = ["--group", desc, "--json"]
+        queries += [
+            ["nf", *base, word],
+            ["tnum", *base, word],
+            ["straight", *base, word],
+            ["summit", *base, word],
+            ["sss", *base, word],
+            ["conj", *base, word, rng.choice((conjugate, other))],
+            ["power", *base, nth_power, word],
+            ["power", *base, "--conjugacy", rng.choice((conjugate, nth_power)), word],
+            ["root", *base, "-n", str(n), rng.choice((nth_power, word))],
+            ["properpower", *base, rng.choice((nth_power, word))],
+            ["genpower", *base, " ".join(w * 2), " ".join(w * 3)],
+            ["genpower", *base, "--conjugacy", word, rng.choice((conjugate, other))],
+        ]
+    return queries
+
+
+def _generate(src: str, seed: int, per_workload: int, per_command: int) -> list[list[str]]:
+    _import_garside(src)
+    sys.path.insert(0, str(BENCH))
+    from workloads import generate
+
+    from garside import structure_from_descriptor
+
+    queries = []
+    for workload in WORKLOADS:
+        queries += [q["argv"] for q in generate(workload, seed)["queries"][:per_workload]]
+    rng = random.Random(f"same-answers:{seed}")
+    for desc in STRUCTURES:
+        atoms = [atom.name for atom in structure_from_descriptor(desc).atoms()]
+        queries += _command_queries(desc, atoms, rng, per_command)
+    return queries
+
+
+def _run(src: str, queries: list[list[str]]) -> list[list]:
+    """[exit code, stdout, stderr] of each query, run in this process."""
+    _import_garside(src)
+    from garside.cli import run_command
+
+    results = []
+    for argv in queries:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run_command(argv)
+            except Exception as exc:  # an uncaught error is an answer to compare
+                code = f"raised {type(exc).__name__}: {exc}"
+        results.append([code, out.getvalue(), err.getvalue()])
+    return results
+
+
+def _child(role: str, payload: dict):
+    proc = subprocess.run(
+        [sys.executable, __file__, "--role", role],
+        input=json.dumps(payload), capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"{role} child failed for {payload['src']}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", nargs="?")
+    parser.add_argument("new_src", nargs="?")
+    parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--per-workload", type=int, default=300)
+    parser.add_argument("--per-command", type=int, default=5)
+    parser.add_argument("--role", choices=("gen", "run"), help=argparse.SUPPRESS)
+    args = parser.parse_args()
+
+    if args.role is not None:
+        payload = json.load(sys.stdin)
+        if args.role == "gen":
+            result = _generate(payload["src"], payload["seed"], payload["per_workload"],
+                               payload["per_command"])
+        else:
+            result = _run(payload["src"], payload["queries"])
+        json.dump(result, sys.stdout)
+        return 0
+
+    if args.old_src is None or args.new_src is None:
+        parser.error("OLD_SRC and NEW_SRC are required")
+    queries = _child("gen", {"src": args.old_src, "seed": args.seed,
+                             "per_workload": args.per_workload, "per_command": args.per_command})
+    old = _child("run", {"src": args.old_src, "queries": queries})
+    new = _child("run", {"src": args.new_src, "queries": queries})
+    differences = 0
+    for argv, a, b in zip(queries, old, new):
+        if a != b:
+            differences += 1
+            print(f"DIFFERENT: {json.dumps(argv)}")
+            for label, x, y in zip(("exit", "stdout", "stderr"), a, b):
+                if x != y:
+                    print(f"  {label} old: {x!r}\n  {label} new: {y!r}")
+    print(f"{len(queries)} queries, {differences} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,10 +11,13 @@ keeps x in its super summit set (Franco and González-Meneses, 2003); it is
 found by climbing joins of simples, so each element has at most one
 outgoing conjugator per atom instead of one per simple.
 
-`summit(g)` is the class data of g: the invariants, a representative, its
-witness and, built on first use, the super summit set.  Its
+`summit(g)` is the class data of g: the invariants, a representative and,
+each built on first use, its witness and the super summit set.  Its
 `conjugator_to` is the one place that compares invariants, tests
-membership and chains witnesses.
+membership and chains witnesses.  `summit(g, target=sd)` stops as soon as
+the invariants of g are known to differ from those of sd, because cycling
+never lowers inf and decycling never raises sup (Elrifai and Morton), so a
+search that only compares classes pays for no summit it rejects.
 
 Every positive answer carries a conjugating witness that verifies by direct
 multiplication; nothing is a trust-me boolean.
@@ -48,13 +51,22 @@ class SummitData:
     """Summit invariants of a conjugacy class plus a realising conjugate.
 
     The witness w satisfies w^{-1} · g · w = representative for the queried
-    element g; `closure` is computed once, on first use.
+    element g; it is assembled from the recorded cycling conjugators
+    a_1 ... a_p and decycling factors s_1 ... s_q on first use, as is
+    `closure`, and each is kept once built.
     """
 
     inf_s: int
     sup_s: int
     representative: Element
-    witness: Element
+    cycled: tuple[Simple, ...]
+    decycled: tuple[Simple, ...]
+
+    @cached_property
+    def witness(self) -> Element:
+        """w = a_1 ... a_p · s_1^{-1} ... s_q^{-1} = a_1 ... a_p · (s_q ... s_1)^{-1}."""
+        S = self.representative.structure
+        return multiply(normalize(S, 0, self.cycled), invert(normalize(S, 0, self.decycled[::-1])))
 
     @cached_property
     def closure(self) -> dict[Element, Element]:
@@ -100,11 +112,18 @@ def decycling(g: Element) -> tuple[Element, Simple]:
     return multiply(simple_element(s), Element(S, g.inf, g.factors[:-1])), s
 
 
-def summit(g: Element) -> SummitData:
+def summit(g: Element, target: SummitData | None = None) -> SummitData | None:
     """Summit invariants, a representative realising both, and its witness.
 
     Stopping rule: once ||Delta|| consecutive cyclings fail to raise inf,
     inf is summit; likewise for decycling and sup.
+
+    With a `target`, returns None as soon as the invariants of g are known
+    to differ from (target.inf_s, target.sup_s), and otherwise exactly what
+    summit(g) returns.  Cycling never lowers inf, so an inf above
+    target.inf_s stops the cycling and a cycled inf other than target.inf_s
+    skips decycling; decycling never raises sup and keeps the summit inf,
+    so a sup below target.sup_s stops it.
     """
     S = g.structure
     window = S.delta_norm()
@@ -117,6 +136,10 @@ def summit(g: Element) -> SummitData:
         fails = 0 if h2.inf > h.inf else fails + 1
         cycled.append(a)
         h = h2
+        if target is not None and h.inf > target.inf_s:
+            return None
+    if target is not None and h.inf != target.inf_s:
+        return None
 
     decycled = []
     fails = 0
@@ -125,10 +148,12 @@ def summit(g: Element) -> SummitData:
         fails = 0 if h2.sup < h.sup else fails + 1
         decycled.append(s)
         h = h2
+        if target is not None and h.sup < target.sup_s:
+            return None
+    if target is not None and h.sup != target.sup_s:
+        return None
 
-    # The witness is a_1 ... a_p · s_1^{-1} ... s_q^{-1} = a_1 ... a_p · (s_q ... s_1)^{-1}.
-    witness = multiply(normalize(S, 0, cycled), invert(normalize(S, 0, decycled[::-1])))
-    return SummitData(h.inf, h.sup, h, witness)
+    return SummitData(h.inf, h.sup, h, tuple(cycled), tuple(decycled))
 
 
 def _inf_closure(x: Element, c: Simple) -> Simple:
@@ -212,4 +237,6 @@ def are_conjugate(g: Element, h: Element) -> Element | None:
     """A conjugator w with w^{-1} · g · w = h if g and h are conjugate, None otherwise."""
     if g.structure is not h.structure:
         raise StructureMismatchError("conjugacy query across structures")
-    return summit(g).conjugator_to(summit(h))
+    sd_g = summit(g)
+    sd_h = summit(h, target=sd_g)
+    return None if sd_h is None else sd_g.conjugator_to(sd_h)

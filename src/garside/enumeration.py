@@ -25,15 +25,32 @@ def proper_simples(S: GarsideStructure) -> tuple[Simple, ...]:
     return tuple(s for s in S.enumerate_simples() if s != identity and s != delta)
 
 
+class _Followers(dict):
+    """Rows of the follows graph of S, each made on its first lookup.
+
+    A row costs one meet per proper simple, so building all |S|^2 up front
+    would dominate any search that visits a few rows of a large structure.
+    """
+
+    def __init__(self, S: GarsideStructure):
+        super().__init__()
+        self.structure = S
+
+    def __missing__(self, s: Simple) -> tuple[Simple, ...]:
+        S = self.structure
+        identity = S.identity_simple()
+        comp = S.right_complement(s)
+        row = self[s] = tuple(t for t in proper_simples(S) if S.meet(comp, t) == identity)
+        return row
+
+
 @functools.cache
 def followers(S: GarsideStructure) -> dict[Simple, tuple[Simple, ...]]:
-    """For each proper simple s, the proper simples t with (s, t) left-weighted."""
-    identity = S.identity_simple()
-    out = {}
-    for s in proper_simples(S):
-        comp = S.right_complement(s)
-        out[s] = tuple(t for t in proper_simples(S) if S.meet(comp, t) == identity)
-    return out
+    """For each proper simple s, the proper simples t with (s, t) left-weighted.
+
+    The mapping makes the row of s when s is first looked up.
+    """
+    return _Followers(S)
 
 
 def factor_sequences(S: GarsideStructure, length: int) -> Iterator[tuple[Simple, ...]]:

@@ -95,7 +95,8 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
         for n in (m, -m):
             hn = power(h, n)
             if up_to_conjugacy:
-                witness = summit(hn).conjugator_to(sd_g)
+                sd_hn = summit(hn, target=sd_g)
+                witness = None if sd_hn is None else sd_hn.conjugator_to(sd_g)
                 if witness is not None:
                     return ProblemAnswer(Outcome.SOLUTION, n=n, witness=witness)
             elif hn == g:
@@ -140,7 +141,8 @@ def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAn
             hn = power(h, n)
             if hn.inf > sd.inf_s or hn.sup < sd.sup_s:
                 continue
-            w = sd.conjugator_to(summit(hn))
+            sd_hn = summit(hn, target=sd)
+            w = None if sd_hn is None else sd.conjugator_to(sd_hn)
             if w is not None:
                 return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
     return ProblemAnswer.no_solution()
@@ -219,7 +221,8 @@ def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = Fals
         for sign in (1, -1):
             hq = power(h, sign * q * r)
             if up_to_conjugacy:
-                witness = sd_gp.conjugator_to(summit(hq))
+                sd_hq = summit(hq, target=sd_gp)
+                witness = None if sd_hq is None else sd_gp.conjugator_to(sd_hq)
                 if witness is not None:
                     return ProblemAnswer(Outcome.SOLUTION, n=p * r, m=sign * q * r, witness=witness)
             elif gp == hq:

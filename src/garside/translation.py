@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 
 from .conjugacy import summit
 from .core import Element, power
@@ -63,15 +62,19 @@ class TranslationTriple:
 def rational_in_interval(lo: Fraction, hi: Fraction, maxden: int) -> Fraction | None:
     """The unique rational with denominator <= maxden in [lo, hi], if any.
 
-    Scans the denominators directly; returns None when no candidate exists
-    and raises MultipleCandidatesError when the interval is wide enough to
-    hold several.
+    Scans the denominators directly, the numerators for each q in integer
+    arithmetic; returns None when no candidate exists and raises
+    MultipleCandidatesError when the interval is wide enough to hold
+    several.
     """
     if lo > hi:
         raise ValueError("empty interval")
+    a, b = lo.numerator, lo.denominator
+    c, d = hi.numerator, hi.denominator
     found: set[Fraction] = set()
     for q in range(1, maxden + 1):
-        for p in range(ceil(lo * q), floor(hi * q) + 1):
+        # p from ceil(lo·q) = -((-a·q) // b) to floor(hi·q) = (c·q) // d.
+        for p in range(-(-a * q // b), c * q // d + 1):
             found.add(Fraction(p, q))
     if len(found) > 1:
         raise MultipleCandidatesError(

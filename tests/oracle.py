@@ -6,17 +6,20 @@ the algorithms they audit: word lengths come from breadth-first search over
 the simple generators, summit infima from exhaustive conjugation up to a
 word-length cap, super summit sets from conjugation by every simple,
 translation estimates from the one-power bracket that must contain the exact
-value for every n >= 1, and the exact translation triple from two summits,
-one of g^n and one of g^{-n}.
+value for every n >= 1, the exact translation triple from two summits, one
+of g^n and one of g^{-n}, and bounded-denominator rationals in an interval
+by a scan in rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 
 from garside import (
     Element,
+    MultipleCandidatesError,
     TranslationTriple,
     identity_element,
     invert,
@@ -163,3 +166,23 @@ def two_summit_triple(g: Element) -> TranslationTriple:
         return rational_in_interval(bracket.lo, bracket.hi, N)
 
     return TranslationTriple(t_inf(g), -t_inf(invert(g)))
+
+
+def scan_rational_in_interval(lo: Fraction, hi: Fraction, maxden: int) -> Fraction | None:
+    """The unique rational with denominator <= maxden in [lo, hi], if any.
+
+    Every p/q with q <= maxden in the interval, found by scanning q and the
+    Fraction bounds ceil(lo·q) and floor(hi·q); None when there is none,
+    MultipleCandidatesError when there are several.
+    """
+    if lo > hi:
+        raise ValueError("empty interval")
+    found: set[Fraction] = set()
+    for q in range(1, maxden + 1):
+        for p in range(ceil(lo * q), floor(hi * q) + 1):
+            found.add(Fraction(p, q))
+    if len(found) > 1:
+        raise MultipleCandidatesError(
+            f"{len(found)} rationals with denominator <= {maxden} in [{lo}, {hi}]"
+        )
+    return found.pop() if found else None

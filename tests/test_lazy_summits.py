@@ -1,0 +1,87 @@
+"""Summits that pay only for what they decide.
+
+The witness of `summit(g)` is assembled on first read, and
+`summit(x, target=sd)` stops as soon as the invariants of x are known to
+differ from those of sd.  Both are checked against the plain summit on the
+families of `test_repair_paths`, and by counting the normalizations the
+witness needs.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from garside import GarsideStructure, braid_structure, conjugacy, invert, multiply, summit
+from garside.cli import parse_word, run_command
+from garside.enumeration import factor_sequences
+
+from .test_repair_paths import STRUCTURES, normal_forms_of
+
+
+def summit_pairs_of(S):
+    """(x, y) with y random or a conjugate of x, so both outcomes occur."""
+    x = normal_forms_of(S)
+
+    def with_partner(x):
+        conjugate = normal_forms_of(S, max_raw=4, max_inf=1).map(
+            lambda c: multiply(multiply(invert(c), x), c)
+        )
+        return st.tuples(st.just(x), st.one_of(normal_forms_of(S), conjugate))
+
+    return x.flatmap(with_partner)
+
+
+summit_pairs = st.sampled_from(STRUCTURES).flatmap(summit_pairs_of)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=summit_pairs)
+def test_target_summit_is_none_exactly_when_invariants_differ(pair):
+    x, y = pair
+    plain, target = summit(x), summit(y)
+    bounded = summit(x, target=target)
+    if (plain.inf_s, plain.sup_s) != (target.inf_s, target.sup_s):
+        assert bounded is None
+    else:
+        assert bounded is not None
+        assert (bounded.inf_s, bounded.sup_s) == (plain.inf_s, plain.sup_s)
+        assert bounded.representative == plain.representative
+        assert bounded.witness == plain.witness
+
+
+def counting_normalize(monkeypatch):
+    calls = []
+    original = conjugacy.normalize
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(conjugacy, "normalize", wrapper)
+    return calls
+
+
+def test_witness_is_built_on_first_read(monkeypatch):
+    calls = counting_normalize(monkeypatch)
+    # Both cycling and decycling record conjugators for this word.
+    sd = summit(parse_word(braid_structure(4), "a1^-1 a2 a3^2 a2^-1 a1"))
+    assert sd.cycled and sd.decycled
+    assert calls == []
+    witness = sd.witness
+    assert len(calls) == 2
+    assert sd.witness is witness
+    assert len(calls) == 2
+
+
+def test_rejected_root_candidates_build_no_witness(monkeypatch, capsys):
+    calls = counting_normalize(monkeypatch)
+    # A catalog negative: every candidate cube is rejected on its invariants.
+    assert run_command(["root", "--group", "braid:4", "--json", "-n", "3", "a1 a2 a1 a1"]) == 0
+    assert '"outcome": "no_solution"' in capsys.readouterr().out
+    assert calls == []
+
+
+def test_first_candidate_builds_one_follower_row():
+    S = braid_structure(7)
+    before = GarsideStructure.meet.cache_info().currsize
+    assert len(next(factor_sequences(S, 2))) == 2
+    assert GarsideStructure.meet.cache_info().currsize - before < 2 * 5040

@@ -4,9 +4,9 @@
 factors only when tau^{h.inf} is not the identity, and `cycling` and
 `decycling` repair a single junction through `multiply`.  Each is checked
 against a reference: `normalize` of the whole raw factor sequence, with
-every adjacent pair marked dirty.  The summit witness, assembled once from
-the recorded conjugators, is checked against the product grown one step at
-a time.
+every adjacent pair marked dirty.  The summit witness, assembled on first
+read from the recorded conjugators, is checked against the product grown
+one step at a time.
 """
 
 from hypothesis import given, settings

@@ -22,3 +22,14 @@ def test_script_runs(argv):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_same_answers_smoke():
+    src = str(ROOT / "src")
+    result = subprocess.run(
+        [sys.executable, "scripts/same_answers.py", src, src, "--per-workload", "2",
+         "--per-command", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.strip().endswith("78 queries, 0 differences")

@@ -31,7 +31,7 @@ from garside import translation
 from garside.cli import parse_word
 
 from .conftest import elements_of, random_word_element
-from .oracle import two_summit_triple
+from .oracle import scan_rational_in_interval, two_summit_triple
 
 B3 = braid_structure(3)
 B4 = braid_structure(4)
@@ -72,6 +72,26 @@ def test_rational_in_interval_fixtures():
         rational_in_interval(Fraction(0), Fraction(1), 3)
     with pytest.raises(ValueError):
         rational_in_interval(Fraction(1), Fraction(0), 3)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, MultipleCandidatesError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.fractions(min_value=-5, max_value=5, max_denominator=60),
+    width=st.fractions(min_value=-Fraction(1, 10), max_value=Fraction(1, 2), max_denominator=60),
+    maxden=st.integers(1, 12),
+)
+def test_rational_in_interval_matches_rational_scan(lo, width, maxden):
+    hi = lo + width
+    assert outcome(rational_in_interval, lo, hi, maxden) == outcome(
+        scan_rational_in_interval, lo, hi, maxden
+    )
 
 
 def test_translation_triple_fixtures():
