@@ -11,6 +11,9 @@ query are compared.  The list is
 * the first ``--per-workload`` queries of each benchmark workload's pool,
   drawn through ``bench/workloads.generate`` with ``--seed`` and the OLD_SRC
   tree (the pool is only read);
+* the first ``--per-workload`` instances of every ``root`` and
+  ``properpower`` slot of ``bench/solver_catalog.json`` (the whole slot at
+  the default, 120 instances each);
 * every CLI command on ``braid:2``, ``braid:3``, ``braid:4``,
   ``torus:5:3``, ``torus:2:3`` and the nested product
   ``product:(product:(braid:3,torus:2:3),braid:3)``, ``--per-command``
@@ -103,6 +106,10 @@ def _generate(src: str, seed: int, per_workload: int, per_command: int) -> list[
     queries = []
     for workload in WORKLOADS:
         queries += [q["argv"] for q in generate(workload, seed)["queries"][:per_workload]]
+    catalog = json.loads((BENCH / "solver_catalog.json").read_text())
+    for slot, instances in catalog.items():
+        if slot.split()[0] in ("root", "properpower"):
+            queries += [query["argv"] for query, _work in instances[:per_workload]]
     rng = random.Random(f"same-answers:{seed}")
     for desc in STRUCTURES:
         atoms = [atom.name for atom in structure_from_descriptor(desc).atoms()]

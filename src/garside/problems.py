@@ -3,10 +3,15 @@ Power, root, proper-power and generalized-power solvers.
 
 Each solver is built on the exactness of translation numbers: if h^n is
 conjugate to g and h != 1, then |n| = t_D(g) / t_D(h), so candidate
-exponents are pinned down before any conjugacy test runs.  Root searches
-enumerate left-weighted candidate sequences whose inf and sup are forced by
-the homogeneity of t_inf and t_sup; the exponential worst case is accepted
-and surfaced as a resource-limit outcome, never as a wrong answer.
+exponents are pinned down before any conjugacy test runs.  A root h of g
+of degree n has t_inf(h) = t_inf(g)/n and t_sup(h) = t_sup(g)/n, by
+homogeneity and conjugacy invariance.  Every translation limit has
+denominator at most N = ||Delta||, so a degree for which either quotient
+fails that bound has no root.  Otherwise the root search scans the normal
+forms of the single window inf = floor(t_inf(g)/n), sup = ceil(t_sup(g)/n):
+since inf_s = floor(t_inf) and sup_s = ceil(t_sup), these are the summit
+values of every root.  The exponential worst case is accepted and surfaced
+as a resource-limit outcome, never as a wrong answer.
 
 Every positive answer carries a certificate (a conjugating witness where it
 applies) that re-verifies by direct normal-form arithmetic.
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, floor
 
 from .conjugacy import ResourceLimitError, SummitData, summit
@@ -106,45 +110,34 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
         return ProblemAnswer.resource_limit(str(exc))
 
 
-def _integers_in(lo: Fraction, hi: Fraction) -> list[int]:
-    return list(range(ceil(lo), floor(hi) + 1))
-
-
 def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAnswer:
     """Find h with h^n conjugate to g, given the triple and summit of g and n >= 2.
 
-    Any root has a conjugate at its summit values, and homogeneity forces
-    inf into [t_inf(g)/n - 1, t_inf(g)/n] and sup into
-    [t_sup(g)/n, t_sup(g)/n + 1], so candidates are the normal forms over at
-    most four (inf, sup) windows.  The witness satisfies
-    w^{-1} · h^n · w = g.  Raises `ResourceLimitError` after
-    `DEFAULT_CANDIDATE_CAP` candidates.
+    Any root h has t_inf(h) = t_inf(g)/n and t_sup(h) = t_sup(g)/n, and the
+    translation limits of every element have denominator at most N, so n is
+    rejected at once when either quotient fails that bound.  Otherwise some
+    conjugate of h lies in its super summit set, where inf = floor(t_inf(h))
+    and sup = ceil(t_sup(h)); the candidates are the normal forms of that one
+    (inf, sup) window.  The witness satisfies w^{-1} · h^n · w = g.  Raises
+    `ResourceLimitError` after `DEFAULT_CANDIDATE_CAP` candidates.
     """
     S = sd.representative.structure
     N = S.delta_norm()
-    if (triple.t_D / n).denominator > N * N:
-        # No element of the group has that translation number.
+    t_inf, t_sup = triple.t_inf / n, triple.t_sup / n
+    if t_inf.denominator > N or t_sup.denominator > N:
         return ProblemAnswer.no_solution()
-    inf_cands = _integers_in(triple.t_inf / n - 1, triple.t_inf / n)
-    sup_cands = _integers_in(triple.t_sup / n, triple.t_sup / n + 1)
-    windows = sorted(
-        ((lo, hi) for lo in inf_cands for hi in sup_cands if hi >= lo),
-        key=lambda w: (w[1] - w[0], -w[0]),
-    )
-    scanned = 0
-    for lo, hi in windows:
-        for factors in factor_sequences(S, hi - lo):
-            scanned += 1
-            if scanned > DEFAULT_CANDIDATE_CAP:
-                raise ResourceLimitError(f"root search exceeded {DEFAULT_CANDIDATE_CAP} candidates")
-            h = Element(S, lo, factors)
-            hn = power(h, n)
-            if hn.inf > sd.inf_s or hn.sup < sd.sup_s:
-                continue
-            sd_hn = summit(hn, target=sd)
-            w = None if sd_hn is None else sd.conjugator_to(sd_hn)
-            if w is not None:
-                return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
+    lo, hi = floor(t_inf), ceil(t_sup)
+    for scanned, factors in enumerate(factor_sequences(S, hi - lo), start=1):
+        if scanned > DEFAULT_CANDIDATE_CAP:
+            raise ResourceLimitError(f"root search exceeded {DEFAULT_CANDIDATE_CAP} candidates")
+        h = Element(S, lo, factors)
+        hn = power(h, n)
+        if hn.inf > sd.inf_s or hn.sup < sd.sup_s:
+            continue
+        sd_hn = summit(hn, target=sd)
+        w = None if sd_hn is None else sd.conjugator_to(sd_hn)
+        if w is not None:
+            return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
     return ProblemAnswer.no_solution()
 
 

@@ -14,6 +14,10 @@ and each interval holds exactly one rational with denominator <= N, so the
 whole computation is finite.  The t_sup bracket is the t_inf bracket of
 g^{-1} negated, since inf_s(x^{-1}) = -sup_s(x).
 
+The limits round to the summit values of g itself: inf_s(g) =
+floor(t_inf(g)) and sup_s(g) = ceil(t_sup(g)).  `TranslationTriple.t_D` and
+the one-window root search in `problems` rest on this.
+
 The translation number t_D(g) with respect to the simples is the largest of
 t_sup, -t_inf and t_len.  It is at least 1/N for g != 1, and the
 translation number of the image of g in the central quotient
@@ -53,9 +57,8 @@ class TranslationTriple:
     @property
     def t_D(self) -> Fraction:
         """The translation number with respect to the simples."""
-        # inf_s = floor(t_inf) and sup_s = ceil(t_sup), so the summit case
-        # split (t_sup if inf_s >= 0, -t_inf if sup_s <= 0, else t_len)
-        # always picks the largest of the three.
+        # By the rounding identities, the summit case split (t_sup if
+        # inf_s >= 0, -t_inf if sup_s <= 0, else t_len) picks the largest.
         return max(self.t_sup, -self.t_inf, self.t_len)
 
 

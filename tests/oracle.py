@@ -7,8 +7,9 @@ the simple generators, summit infima from exhaustive conjugation up to a
 word-length cap, super summit sets from conjugation by every simple,
 translation estimates from the one-power bracket that must contain the exact
 value for every n >= 1, the exact translation triple from two summits, one
-of g^n and one of g^{-n}, and bounded-denominator rationals in an interval
-by a scan in rational arithmetic.
+of g^n and one of g^{-n}, bounded-denominator rationals in an interval by a
+scan in rational arithmetic, and root searches over every (inf, sup) window
+that homogeneity alone allows.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from math import ceil, floor
 from garside import (
     Element,
     MultipleCandidatesError,
+    Outcome,
+    ProblemAnswer,
+    ResourceLimitError,
+    SummitData,
     TranslationTriple,
     identity_element,
     invert,
@@ -29,6 +34,8 @@ from garside import (
     simple_element,
     summit,
 )
+from garside import problems
+from garside.enumeration import factor_sequences
 
 
 @dataclass(frozen=True)
@@ -186,3 +193,38 @@ def scan_rational_in_interval(lo: Fraction, hi: Fraction, maxden: int) -> Fracti
             f"{len(found)} rationals with denominator <= {maxden} in [{lo}, {hi}]"
         )
     return found.pop() if found else None
+
+
+def windowed_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAnswer:
+    """Find h with h^n conjugate to g by scanning every homogeneity window.
+
+    Homogeneity alone puts the inf of a root's summit in
+    [t_inf(g)/n - 1, t_inf(g)/n] and its sup in [t_sup(g)/n, t_sup(g)/n + 1];
+    the candidates are the normal forms over every (inf, sup) pair of
+    integers there, narrowest window first.  Exponents n for which t_D(g)/n
+    has a denominator above N^2 are rejected.  The witness satisfies
+    w^{-1} · h^n · w = g.
+    """
+    S = sd.representative.structure
+    N = S.delta_norm()
+    if (triple.t_D / n).denominator > N * N:
+        return ProblemAnswer.no_solution()
+    t_inf, t_sup = triple.t_inf / n, triple.t_sup / n
+    infs = range(ceil(t_inf - 1), floor(t_inf) + 1)
+    sups = range(ceil(t_sup), floor(t_sup + 1) + 1)
+    windows = sorted(
+        ((lo, hi) for lo in infs for hi in sups if hi >= lo),
+        key=lambda w: (w[1] - w[0], -w[0]),
+    )
+    scanned = 0
+    for lo, hi in windows:
+        for factors in factor_sequences(S, hi - lo):
+            scanned += 1
+            if scanned > problems.DEFAULT_CANDIDATE_CAP:
+                raise ResourceLimitError("root search exceeded the candidate cap")
+            h = Element(S, lo, factors)
+            sd_hn = summit(power(h, n), target=sd)
+            w = None if sd_hn is None else sd.conjugator_to(sd_hn)
+            if w is not None:
+                return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
+    return ProblemAnswer.no_solution()
