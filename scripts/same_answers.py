@@ -17,8 +17,9 @@ query are compared.  The list is
 * every CLI command on ``braid:2``, ``braid:3``, ``braid:4``,
   ``torus:5:3``, ``torus:2:3`` and the nested product
   ``product:(product:(braid:3,torus:2:3),braid:3)``, ``--per-command``
-  short random words each, with powers and conjugates of them as the
-  second word so that positive answers occur too.
+  short random words each, with ``D`` tokens anywhere and exponents in
+  ±1..3, and with powers and conjugates of them as the second word so
+  that positive answers occur too.
 
 Prints the query count and every difference; exits 1 on any difference.
 """
@@ -67,14 +68,20 @@ def _inverse(tokens: list[str]) -> list[str]:
     return out
 
 
+def _token(atoms: list[str], rng: random.Random) -> str:
+    """An atom or, one time in four, ``D``, with an exponent in ±1..3."""
+    name = "D" if rng.random() < 0.25 else rng.choice(atoms)
+    return f"{name}^{rng.choice((1, -1, 2, -2, 3, -3))}"
+
+
 def _command_queries(desc: str, atoms: list[str], rng: random.Random, count: int) -> list[list[str]]:
-    """Every CLI command on `count` short random words over `atoms`."""
+    """Every CLI command on `count` short random words over `atoms` and ``D``."""
     queries = []
     for _ in range(count):
-        w = [f"{rng.choice(atoms)}^{rng.choice((1, -1))}" for _ in range(rng.randint(1, 3))]
-        c = [f"{rng.choice(atoms)}^{rng.choice((1, -1))}" for _ in range(rng.randint(0, 2))]
+        w = [_token(atoms, rng) for _ in range(rng.randint(1, 3))]
+        c = [_token(atoms, rng) for _ in range(rng.randint(0, 2))]
         word = " ".join(w)
-        other = " ".join(f"{rng.choice(atoms)}^{rng.choice((1, -1))}" for _ in range(len(w)))
+        other = " ".join(_token(atoms, rng) for _ in range(len(w)))
         conjugate = " ".join(_inverse(c) + w + c)
         n = rng.choice((2, 3))
         nth_power = " ".join(w * n)

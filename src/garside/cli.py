@@ -22,16 +22,7 @@ import re
 import sys
 
 from . import conjugacy, problems, translation
-from .core import (
-    Element,
-    GarsideStructure,
-    delta_power_element,
-    identity_element,
-    multiply,
-    power,
-    simple_element,
-    word_length,
-)
+from .core import Element, GarsideStructure, normalize, word_length
 from .problems import ProblemAnswer, UnsupportedStructureError
 from .structures import DescriptorError, structure_from_descriptor
 
@@ -63,22 +54,35 @@ def parse_tokens(text: str) -> tuple[tuple[str, int], ...]:
 
 
 def evaluate_word(S: GarsideStructure, terms: tuple[tuple[str, int], ...]) -> Element:
+    """The element of a token word, with one `normalize` call.
+
+    Read from the right, each Delta moves to the front, s·Delta^d =
+    Delta^d·tau^d(s), and a^{-1} = Delta^{-1}·left_complement(a).
+    """
     atom_letters = sum(abs(exponent) for name, exponent in terms if name != "D")
     if atom_letters > MAX_WORD_ATOMS:
         raise conjugacy.ResourceLimitError(
             f"word has {atom_letters} atom letters, above the bound of {MAX_WORD_ATOMS}"
         )
-    result = identity_element(S)
-    for position, (name, exponent) in enumerate(terms, start=1):
+    atoms = S.atom_by_name()
+    for position, (name, _) in enumerate(terms, start=1):
+        if name != "D" and name not in atoms:
+            raise WordParseError(f"unknown generator {name!r} at position {position}")
+    raw = []
+    d = 0
+    for name, exponent in reversed(terms):
         if name == "D":
-            term = delta_power_element(S, exponent)
+            d += exponent
+            continue
+        a = S.atom_simple(atoms[name].index)
+        if exponent > 0:
+            raw += [S.tau_power(a, d)] * exponent
         else:
-            atom = S.atom_by_name().get(name)
-            if atom is None:
-                raise WordParseError(f"unknown generator {name!r} at position {position}")
-            term = power(simple_element(S.atom_simple(atom.index)), exponent)
-        result = multiply(result, term)
-    return result
+            complement = S.left_complement(a)
+            for _ in range(-exponent):
+                raw.append(S.tau_power(complement, d))
+                d -= 1
+    return normalize(S, d, reversed(raw))
 
 
 def parse_word(S: GarsideStructure, text: str) -> Element:

@@ -120,11 +120,14 @@ def summit(g: Element, target: SummitData | None = None) -> SummitData | None:
 
     With a `target`, returns None as soon as the invariants of g are known
     to differ from (target.inf_s, target.sup_s), and otherwise exactly what
-    summit(g) returns.  Cycling never lowers inf, so an inf above
-    target.inf_s stops the cycling and a cycled inf other than target.inf_s
-    skips decycling; decycling never raises sup and keeps the summit inf,
-    so a sup below target.sup_s stops it.
+    summit(g) returns.  Cycling never lowers inf nor raises sup, and
+    decycling never raises sup and keeps the summit inf, so g is rejected
+    up front when its inf is above target.inf_s or its sup below
+    target.sup_s, and then as soon as a cycling lifts inf above target.inf_s,
+    the cycled inf misses it, or a decycling drops sup below target.sup_s.
     """
+    if target is not None and (g.inf > target.inf_s or g.sup < target.sup_s):
+        return None
     S = g.structure
     window = S.delta_norm()
     h = g

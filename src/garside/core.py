@@ -12,12 +12,13 @@ satisfies the local left-weighted condition
     right_complement(s_i)  ∧  s_{i+1}  =  identity.
 
 The normal form is unique, so structural equality of (inf, factors) is group
-equality.  Raw input and products renormalise through local "slides" that
-move weight from a factor into its left neighbour; a slide that fills a
-factor up to Delta bubbles it to the front of the word, and a slide that
-empties a factor bubbles the hole to the back, so a single fixpoint loop
-plus boundary trimming produces the normal form.  Inverses need no repair:
-their normal form is read off directly.
+equality.  One routine, `_push`, repairs it: appending a simple to a
+left-weighted list takes one leftward pass of local "slides", each moving
+weight from a factor into its left neighbour, that stops at the first pair
+it leaves unchanged.  A Delta formed on the way travels to the front, and
+only the appended slot can become the identity.  `normalize` pushes each
+raw factor and `multiply` pushes the factors of its right operand.
+Inverses need no repair: their normal form is read off directly.
 
 Each slide is read from a row on its left simple: `a.slides` maps a right
 neighbour b to the left-weighted pair of (a, b).  Rows fill on first use
@@ -73,7 +74,7 @@ class Simple:
     simples are the same object and compare and hash by identity.
 
     `slides` is the simple's row of left-weighted pairs, filled by
-    `_fix_factors`: `slides[b]` is `structure.slide(self, b)`, kept only here.
+    `_push`: `slides[b]` is `structure.slide(self, b)`, kept only here.
     """
 
     structure: "GarsideStructure" = field(repr=False)
@@ -358,43 +359,39 @@ class Element:
 # ----------------------------------------------------------------------
 
 
-def _fix_factors(S: GarsideStructure, factors: list[Simple], dirty: list[int]) -> None:
-    """Slide until every adjacent pair is left-weighted.
+def _push(S: GarsideStructure, factors: list[Simple], s: Simple) -> bool:
+    """Append s to a left-weighted list and slide it back into normal form.
 
-    `dirty` holds indices p of pairs (factors[p], factors[p+1]) that may
-    violate the condition; fixing a pair can only disturb its two
-    neighbours, which are pushed back onto the stack.  Deltas bubble to the
-    front and identity factors to the back as a side effect of the slides.
+    `factors` is a run of Deltas followed by proper left-weighted factors.
+    By the domino rule, sliding the pair at p keeps the pair at p+1
+    left-weighted, so one leftward pass repairs the list and stops at the
+    first pair that does not change; a Delta formed on the way travels to
+    the front.  Only the appended slot can empty, and it is then popped.
     Each slide is read from the row `a.slides`, filled from `S.slide` on a
-    miss.
+    miss.  Returns whether any pair changed.
     """
-    while dirty:
-        p = dirty.pop()
-        if p < 0 or p + 1 >= len(factors):
-            continue
+    factors.append(s)
+    changed = False
+    for p in range(len(factors) - 2, -1, -1):
         a, b = factors[p], factors[p + 1]
         pair = a.slides.get(b)
         if pair is None:
             pair = a.slides[b] = S.slide(a, b)
-        a2, b2 = pair
-        if a2 is a:
-            continue
-        factors[p] = a2
-        factors[p + 1] = b2
-        dirty.append(p - 1)
-        dirty.append(p + 1)
+        if pair[0] is a:
+            break
+        factors[p], factors[p + 1] = pair
+        changed = True
+    if factors[-1].atom_norm == 0:
+        factors.pop()
+    return changed
 
 
 def _finalize(S: GarsideStructure, delta_power: int, factors: list[Simple]) -> Element:
     delta = S.delta()
-    identity = S.identity_simple()
     lead = 0
     while lead < len(factors) and factors[lead] is delta:
         lead += 1
-    tail = len(factors)
-    while tail > lead and factors[tail - 1] is identity:
-        tail -= 1
-    return Element(S, delta_power + lead, tuple(factors[lead:tail]))
+    return Element(S, delta_power + lead, tuple(factors[lead:]))
 
 
 def normalize(structure: GarsideStructure, delta_power: int, raw_factors: Iterable[Simple]) -> Element:
@@ -403,10 +400,7 @@ def normalize(structure: GarsideStructure, delta_power: int, raw_factors: Iterab
     for s in raw_factors:
         if s.structure is not structure:
             raise StructureMismatchError("factor belongs to a different structure")
-        if s.atom_norm == 0:
-            continue
-        factors.append(s)
-    _fix_factors(structure, factors, list(range(len(factors) - 1)))
+        _push(structure, factors, s)
     return _finalize(structure, delta_power, factors)
 
 
@@ -431,9 +425,10 @@ def simple_element(s: Simple) -> Element:
 def multiply(g: Element, h: Element) -> Element:
     """Normal form of g·h.
 
-    Uses Delta^u a Delta^v b = Delta^{u+v} tau^v(a) b, then repairs
-    left-weightedness outward from the single junction: both halves are
-    already normal, so only slides triggered there can propagate.
+    Uses Delta^u a Delta^v b = Delta^{u+v} tau^v(a) b, then pushes the
+    factors of h one at a time onto the twisted factors of g.  Once a push
+    changes nothing, the rest of h is already left-weighted and is appended
+    as it is.
     """
     if g.structure is not h.structure:
         raise StructureMismatchError("product of elements from different structures")
@@ -443,10 +438,11 @@ def multiply(g: Element, h: Element) -> Element:
     if g.is_identity:
         return h
     k = h.inf % S.tau_order()
-    left = [S.tau_power(s, k) for s in g.factors] if k else list(g.factors)
-    factors = left + list(h.factors)
-    dirty = [len(left) - 1] if left and h.factors else []
-    _fix_factors(S, factors, dirty)
+    factors = [S.tau_power(s, k) for s in g.factors] if k else list(g.factors)
+    for i, s in enumerate(h.factors):
+        if not _push(S, factors, s):
+            factors.extend(h.factors[i + 1:])
+            break
     return _finalize(S, g.inf + h.inf, factors)
 
 

@@ -131,10 +131,7 @@ def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAn
         if scanned > DEFAULT_CANDIDATE_CAP:
             raise ResourceLimitError(f"root search exceeded {DEFAULT_CANDIDATE_CAP} candidates")
         h = Element(S, lo, factors)
-        hn = power(h, n)
-        if hn.inf > sd.inf_s or hn.sup < sd.sup_s:
-            continue
-        sd_hn = summit(hn, target=sd)
+        sd_hn = summit(power(h, n), target=sd)
         w = None if sd_hn is None else sd.conjugator_to(sd_hn)
         if w is not None:
             return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))

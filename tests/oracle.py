@@ -8,8 +8,9 @@ word-length cap, super summit sets from conjugation by every simple,
 translation estimates from the one-power bracket that must contain the exact
 value for every n >= 1, the exact translation triple from two summits, one
 of g^n and one of g^{-n}, bounded-denominator rationals in an interval by a
-scan in rational arithmetic, and root searches over every (inf, sup) window
-that homogeneity alone allows.
+scan in rational arithmetic, root searches over every (inf, sup) window
+that homogeneity alone allows, normal forms by a worklist of dirty pairs,
+and token words evaluated one `power` and one `multiply` per token.
 """
 
 from __future__ import annotations
@@ -20,12 +21,15 @@ from math import ceil, floor
 
 from garside import (
     Element,
+    GarsideStructure,
     MultipleCandidatesError,
     Outcome,
     ProblemAnswer,
     ResourceLimitError,
     SummitData,
+    Simple,
     TranslationTriple,
+    delta_power_element,
     identity_element,
     invert,
     multiply,
@@ -228,3 +232,44 @@ def windowed_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> P
             if w is not None:
                 return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
     return ProblemAnswer.no_solution()
+
+
+def stack_normalize(S: GarsideStructure, delta_power: int, raw_factors) -> Element:
+    """Normal form of Delta^delta_power · (raw factors) by a two-way worklist.
+
+    Identity factors are dropped and every adjacent pair starts dirty.
+    Fixing a pair can only disturb its two neighbours, which are marked
+    dirty again, so the loop ends with every pair left-weighted; Deltas
+    bubble to the front and identity holes to the back, and both are
+    trimmed.  Slides come straight from `S.slide`, never from the rows.
+    """
+    factors: list[Simple] = [s for s in raw_factors if s.atom_norm != 0]
+    dirty = list(range(len(factors) - 1))
+    while dirty:
+        p = dirty.pop()
+        if p < 0 or p + 1 >= len(factors):
+            continue
+        a2, b2 = S.slide(factors[p], factors[p + 1])
+        if a2 is factors[p]:
+            continue
+        factors[p], factors[p + 1] = a2, b2
+        dirty += [p - 1, p + 1]
+    lead, tail = 0, len(factors)
+    while lead < tail and factors[lead] is S.delta():
+        lead += 1
+    while tail > lead and factors[tail - 1] is S.identity_simple():
+        tail -= 1
+    return Element(S, delta_power + lead, tuple(factors[lead:tail]))
+
+
+def token_word_element(S: GarsideStructure, terms: tuple[tuple[str, int], ...]) -> Element:
+    """The element of (generator, exponent) tokens, one power and one product per token."""
+    result = identity_element(S)
+    for name, exponent in terms:
+        if name == "D":
+            term = delta_power_element(S, exponent)
+        else:
+            atom = S.atom_by_name()[name]
+            term = power(simple_element(S.atom_simple(atom.index)), exponent)
+        result = multiply(result, term)
+    return result

@@ -48,6 +48,19 @@ def test_target_summit_is_none_exactly_when_invariants_differ(pair):
         assert bounded.witness == plain.witness
 
 
+def test_target_summit_rejects_outside_invariants_without_cycling(monkeypatch):
+    S = braid_structure(4)
+    target = summit(parse_word(S, "a1 a2"))
+    assert (target.inf_s, target.sup_s) == (0, 1)
+    calls = []
+    original = conjugacy.cycling
+    monkeypatch.setattr(conjugacy, "cycling", lambda g: calls.append(g) or original(g))
+    # inf 1 is above inf_s, and sup 0 is below sup_s.
+    assert summit(parse_word(S, "D a1 a3"), target=target) is None
+    assert summit(parse_word(S, "a1^-1 a2^-1"), target=target) is None
+    assert calls == []
+
+
 def counting_normalize(monkeypatch):
     calls = []
     original = conjugacy.normalize

@@ -1,12 +1,15 @@
-"""Junction-repair paths against full renormalisation.
+"""Repair paths against a worklist renormalisation.
 
-`invert` reads its normal form off directly, `multiply` twists the left
-factors only when tau^{h.inf} is not the identity, and `cycling` and
-`decycling` repair a single junction through `multiply`.  Each is checked
-against a reference: `normalize` of the whole raw factor sequence, with
-every adjacent pair marked dirty.  The summit witness, assembled on first
-read from the recorded conjugators, is checked against the product grown
-one step at a time.
+`normalize` and `multiply` push simples onto a left-weighted list one
+leftward slide pass at a time, `invert` reads its normal form off
+directly, `multiply` twists the left factors only when tau^{h.inf} is not
+the identity, `cycling` and `decycling` repair a single junction through
+`multiply`, and `parse_word` normalizes a whole token word once.  Each is
+checked against `oracle.stack_normalize` of the whole raw factor sequence,
+with every adjacent pair marked dirty, or against the word evaluated one
+token at a time.  The summit witness, assembled on first read from the
+recorded conjugators, is checked against the product grown one step at a
+time.
 """
 
 from hypothesis import given, settings
@@ -24,6 +27,9 @@ from garside import (
     summit,
     validate_element,
 )
+from garside import cli, core
+
+from .oracle import stack_normalize, token_word_element
 
 STRUCTURES = [
     structure_from_descriptor(d)
@@ -67,12 +73,14 @@ def reference_invert(g):
         S.tau_power(S.right_complement(g.factors[i]), -(r + i + 1))
         for i in range(k - 1, -1, -1)
     ]
-    return normalize(S, -(r + k), raw)
+    return stack_normalize(S, -(r + k), raw)
 
 
 def reference_multiply(g, h):
     S = g.structure
-    return normalize(S, g.inf + h.inf, tuple(S.tau_power(s, h.inf) for s in g.factors) + h.factors)
+    return stack_normalize(
+        S, g.inf + h.inf, tuple(S.tau_power(s, h.inf) for s in g.factors) + h.factors
+    )
 
 
 def reference_summit(g):
@@ -102,13 +110,13 @@ def reference_summit(g):
 def reference_cycling(g):
     S = g.structure
     a = S.tau_power(g.factors[0], -g.inf)
-    return normalize(S, g.inf, g.factors[1:] + (a,)), a
+    return stack_normalize(S, g.inf, g.factors[1:] + (a,)), a
 
 
 def reference_decycling(g):
     S = g.structure
     s = g.factors[-1]
-    return normalize(S, g.inf, (S.tau_power(s, g.inf),) + g.factors[:-1]), s
+    return stack_normalize(S, g.inf, (S.tau_power(s, g.inf),) + g.factors[:-1]), s
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,3 +155,72 @@ def test_summit_witness_matches_stepwise_product(g):
     sd = summit(g)
     validate_element(sd.witness)
     assert (sd.representative, sd.witness) == reference_summit(g)
+
+
+def raw_lists_of(S):
+    """Delta^r times raw simples, identity and Delta drawn as often as the rest."""
+    simples = S.enumerate_simples()
+    special = st.sampled_from((S.identity_simple(), S.delta()))
+    raw = st.lists(st.one_of(st.sampled_from(simples), special), max_size=10)
+    return st.tuples(st.integers(-3, 3), raw)
+
+
+def raw_pairs_of(S):
+    return st.tuples(st.just(S), raw_lists_of(S), raw_lists_of(S))
+
+
+raw_pairs = st.sampled_from(STRUCTURES).flatmap(raw_pairs_of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=raw_pairs)
+def test_normalize_and_multiply_match_worklist_on_raw_lists(case):
+    S, (r, raw), (q, raw2) = case
+    g = normalize(S, r, raw)
+    validate_element(g)
+    assert g == stack_normalize(S, r, raw)
+    h = normalize(S, q, raw2)
+    twisted = [S.tau_power(s, q) for s in raw]
+    assert multiply(g, h) == stack_normalize(S, r + q, twisted + raw2)
+
+
+def words_of(S):
+    """Token words over the atoms of S with D^k anywhere, exponents in ±1..3."""
+    names = [atom.name for atom in S.atoms()] + ["D"]
+    exponent = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    terms = st.lists(st.tuples(st.sampled_from(names), exponent), max_size=8)
+    return st.tuples(st.just(S), terms.map(tuple))
+
+
+words = st.sampled_from(STRUCTURES).flatmap(words_of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=words)
+def test_parse_word_matches_token_by_token_evaluation(case):
+    S, terms = case
+    text = " ".join(f"{name}^{exponent}" for name, exponent in terms)
+    g = cli.parse_word(S, text)
+    validate_element(g)
+    assert g == token_word_element(S, terms)
+
+
+def test_parse_word_normalizes_once(monkeypatch):
+    calls = {"normalize": 0, "multiply": 0, "power": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "normalize")
+    counted(core, "multiply")
+    counted(core, "power")
+    S = structure_from_descriptor("braid:4")
+    cli.parse_word(S, "a1^3 D a2^-2 a3 D^-2 a1^-1 a3^2 D^3")
+    assert calls == {"normalize": 1, "multiply": 0, "power": 0}
+    assert not {"multiply", "power"} & set(vars(cli))
