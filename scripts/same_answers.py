@@ -15,8 +15,9 @@ query are compared.  The list is
   ``properpower`` slot of ``bench/solver_catalog.json`` (the whole slot at
   the default, 120 instances each);
 * every CLI command on ``braid:2``, ``braid:3``, ``braid:4``,
-  ``torus:5:3``, ``torus:2:3`` and the nested product
-  ``product:(product:(braid:3,torus:2:3),braid:3)``, ``--per-command``
+  ``torus:5:3``, ``torus:2:3``, the nested product
+  ``product:(product:(braid:3,torus:2:3),braid:3)`` and ``torus:4:6``
+  (last, so that the families before it keep their words), ``--per-command``
   short random words each, with ``D`` tokens anywhere and exponents in
   ±1..3, and with powers and conjugates of them as the second word so
   that positive answers occur too.
@@ -46,6 +47,7 @@ STRUCTURES = (
     "torus:5:3",
     "torus:2:3",
     "product:(product:(braid:3,torus:2:3),braid:3)",
+    "torus:4:6",
 )
 # A whole tree's run must end within this many seconds.
 RUN_TIMEOUT_S = 3600

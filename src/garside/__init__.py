@@ -52,11 +52,9 @@ from .structures import (
     torus_structure,
 )
 from .translation import (
-    MultipleCandidatesError,
     TranslationTriple,
     conjugate_straightness,
     quotient_translation_number,
-    rational_in_interval,
     straightness,
     translation_number,
     translation_triple,

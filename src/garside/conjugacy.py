@@ -12,10 +12,11 @@ found by climbing joins of simples, so each element has at most one
 outgoing conjugator per atom instead of one per simple.
 
 `summit(g)` is the class data of g: the invariants, a representative and,
-each built on first use, its witness and the super summit set.  Its
-`conjugator_to` is the one place that compares invariants, tests
-membership and chains witnesses.  `summit(g, target=sd)` stops as soon as
-the invariants of g are known to differ from those of sd, because cycling
+each built on first use, its witness and the super summit set.
+`summit(g).conjugator_to(h)` is the one place that compares conjugacy
+classes: it summits h with summit(g) as the target, then tests membership
+and chains witnesses.  `summit(h, target=sd)` stops as soon as the
+invariants of h are known to differ from those of sd, because cycling
 never lowers inf and decycling never raises sup (Elrifai and Morton), so a
 search that only compares classes pays for no summit it rejects.
 
@@ -53,7 +54,8 @@ class SummitData:
     The witness w satisfies w^{-1} · g · w = representative for the queried
     element g; it is assembled from the recorded cycling conjugators
     a_1 ... a_p and decycling factors s_1 ... s_q on first use, as is
-    `closure`, and each is kept once built.
+    `closure`, and each is kept once built.  `conjugator_to(h)` summits h
+    against these invariants and looks its representative up in `closure`.
     """
 
     inf_s: int
@@ -73,9 +75,10 @@ class SummitData:
         """The super summit set as {element: witness} rooted at the representative."""
         return _sss_closure(self.representative, DEFAULT_SSS_CAP)
 
-    def conjugator_to(self, other: SummitData) -> Element | None:
-        """With self = summit(g) and other = summit(h): w with w^{-1} · g · w = h, or None."""
-        if (self.inf_s, self.sup_s) != (other.inf_s, other.sup_s):
+    def conjugator_to(self, h: Element) -> Element | None:
+        """With self = summit(g): w with w^{-1} · g · w = h, or None."""
+        other = summit(h, target=self)
+        if other is None:
             return None
         path = self.closure.get(other.representative)
         if path is None:
@@ -240,6 +243,4 @@ def are_conjugate(g: Element, h: Element) -> Element | None:
     """A conjugator w with w^{-1} · g · w = h if g and h are conjugate, None otherwise."""
     if g.structure is not h.structure:
         raise StructureMismatchError("conjugacy query across structures")
-    sd_g = summit(g)
-    sd_h = summit(h, target=sd_g)
-    return None if sd_h is None else sd_g.conjugator_to(sd_h)
+    return summit(g).conjugator_to(h)

@@ -95,12 +95,10 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
         if ratio.denominator != 1:
             return ProblemAnswer.no_solution()
         m = int(ratio)
-        sd_g = summit(g) if up_to_conjugacy else None
         for n in (m, -m):
             hn = power(h, n)
             if up_to_conjugacy:
-                sd_hn = summit(hn, target=sd_g)
-                witness = None if sd_hn is None else sd_hn.conjugator_to(sd_g)
+                witness = summit(hn).conjugator_to(g)
                 if witness is not None:
                     return ProblemAnswer(Outcome.SOLUTION, n=n, witness=witness)
             elif hn == g:
@@ -131,8 +129,7 @@ def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAn
         if scanned > DEFAULT_CANDIDATE_CAP:
             raise ResourceLimitError(f"root search exceeded {DEFAULT_CANDIDATE_CAP} candidates")
         h = Element(S, lo, factors)
-        sd_hn = summit(power(h, n), target=sd)
-        w = None if sd_hn is None else sd.conjugator_to(sd_hn)
+        w = sd.conjugator_to(power(h, n))
         if w is not None:
             return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
     return ProblemAnswer.no_solution()
@@ -211,8 +208,7 @@ def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = Fals
         for sign in (1, -1):
             hq = power(h, sign * q * r)
             if up_to_conjugacy:
-                sd_hq = summit(hq, target=sd_gp)
-                witness = None if sd_hq is None else sd_gp.conjugator_to(sd_hq)
+                witness = sd_gp.conjugator_to(hq)
                 if witness is not None:
                     return ProblemAnswer(Outcome.SOLUTION, n=p * r, m=sign * q * r, witness=witness)
             elif gp == hq:

@@ -314,7 +314,7 @@ class ProductStructure(GarsideStructure):
 
 
 def braid_structure(n: int, max_strands: int = DEFAULT_MAX_STRANDS) -> BraidStructure:
-    """The braid group B_n; capped because simples are tabulated eagerly."""
+    """The braid group B_n; capped because its n! simples are tabulated on demand."""
     if n < 2 or n > max_strands:
         raise ValueError(f"strand count must satisfy 2 <= n <= {max_strands}, got {n}")
     return BraidStructure(n)

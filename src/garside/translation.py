@@ -8,11 +8,15 @@ summit computation: for n >= N^2 the summit of x = g^n brackets each of
 them in a closed interval of width 1/n,
 
     t_inf(g)  in  [ inf_s(x)/n ,  (inf_s(x) + 1)/n ],
-    t_sup(g)  in  [ (sup_s(x) - 1)/n ,  sup_s(x)/n ],
+    t_sup(g)  in  [ (sup_s(x) - 1)/n ,  sup_s(x)/n ].
 
-and each interval holds exactly one rational with denominator <= N, so the
-whole computation is finite.  The t_sup bracket is the t_inf bracket of
-g^{-1} negated, since inf_s(x^{-1}) = -sup_s(x).
+The t_sup bracket is the t_inf bracket of g^{-1} negated, since
+inf_s(x^{-1}) = -sup_s(x).  Two distinct rationals with denominator <= N
+lie at least 1/N^2 apart, with equality only when N = 1, and n = max(N^2, 2)
+makes that more than 1/n, the bracket width.  So the limit is the one such
+rational within 1/(2n) of its bracket's midpoint, the best approximation of
+the midpoint with denominator <= N, which `Fraction.limit_denominator(N)`
+finds by continued fractions: the computation is finite.
 
 The limits round to the summit values of g itself: inf_s(g) =
 floor(t_inf(g)) and sup_s(g) = ceil(t_sup(g)).  `TranslationTriple.t_D` and
@@ -34,15 +38,6 @@ from .conjugacy import summit
 from .core import Element, power
 
 
-class MultipleCandidatesError(RuntimeError):
-    """More than one bounded-denominator rational fits the interval.
-
-    When reached from the translation computation this is an internal bug:
-    the interval there has width at most 1/maxden^2, which admits at most
-    one candidate.
-    """
-
-
 @dataclass(frozen=True)
 class TranslationTriple:
     """The exact limits of inf, sup and canonical length per power."""
@@ -62,42 +57,17 @@ class TranslationTriple:
         return max(self.t_sup, -self.t_inf, self.t_len)
 
 
-def rational_in_interval(lo: Fraction, hi: Fraction, maxden: int) -> Fraction | None:
-    """The unique rational with denominator <= maxden in [lo, hi], if any.
-
-    Scans the denominators directly, the numerators for each q in integer
-    arithmetic; returns None when no candidate exists and raises
-    MultipleCandidatesError when the interval is wide enough to hold
-    several.
-    """
-    if lo > hi:
-        raise ValueError("empty interval")
-    a, b = lo.numerator, lo.denominator
-    c, d = hi.numerator, hi.denominator
-    found: set[Fraction] = set()
-    for q in range(1, maxden + 1):
-        # p from ceil(lo·q) = -((-a·q) // b) to floor(hi·q) = (c·q) // d.
-        for p in range(-(-a * q // b), c * q // d + 1):
-            found.add(Fraction(p, q))
-    if len(found) > 1:
-        raise MultipleCandidatesError(
-            f"{len(found)} rationals with denominator <= {maxden} in [{lo}, {hi}]"
-        )
-    return found.pop() if found else None
-
-
 def translation_triple(g: Element) -> TranslationTriple:
     """Exact (t_inf, t_sup, t_len) for g, from one summit of g^n."""
     N = g.structure.delta_norm()
-    # Any n >= N^2 makes the bracket width 1/n small enough to isolate a
-    # unique candidate; n = 2 covers the infinite-cyclic case N = 1, where
-    # a width-1 closed interval would contain two integers.
+    # n = 2 covers the infinite-cyclic case N = 1, where the integers are
+    # exactly 1 apart and would both lie in a closed bracket of width 1.
     n = max(N * N, 2)
     sd = summit(power(g, n))
-    t_inf = rational_in_interval(Fraction(sd.inf_s, n), Fraction(sd.inf_s + 1, n), N)
-    t_sup = rational_in_interval(Fraction(sd.sup_s - 1, n), Fraction(sd.sup_s, n), N)
-    if t_inf is None or t_sup is None:
-        raise AssertionError("bracket interval contained no admissible rational")
+    t_inf = Fraction(2 * sd.inf_s + 1, 2 * n).limit_denominator(N)
+    t_sup = Fraction(2 * sd.sup_s - 1, 2 * n).limit_denominator(N)
+    if not (sd.inf_s <= n * t_inf <= sd.inf_s + 1 and sd.sup_s - 1 <= n * t_sup <= sd.sup_s):
+        raise AssertionError("a translation limit fell outside its bracket")
     return TranslationTriple(t_inf, t_sup)
 
 

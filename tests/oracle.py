@@ -22,7 +22,6 @@ from math import ceil, floor
 from garside import (
     Element,
     GarsideStructure,
-    MultipleCandidatesError,
     Outcome,
     ProblemAnswer,
     ResourceLimitError,
@@ -34,12 +33,15 @@ from garside import (
     invert,
     multiply,
     power,
-    rational_in_interval,
     simple_element,
     summit,
 )
 from garside import problems
 from garside.enumeration import factor_sequences
+
+
+class MultipleCandidatesError(RuntimeError):
+    """More than one bounded-denominator rational lies in the interval."""
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ def two_summit_triple(g: Element) -> TranslationTriple:
 
     def t_inf(x: Element) -> Fraction:
         bracket = estimate_translation(x, n)
-        return rational_in_interval(bracket.lo, bracket.hi, N)
+        return scan_rational_in_interval(bracket.lo, bracket.hi, N)
 
     return TranslationTriple(t_inf(g), -t_inf(invert(g)))
 
@@ -227,8 +229,7 @@ def windowed_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> P
             if scanned > problems.DEFAULT_CANDIDATE_CAP:
                 raise ResourceLimitError("root search exceeded the candidate cap")
             h = Element(S, lo, factors)
-            sd_hn = summit(power(h, n), target=sd)
-            w = None if sd_hn is None else sd.conjugator_to(sd_hn)
+            w = sd.conjugator_to(power(h, n))
             if w is not None:
                 return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
     return ProblemAnswer.no_solution()

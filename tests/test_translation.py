@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import ceil, floor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garside import (
-    MultipleCandidatesError,
     braid_structure,
     conjugate_straightness,
     delta_power_element,
@@ -19,7 +20,6 @@ from garside import (
     power,
     product_structure,
     quotient_translation_number,
-    rational_in_interval,
     straightness,
     structure_from_descriptor,
     summit,
@@ -61,36 +61,6 @@ def shifted_elements_of(S, lo, hi):
         lambda g, inf: multiply(delta_power_element(S, inf - g.inf), g),
         g,
         st.integers(lo, hi),
-    )
-
-
-def test_rational_in_interval_fixtures():
-    assert rational_in_interval(Fraction(5, 25), Fraction(6, 25), 5) == Fraction(1, 5)
-    assert rational_in_interval(Fraction(3, 7), Fraction(3, 7), 7) == Fraction(3, 7)
-    assert rational_in_interval(Fraction(21, 100), Fraction(6, 25), 5) is None
-    with pytest.raises(MultipleCandidatesError):
-        rational_in_interval(Fraction(0), Fraction(1), 3)
-    with pytest.raises(ValueError):
-        rational_in_interval(Fraction(1), Fraction(0), 3)
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (ValueError, MultipleCandidatesError) as exc:
-        return type(exc), str(exc)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    lo=st.fractions(min_value=-5, max_value=5, max_denominator=60),
-    width=st.fractions(min_value=-Fraction(1, 10), max_value=Fraction(1, 2), max_denominator=60),
-    maxden=st.integers(1, 12),
-)
-def test_rational_in_interval_matches_rational_scan(lo, width, maxden):
-    hi = lo + width
-    assert outcome(rational_in_interval, lo, hi, maxden) == outcome(
-        scan_rational_in_interval, lo, hi, maxden
     )
 
 
@@ -196,7 +166,7 @@ def test_consistent_across_larger_power():
             n = 2 * N * N
             a = summit(power(g, n)).inf_s
             lo = Fraction(a, n)
-            assert rational_in_interval(lo, lo + Fraction(1, n), N) == t.t_inf
+            assert scan_rational_in_interval(lo, lo + Fraction(1, n), N) == t.t_inf
 
 
 def test_inverse_and_power_laws():
@@ -260,3 +230,41 @@ def test_translation_triple_makes_one_power_and_one_summit(monkeypatch):
     t = translation_triple(parse_word(PROD, "L.x R.y"))
     assert (t.t_inf, t.t_sup) == (Fraction(1, 3), Fraction(1, 2))
     assert calls == {"power": 1, "summit": 1}
+
+
+def bounded_rationals(N):
+    """p/q with q <= N and |p/q| <= 3."""
+    return st.integers(1, N).flatmap(
+        lambda q: st.builds(Fraction, st.integers(-3 * q, 3 * q), st.just(q))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), N=st.integers(1, 30))
+def test_read_out_recovers_every_bounded_limit(data, N):
+    # Every admissible pair t_inf <= t_sup at every N from 1 (braid:2) to 30
+    # (torus:N:2), fed to the read-out as the summit of g^n it implies.
+    S = braid_structure(2) if N == 1 else torus_structure(N, 2)
+    assert S.delta_norm() == N
+    t_inf, t_sup = sorted(data.draw(st.tuples(bounded_rationals(N), bounded_rationals(N))))
+    n = max(N * N, 2)
+    inf_s, sup_s = floor(n * t_inf), ceil(n * t_sup)
+    fake = SimpleNamespace(inf_s=inf_s, sup_s=sup_s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(translation, "summit", lambda x: fake)
+        t = translation_triple(identity_element(S))
+    assert (t.t_inf, t.t_sup) == (t_inf, t_sup)
+    assert scan_rational_in_interval(Fraction(inf_s, n), Fraction(inf_s + 1, n), N) == t_inf
+    assert scan_rational_in_interval(Fraction(sup_s - 1, n), Fraction(sup_s, n), N) == t_sup
+
+
+@pytest.mark.parametrize("S", REFERENCE_STRUCTURES, ids=lambda S: S.descriptor())
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_conjugate_straightness_matches_integral_limits(S, data):
+    # inf_s = floor(t_inf), t_inf(g^N) = N·t_inf(g) and no limit has a
+    # fractional part in (0, 1/N), so inf_s(g^N) = N·inf_s(g) exactly when
+    # t_inf is an integer; likewise for sup.
+    g = data.draw(shifted_elements_of(S, -2, 2))
+    t = translation_triple(g)
+    assert conjugate_straightness(g) == (t.t_inf.denominator == 1, t.t_sup.denominator == 1)
