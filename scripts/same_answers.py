@@ -5,8 +5,9 @@
 
 OLD_SRC and NEW_SRC are ``src/`` directories (each holding the ``garside``
 package).  One seeded list of ``--json`` CLI queries is drawn, then run in a
-fresh interpreter per tree, and the exit code, stdout and stderr of every
-query are compared.  The list is
+fresh interpreter per tree, once as drawn and once more without ``--json``,
+and the exit code, stdout and stderr of every run are compared, so both the
+JSON and the text output are checked.  The list is
 
 * the first ``--per-workload`` queries of each benchmark workload's pool,
   drawn through ``bench/workloads.generate`` with ``--seed`` and the OLD_SRC
@@ -22,7 +23,8 @@ query are compared.  The list is
   ±1..3, and with powers and conjugates of them as the second word so
   that positive answers occur too.
 
-Prints the query count and every difference; exits 1 on any difference.
+Prints the query count (text runs included) and every difference; exits 1
+on any difference.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def _generate(src: str, seed: int, per_workload: int, per_command: int) -> list[
     for desc in STRUCTURES:
         atoms = [atom.name for atom in structure_from_descriptor(desc).atoms()]
         queries += _command_queries(desc, atoms, rng, per_command)
-    return queries
+    return queries + [[arg for arg in argv if arg != "--json"] for argv in queries]
 
 
 def _run(src: str, queries: list[list[str]]) -> list[list]:

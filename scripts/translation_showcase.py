@@ -11,7 +11,6 @@ from garside import (
     braid_structure,
     conjugate_straightness,
     product_structure,
-    quotient_translation_number,
     straightness,
     torus_structure,
     translation_number,
@@ -27,7 +26,7 @@ def show(S, word: str) -> None:
         f"  {S.descriptor():28s} {word or '(identity)':12s}"
         f" t_inf={str(triple.t_inf):5s} t_sup={str(triple.t_sup):5s}"
         f" t_len={str(triple.t_len):5s} t_D={str(translation_number(g)):5s}"
-        f" t_Dbar={str(quotient_translation_number(g)):5s}"
+        f" t_Dbar={str(triple.t_len):5s}"
         f" straight={straightness(g)} conj_straight={conjugate_straightness(g)}"
     )
 

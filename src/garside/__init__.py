@@ -23,12 +23,10 @@ from .core import (
     delta_power_element,
     identity_element,
     invert,
-    lmax,
     multiply,
     normalize,
     power,
     simple_element,
-    tau_element,
     validate_element,
     word_length,
 )
@@ -54,7 +52,6 @@ from .structures import (
 from .translation import (
     TranslationTriple,
     conjugate_straightness,
-    quotient_translation_number,
     straightness,
     translation_number,
     translation_triple,

@@ -16,6 +16,7 @@ unsupported structure, 2 = usage or parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -127,17 +128,12 @@ def _witness_text(w: Element) -> str:
 
 
 def _answer_json(answer: ProblemAnswer) -> dict:
+    """The outcome, then every set field under its own name, in field order."""
     out: dict = {"outcome": answer.outcome.value}
-    if answer.n is not None:
-        out["n"] = answer.n
-    if answer.m is not None:
-        out["m"] = answer.m
-    if answer.root is not None:
-        out["root"] = element_json(answer.root)
-    if answer.witness is not None:
-        out["witness"] = element_json(answer.witness)
-    if answer.diagnostic is not None:
-        out["diagnostic"] = answer.diagnostic
+    for f in dataclasses.fields(answer)[1:]:
+        value = getattr(answer, f.name)
+        if value is not None:
+            out[f.name] = element_json(value) if isinstance(value, Element) else value
     return out
 
 
@@ -152,7 +148,7 @@ def _answer_text(answer: ProblemAnswer) -> str:
     if answer.m is not None:
         parts.append(f"m={answer.m}")
     if answer.root is not None:
-        parts.append(f"root {render_word(answer.root) or '(identity)'}")
+        parts.append(f"root {_witness_text(answer.root)}")
     if answer.witness is not None:
         parts.append(f"witness {_witness_text(answer.witness)}")
     return "solution " + " ".join(parts)
@@ -172,134 +168,112 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _nf(args, g):
+    return (
+        {"element": element_json(g), "inf": g.inf, "sup": g.sup, "len": g.canonical_length,
+         "word_length": word_length(g)},
+        f"{_nf_text(g)}\ninf={g.inf} sup={g.sup} len={g.canonical_length}",
+    )
+
+
+def _tnum(args, g):
+    # The quotient value t_Dbar is t_len.
+    t = translation.translation_triple(g)
+    return (
+        {"t_inf": str(t.t_inf), "t_sup": str(t.t_sup), "t_len": str(t.t_len), "t_D": str(t.t_D),
+         "t_Dbar": str(t.t_len)},
+        f"t_inf={t.t_inf} t_sup={t.t_sup} t_len={t.t_len} t_D={t.t_D} t_Dbar={t.t_len}",
+    )
+
+
+def _straight(args, g):
+    inf_st, sup_st = translation.straightness(g)
+    conj_inf, conj_sup = translation.conjugate_straightness(g)
+    return (
+        {"inf_straight": inf_st, "sup_straight": sup_st,
+         "conjugate_inf_straight": conj_inf, "conjugate_sup_straight": conj_sup},
+        f"inf_straight={inf_st} sup_straight={sup_st} "
+        f"conjugate_inf_straight={conj_inf} conjugate_sup_straight={conj_sup}",
+    )
+
+
+def _summit(args, g):
+    sd = conjugacy.summit(g)
+    return (
+        {"inf_s": sd.inf_s, "sup_s": sd.sup_s, "representative": element_json(sd.representative),
+         "witness": element_json(sd.witness)},
+        f"inf_s={sd.inf_s} sup_s={sd.sup_s}\nrepresentative: {_nf_text(sd.representative)}\n"
+        f"witness: {_witness_text(sd.witness)}",
+    )
+
+
+def _sss(args, g):
+    sss = conjugacy.super_summit_set(g)
+    return (
+        {"size": len(sss), "elements": [element_json(h) for h in sss]},
+        "\n".join([f"size={len(sss)}"] + [_nf_text(h) for h in sss]),
+    )
+
+
+def _conj(args, g, h):
+    witness = conjugacy.are_conjugate(g, h)
+    if witness is None:
+        return {"conjugate": False}, "not conjugate"
+    return ({"conjugate": True, "witness": element_json(witness)},
+            f"conjugate, witness {_witness_text(witness)}")
+
+
+_CONJUGACY = ("--conjugacy", {"action": "store_true", "help": "solve up to conjugacy"})
+
+# Each command: its word arguments, help, extra option (flag, argparse keywords)
+# and handler.  A handler takes the parsed arguments and the words' elements
+# and returns (JSON payload, text), or a ProblemAnswer.
+_COMMANDS = {
+    "nf": (("word",), "normal form with inf/sup/len", None, _nf),
+    "tnum": (("word",), "exact translation numbers", None, _tnum),
+    "straight": (("word",), "straightness and conjugate straightness flags", None, _straight),
+    "summit": (("word",), "summit invariants with witness", None, _summit),
+    "sss": (("word",), "full super summit set", None, _sss),
+    "conj": (("word1", "word2"), "conjugacy decision with witness", None, _conj),
+    "power": (("word1", "word2"), "solve h^n = g for n (g first)", _CONJUGACY,
+              lambda args, g, h: problems.solve_power(g, h, up_to_conjugacy=args.conjugacy)),
+    "root": (("word",), "solve h^n conjugate to g",
+             ("-n", {"type": int, "required": True, "help": "root degree"}),
+             lambda args, g: problems.solve_root_conjugacy(g, args.n)),
+    "properpower": (("word",), "find (h, n >= 2) with h^n conjugate to g", None,
+                    lambda args, g: problems.solve_proper_power_conjugacy(g)),
+    "genpower": (("word1", "word2"), "find nonzero (n, m) with g^n = h^m", _CONJUGACY,
+                 lambda args, g, h: problems.solve_generalized_power(
+                     g, h, up_to_conjugacy=args.conjugacy)),
+}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="garside", description="Garside group calculator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, words, help_text):
+    for name, (words, help_text, option, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--group", required=True, help="structure descriptor")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         for word in words:
             p.add_argument(word)
-        return p
-
-    add("nf", ["word"], "normal form with inf/sup/len")
-    add("tnum", ["word"], "exact translation numbers")
-    add("straight", ["word"], "straightness and conjugate straightness flags")
-    add("summit", ["word"], "summit invariants with witness")
-    add("sss", ["word"], "full super summit set")
-    add("conj", ["word1", "word2"], "conjugacy decision with witness")
-    p = add("power", ["word1", "word2"], "solve h^n = g for n (g first)")
-    p.add_argument("--conjugacy", action="store_true", help="solve up to conjugacy")
-    p = add("root", ["word"], "solve h^n conjugate to g")
-    p.add_argument("-n", type=int, required=True, help="root degree")
-    add("properpower", ["word"], "find (h, n >= 2) with h^n conjugate to g")
-    p = add("genpower", ["word1", "word2"], "find nonzero (n, m) with g^n = h^m")
-    p.add_argument("--conjugacy", action="store_true", help="solve up to conjugacy")
+        if option is not None:
+            p.add_argument(option[0], **option[1])
     return parser
-
-
-def _emit(payload: dict, text: str, as_json: bool) -> None:
-    print(json.dumps(payload) if as_json else text)
-
-
-def _exit_code(answer: ProblemAnswer) -> int:
-    return 1 if answer.is_resource_limit else 0
 
 
 def _run(args) -> int:
     S = structure_from_descriptor(args.group)
-
-    if args.command == "nf":
-        g = parse_word(S, args.word)
-        _emit(
-            {"element": element_json(g), "inf": g.inf, "sup": g.sup, "len": g.canonical_length,
-             "word_length": word_length(g)},
-            f"{_nf_text(g)}\ninf={g.inf} sup={g.sup} len={g.canonical_length}",
-            args.json,
-        )
-        return 0
-
-    if args.command == "tnum":
-        g = parse_word(S, args.word)
-        # The quotient value t_Dbar is t_len.
-        triple = translation.translation_triple(g)
-        _emit(
-            {"t_inf": str(triple.t_inf), "t_sup": str(triple.t_sup),
-             "t_len": str(triple.t_len), "t_D": str(triple.t_D), "t_Dbar": str(triple.t_len)},
-            f"t_inf={triple.t_inf} t_sup={triple.t_sup} t_len={triple.t_len} "
-            f"t_D={triple.t_D} t_Dbar={triple.t_len}",
-            args.json,
-        )
-        return 0
-
-    if args.command == "straight":
-        g = parse_word(S, args.word)
-        inf_st, sup_st = translation.straightness(g)
-        conj_inf, conj_sup = translation.conjugate_straightness(g)
-        _emit(
-            {"inf_straight": inf_st, "sup_straight": sup_st,
-             "conjugate_inf_straight": conj_inf, "conjugate_sup_straight": conj_sup},
-            f"inf_straight={inf_st} sup_straight={sup_st} "
-            f"conjugate_inf_straight={conj_inf} conjugate_sup_straight={conj_sup}",
-            args.json,
-        )
-        return 0
-
-    if args.command == "summit":
-        g = parse_word(S, args.word)
-        sd = conjugacy.summit(g)
-        _emit(
-            {"inf_s": sd.inf_s, "sup_s": sd.sup_s,
-             "representative": element_json(sd.representative),
-             "witness": element_json(sd.witness)},
-            f"inf_s={sd.inf_s} sup_s={sd.sup_s}\n"
-            f"representative: {_nf_text(sd.representative)}\n"
-            f"witness: {_witness_text(sd.witness)}",
-            args.json,
-        )
-        return 0
-
-    if args.command == "sss":
-        g = parse_word(S, args.word)
-        sss = conjugacy.super_summit_set(g)
-        lines = [f"size={len(sss)}"] + [_nf_text(h) for h in sss]
-        _emit({"size": len(sss), "elements": [element_json(h) for h in sss]},
-              "\n".join(lines), args.json)
-        return 0
-
-    if args.command == "conj":
-        g = parse_word(S, args.word1)
-        h = parse_word(S, args.word2)
-        witness = conjugacy.are_conjugate(g, h)
-        if witness is None:
-            _emit({"conjugate": False}, "not conjugate", args.json)
-        else:
-            _emit({"conjugate": True, "witness": element_json(witness)},
-                  f"conjugate, witness {_witness_text(witness)}", args.json)
-        return 0
-
-    if args.command == "power":
-        g = parse_word(S, args.word1)
-        h = parse_word(S, args.word2)
-        answer = problems.solve_power(g, h, up_to_conjugacy=args.conjugacy)
-    elif args.command == "root":
-        g = parse_word(S, args.word)
-        answer = problems.solve_root_conjugacy(g, args.n)
-    elif args.command == "properpower":
-        g = parse_word(S, args.word)
-        answer = problems.solve_proper_power_conjugacy(g)
-    elif args.command == "genpower":
-        g = parse_word(S, args.word1)
-        h = parse_word(S, args.word2)
-        answer = problems.solve_generalized_power(g, h, up_to_conjugacy=args.conjugacy)
-    else:  # pragma: no cover - argparse enforces the command set
-        raise _UsageError(f"unknown command {args.command!r}")
-
-    _emit(_answer_json(answer), _answer_text(answer), args.json)
-    return _exit_code(answer)
+    words, _, _, handler = _COMMANDS[args.command]
+    result = handler(args, *[parse_word(S, getattr(args, word)) for word in words])
+    code = 0
+    if isinstance(result, ProblemAnswer):
+        code = 1 if result.is_resource_limit else 0
+        result = (_answer_json(result), _answer_text(result))
+    payload, text = result
+    print(json.dumps(payload) if args.json else text)
+    return code
 
 
 def run_command(argv: list[str]) -> int:

@@ -34,9 +34,9 @@ keyed on simples hashes addresses only, never a structure or a payload.
 A `GarsideStructure` supplies the presentation-specific primitives on simple
 elements (meet, right complement, products, left division, word reversal)
 at the payload level; this module wraps them with interning, caching and
-validation, derives the identity, tau, the left complement and the join
-from them, and implements all element-level arithmetic on top.  Concrete
-structures live in `structures`.
+validation, derives the join, Delta (the join of the atoms), the identity,
+tau and the left complement from them, and implements all element-level
+arithmetic on top.  Concrete structures live in `structures`.
 """
 
 from __future__ import annotations
@@ -116,8 +116,9 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
     identity.  They implement the payload-level primitives (prefixed with an
     underscore) and `descriptor`; this base class wraps them in interned
     `Simple` values, argument validation and caching.  With ∂ the right
-    complement it derives the rest: the identity is ∂(Delta), tau is ∂∘∂ and
-    the left complement is tau^{-1}∘∂.  The public simple-level operations
+    complement it derives the rest: Delta is the join of the atoms, the
+    minimal Garside element, the identity is ∂(Delta), tau is ∂∘∂ and the
+    left complement is tau^{-1}∘∂.  The public simple-level operations
     are cached, so after warm-up the normal-form machinery runs on table
     lookups.
     """
@@ -133,9 +134,6 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
     @abc.abstractmethod
     def _atom_payloads(self) -> tuple[tuple[str, Any], ...]:
         """Pairs (display name, payload), one per atom, in table order."""
-
-    @abc.abstractmethod
-    def _delta_payload(self) -> Any: ...
 
     @abc.abstractmethod
     def _norm(self, payload) -> int:
@@ -191,7 +189,8 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
 
     @functools.cache
     def delta(self) -> Simple:
-        return self.make_simple(self._delta_payload())
+        """The join of the atoms; `join` reads no Delta, so nothing recurses."""
+        return functools.reduce(self.join, map(self.atom_simple, range(len(self.atoms()))))
 
     @functools.cache
     def delta_norm(self) -> int:
@@ -342,12 +341,6 @@ class Element:
     def sort_key(self):
         return (self.inf, self.factors)
 
-    def __mul__(self, other: "Element") -> "Element":
-        return multiply(self, other)
-
-    def __pow__(self, n: int) -> "Element":
-        return power(self, n)
-
     def __repr__(self):
         words = [" ".join(self.structure.simple_atom_names(s)) for s in self.factors]
         body = " · ".join(words) if words else "(empty)"
@@ -487,23 +480,6 @@ def word_length(g: Element) -> int:
     if g.sup <= 0:
         return -g.inf
     return g.canonical_length
-
-
-def tau_element(g: Element, k: int = 1) -> Element:
-    """Normal form of Delta^{-k} g Delta^{k}; preserves inf, sup and length."""
-    S = g.structure
-    return Element(S, g.inf, tuple(S.tau_power(s, k) for s in g.factors))
-
-
-def lmax(g: Element) -> Simple:
-    """The head Delta ∧ g of a positive element."""
-    if g.inf < 0:
-        raise ValueError("lmax is defined for positive elements only")
-    if g.inf >= 1:
-        return g.structure.delta()
-    if g.factors:
-        return g.factors[0]
-    return g.structure.identity_simple()
 
 
 def validate_element(g: Element) -> None:

@@ -10,7 +10,9 @@ denominator at most N = ||Delta||, so a degree for which either quotient
 fails that bound has no root.  Otherwise the root search scans the normal
 forms of the single window inf = floor(t_inf(g)/n), sup = ceil(t_sup(g)/n):
 since inf_s = floor(t_inf) and sup_s = ceil(t_sup), these are the summit
-values of every root.  The exponential worst case is accepted and surfaced
+values of every root.  Since t_len(g) = n·t_len(h), and a positive t_len(h)
+is at least 1/N^2, the proper-power search stops at degree N^2·t_len(g)
+when t_len(g) > 0.  The exponential worst case is accepted and surfaced
 as a resource-limit outcome, never as a wrong answer.
 
 Every positive answer carries a certificate (a conjugating witness where it
@@ -163,9 +165,12 @@ def solve_root(g: Element, n: int) -> ProblemAnswer:
 def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
     """Find (h, n >= 2) with h^n conjugate to g.
 
-    Any solution has n = t_D(g)/t_D(h) <= N·t_D(g), so the search reduces to
-    finitely many root problems, tried in increasing n on one triple and one
-    summit of g.
+    Any solution has n = t_D(g)/t_D(h) <= N·t_D(g), and n <= N^2·t_len(g)
+    when t_len(g) > 0, since t_len(h) is then a positive difference of two
+    limits with denominators <= N.  So the search reduces to finitely many
+    root problems, tried in increasing n on one triple and one summit of g;
+    every degree beyond the t_len bound fails `_root_search`'s denominator
+    test anyway.
     """
     if g.is_identity:
         # Torsion-freeness leaves only the trivial h = 1, which is excluded.
@@ -174,7 +179,10 @@ def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
     try:
         triple = translation_triple(g)
         sd = summit(g)
-        for n in range(2, floor(N * triple.t_D) + 1):
+        bound = N * triple.t_D
+        if triple.t_len > 0:
+            bound = min(bound, N * N * triple.t_len)
+        for n in range(2, floor(bound) + 1):
             answer = _root_search(triple, sd, n)
             if answer.is_solution:
                 return answer

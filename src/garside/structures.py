@@ -16,6 +16,7 @@ is the identity; mixed-letter proper simples meet in the identity.
 A direct product of two structures is again a Garside structure with all
 primitives componentwise and Delta = (Delta_1, Delta_2).
 
+No structure declares Delta: `core` derives it as the join of the atoms.
 Every structure is interned by value (`core._Interned`): factories, direct
 constructors and parsed descriptors of one group all return one object,
 which compares and hashes by identity.
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 
 from .core import GarsideStructure
 
-DEFAULT_MAX_STRANDS = 8
+# The n! simples of braid:n are tabulated on demand, so n is capped.
+MAX_STRANDS = 8
 
 # ----------------------------------------------------------------------
 # permutation helpers (one-line tuples over {0..n-1}, left-to-right product)
@@ -80,9 +82,6 @@ class BraidStructure(GarsideStructure):
             word[i], word[i + 1] = word[i + 1], word[i]
             payloads.append((f"a{i + 1}", tuple(word)))
         return tuple(payloads)
-
-    def _delta_payload(self):
-        return tuple(range(self.n - 1, -1, -1))
 
     def _norm(self, payload) -> int:
         return _inversions(payload)
@@ -159,9 +158,6 @@ class TorusStructure(GarsideStructure):
 
     def _atom_payloads(self):
         return (("x", ("x", 1)), ("y", ("y", 1)))
-
-    def _delta_payload(self):
-        return ("D", 0)
 
     def _norm(self, payload) -> int:
         tag, k = payload
@@ -277,9 +273,6 @@ class ProductStructure(GarsideStructure):
         ]
         return tuple(out)
 
-    def _delta_payload(self):
-        return (self.left.delta(), self.right.delta())
-
     def _norm(self, payload) -> int:
         return payload[0].atom_norm + payload[1].atom_norm
 
@@ -313,10 +306,10 @@ class ProductStructure(GarsideStructure):
 # ----------------------------------------------------------------------
 
 
-def braid_structure(n: int, max_strands: int = DEFAULT_MAX_STRANDS) -> BraidStructure:
-    """The braid group B_n; capped because its n! simples are tabulated on demand."""
-    if n < 2 or n > max_strands:
-        raise ValueError(f"strand count must satisfy 2 <= n <= {max_strands}, got {n}")
+def braid_structure(n: int) -> BraidStructure:
+    """The braid group B_n, for 2 <= n <= MAX_STRANDS."""
+    if n < 2 or n > MAX_STRANDS:
+        raise ValueError(f"strand count must satisfy 2 <= n <= {MAX_STRANDS}, got {n}")
     return BraidStructure(n)
 
 

@@ -90,11 +90,3 @@ def conjugate_straightness(g: Element) -> tuple[bool, bool]:
     sd_N = summit(power(g, N))
     return (sd_N.inf_s == N * sd.inf_s, sd_N.sup_s == N * sd.sup_s)
 
-
-def quotient_translation_number(g: Element) -> Fraction:
-    """Translation number of the image of g in G / <Delta^{m0}>.
-
-    Collapsing the central Delta power changes word lengths by at most the
-    constant m0, so the per-power limit is exactly t_len(g).
-    """
-    return translation_triple(g).t_len

@@ -9,7 +9,8 @@ translation estimates from the one-power bracket that must contain the exact
 value for every n >= 1, the exact translation triple from two summits, one
 of g^n and one of g^{-n}, bounded-denominator rationals in an interval by a
 scan in rational arithmetic, root searches over every (inf, sup) window
-that homogeneity alone allows, normal forms by a worklist of dirty pairs,
+that homogeneity alone allows, proper-power searches over every degree up
+to N·t_D, normal forms by a worklist of dirty pairs,
 and token words evaluated one `power` and one `multiply` per token.
 """
 
@@ -35,6 +36,7 @@ from garside import (
     power,
     simple_element,
     summit,
+    translation_triple,
 )
 from garside import problems
 from garside.enumeration import factor_sequences
@@ -232,6 +234,25 @@ def windowed_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> P
             w = sd.conjugator_to(power(h, n))
             if w is not None:
                 return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
+    return ProblemAnswer.no_solution()
+
+
+def every_degree_proper_power(g: Element) -> ProblemAnswer:
+    """Find (h, n >= 2) with h^n conjugate to g, trying every n in 2..N·t_D(g).
+
+    The t_D bound alone, with no t_len bound: each degree runs
+    `problems._root_search` on one triple and one summit of g.
+    """
+    if g.is_identity:
+        return ProblemAnswer.no_solution()
+    try:
+        triple, sd = translation_triple(g), summit(g)
+        for n in range(2, floor(g.structure.delta_norm() * triple.t_D) + 1):
+            answer = problems._root_search(triple, sd, n)
+            if answer.is_solution:
+                return answer
+    except ResourceLimitError as exc:
+        return ProblemAnswer.resource_limit(str(exc))
     return ProblemAnswer.no_solution()
 
 

@@ -8,6 +8,13 @@ scans that one window.  It is checked against
 `oracle.windowed_root_search`, which scans every window that homogeneity
 alone allows, on the families of `test_repair_paths` and `braid:2`, and by
 counting the candidate sequences it asks for on catalog instances.
+
+The proper-power search stops at degree N^2·t_len(g) when t_len(g) > 0,
+since a positive t_len(h) = t_len(g)/n is a difference of two limits with
+denominators at most N.  It is checked against
+`oracle.every_degree_proper_power`, which tries every degree up to
+N·t_D(g), by counting the degrees it tries on two large-exponent
+negatives, and on a product whose root degree exceeds N·t_len(g).
 """
 
 from math import ceil, floor
@@ -17,10 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garside import (
+    Outcome,
+    delta_power_element,
     invert,
     multiply,
     power,
     problems,
+    solve_proper_power_conjugacy,
     solve_root_conjugacy,
     structure_from_descriptor,
     summit,
@@ -28,7 +38,7 @@ from garside import (
 )
 from garside.cli import parse_word
 
-from .oracle import windowed_root_search
+from .oracle import every_degree_proper_power, windowed_root_search
 from .test_repair_paths import STRUCTURES, normal_forms_of
 
 FAMILIES = [structure_from_descriptor("braid:2"), *STRUCTURES]
@@ -110,3 +120,60 @@ def test_integral_limit_enumerates_one_length(monkeypatch, desc, n, word, length
     assert solve_root_conjugacy(g, n).is_no_solution
     assert lengths == [length]
     assert yielded
+
+
+def proper_power_queries_of(S):
+    """Delta^k times a small normal form, 0 < |k| <= 12, one time in three
+    raised to the power 2 or 3, so that solutions occur.
+
+    The normal form has up to two simples, or one on the nested product,
+    whose 180 simples make a root window of length two cost seconds.
+    """
+    k = st.integers(1, 12).flatmap(lambda k: st.sampled_from((k, -k)))
+    max_raw = 2 if len(S.enumerate_simples()) < 100 else 1
+    g = st.builds(multiply, st.builds(delta_power_element, st.just(S), k),
+                  normal_forms_of(S, max_raw=max_raw, max_inf=0))
+    return st.one_of(g, g, st.builds(power, g, st.sampled_from((2, 3))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.sampled_from(FAMILIES).flatmap(proper_power_queries_of))
+def test_proper_power_matches_every_degree_search(g):
+    answer = solve_proper_power_conjugacy(g)
+    reference = every_degree_proper_power(g)
+    assert (answer.outcome, answer.n, answer.root, answer.witness) == (
+        reference.outcome, reference.n, reference.root, reference.witness
+    )
+
+
+# Proper-power negatives with a large Delta exponent: N·t_D is above 10^5,
+# while a positive t_len(h) = t_len(g)/n is at least 1/N^2.
+@pytest.mark.parametrize("word", ["D^100000 a1^2 a2^-1", "D^300001 a1 a1 a2"])
+def test_proper_power_degrees_stop_at_the_t_len_bound(monkeypatch, word):
+    S = structure_from_descriptor("braid:3")
+    g = parse_word(S, word)
+    N = S.delta_norm()
+    triple = translation_triple(g)
+    assert N * triple.t_D > 100_000
+    assert triple.t_len > 0
+    degrees = []
+    original = problems._root_search
+
+    def counting(triple, sd, n):
+        degrees.append(n)
+        return original(triple, sd, n)
+
+    monkeypatch.setattr(problems, "_root_search", counting)
+    assert solve_proper_power_conjugacy(g).is_no_solution
+    assert len(degrees) <= floor(N * N * triple.t_len) - 1
+
+
+def test_proper_power_degree_above_n_times_t_len():
+    # t_len(L.x R.y) = 1/5 - 1/6 = 1/30 is below 1/N, so the square of it
+    # has a root of degree 2 > N·t_len(g): the bound needs its N^2.
+    S = structure_from_descriptor("product:(torus:5:3,torus:4:6)")
+    g = parse_word(S, "L.x^2 R.y^2")
+    N = S.delta_norm()
+    assert N * translation_triple(g).t_len < 2
+    answer = solve_proper_power_conjugacy(g)
+    assert (answer.outcome, answer.n) == (Outcome.SOLUTION, 2)

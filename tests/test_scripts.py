@@ -32,4 +32,4 @@ def test_same_answers_smoke():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.strip().endswith("118 queries, 0 differences")
+    assert result.stdout.strip().endswith("236 queries, 0 differences")

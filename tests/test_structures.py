@@ -52,7 +52,7 @@ NESTED = "product:(product:(braid:3,torus:2:3),braid:3)"
 
 
 def test_structures_are_interned_by_value():
-    # Factories (with and without max_strands), direct constructors,
+    # Factories, direct constructors,
     # descriptors with surrounding whitespace and products of parsed
     # components all give one object per value, hashed by identity.
     routes = {
@@ -60,8 +60,6 @@ def test_structures_are_interned_by_value():
             "a1 a2^-1 D a1",
             [
                 braid_structure(3),
-                braid_structure(3, max_strands=8),
-                braid_structure(3, max_strands=3),
                 BraidStructure(3),
                 BraidStructure(n=3),
                 structure_from_descriptor("braid:3"),
@@ -92,7 +90,7 @@ def test_structures_are_interned_by_value():
                 ),
                 product_structure(
                     structure_from_descriptor("product:(braid:3,torus:2:3)"),
-                    braid_structure(3, max_strands=4),
+                    braid_structure(3),
                 ),
             ],
         ),
@@ -126,7 +124,23 @@ def test_braid_range_errors():
         braid_structure(1)
     with pytest.raises(ValueError):
         braid_structure(9)
-    braid_structure(9, max_strands=9)
+    braid_structure(8)
+
+
+def test_delta_is_the_join_of_the_atoms():
+    # No presentation declares Delta; the base class takes the join of the atoms.
+    for n in range(2, 9):
+        S = braid_structure(n)
+        assert S.delta().payload == tuple(range(n - 1, -1, -1))
+        assert S.identity_simple().payload == tuple(range(n))
+    for exps in ((5, 3), (3, 5), (4, 6)):
+        S = torus_structure(*exps)
+        assert S.delta().payload == ("D", 0)
+        assert S.identity_simple().payload == ("e", 0)
+    S = structure_from_descriptor(NESTED)
+    assert S.delta().payload == (S.left.delta(), S.right.delta())
+    assert S.left.delta().payload == (S.left.left.delta(), S.left.right.delta())
+    assert S.identity_simple().payload == (S.left.identity_simple(), S.right.identity_simple())
 
 
 def test_torus_constants():
@@ -298,8 +312,8 @@ def test_descriptor_errors():
 def test_presentation_contract():
     # A presentation implements these and nothing the base class derives.
     assert GarsideStructure.__abstractmethods__ == {
-        "_atom_payloads", "_delta_payload", "_norm", "_meet", "_right_complement", "_product",
+        "_atom_payloads", "_norm", "_meet", "_right_complement", "_product",
         "_left_divide", "_reverse", "_all_payloads", "_atom_word", "descriptor",
     }
     for cls in (BraidStructure, TorusStructure, ProductStructure):
-        assert not {"_identity_payload", "_tau", "_left_complement"} & set(vars(cls))
+        assert not {"_identity_payload", "_delta_payload", "_tau", "_left_complement"} & set(vars(cls))

@@ -19,7 +19,6 @@ from garside import (
     normalize,
     power,
     product_structure,
-    quotient_translation_number,
     straightness,
     structure_from_descriptor,
     summit,
@@ -107,9 +106,10 @@ def test_delta_central_exponent_fixtures():
 
 
 def test_quotient_translation_fixtures():
-    assert quotient_translation_number(parse_word(B3, "a1")) == 1
-    assert quotient_translation_number(delta_power_element(B3, 1)) == 0
-    assert quotient_translation_number(parse_word(PROD, "L.x R.y")) == Fraction(1, 6)
+    # The quotient value is t_len.
+    assert translation_triple(parse_word(B3, "a1")).t_len == 1
+    assert translation_triple(delta_power_element(B3, 1)).t_len == 0
+    assert translation_triple(parse_word(PROD, "L.x R.y")).t_len == Fraction(1, 6)
 
 
 @settings(max_examples=25, deadline=None)
@@ -193,7 +193,6 @@ def test_translation_number_matches_case_split():
             else:
                 expected = t.t_len
             assert translation_number(g) == expected
-            assert quotient_translation_number(g) == t.t_len
 
 
 def test_infinite_cyclic_edge_case():
