@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Time the hard inputs H1-H4 of ROADMAP.md, each in a fresh interpreter.
+
+    python3 scripts/hard_inputs.py [ID ...] [--src SRC] [--timeout 60]
+
+Every input runs in its own subprocess, which imports ``garside`` from SRC
+(``src/`` of this checkout by default), times the one call in process and
+prints its time and answer; a subprocess that outlives ``--timeout``
+seconds is stopped and reported as a timeout, and one that asks for more
+than MEMORY_MB of address space fails with a MemoryError (the ``sss`` of
+H3 needs about 1.5 GB).  With no
+IDs every input runs, in table order.
+
+The words are pinned here from the recipes of the ROADMAP table:
+
+* H1: ``root -n 2`` on positive ``braid:5`` and ``braid:6`` words, each
+  ``bench/workloads.element_of_length(S, random.Random(1), L, 0)`` with
+  L = 7 and 8 on ``braid:5`` (32 and 38 letters) and L = 5 and 6 on
+  ``braid:6`` (54 and 62 letters).
+* H2: ``root -n 2`` on ``element_of_length(S, random.Random(seed), L, 0)``
+  with seeds 1 and 2, L = 5 on ``product:(braid:4,braid:4)`` and L = 6 on
+  ``product:(braid:4,torus:5:3)``.
+* H3: ``conj`` of a 12-letter mixed ``braid:7`` word (letters
+  ``a<randint(1, 6)>^<±1>`` from ``random.Random(5)``) with its cyclic
+  rotation by one letter, a conjugate, so the answer needs the whole super
+  summit set; and ``sss`` of a 10-letter ``braid:8`` word drawn the same
+  way.
+* H4: ``parse_word`` of mixed ``braid:4`` words of 20,000 and 40,000
+  letters ``a<randint(1, 3)>^<±1>`` from ``random.Random(0)``, built in
+  the subprocess.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# Address space each input may take, in MiB.
+MEMORY_MB = 1024
+
+H1 = {
+    "H1a": ("braid:5", "a1 a2 a1 a3 a2 a1 a4 a1 a2 a1 a3 a4 a1 a2 a4 a2 a1 a3 a2 a4 a3 a2 a2 a3 "
+                       "a2 a2 a3 a2 a1 a1 a3 a2"),
+    "H1b": ("braid:5", "a1 a2 a1 a3 a2 a1 a4 a1 a2 a1 a3 a4 a3 a2 a1 a2 a3 a4 a3 a2 a1 a1 a4 a3 "
+                       "a1 a3 a2 a1 a1 a2 a1 a1 a2 a1 a3 a1 a3 a2"),
+    "H1c": ("braid:6", "a2 a3 a2 a4 a3 a2 a5 a4 a3 a2 a1 a1 a2 a3 a2 a4 a3 a2 a1 a5 a4 a3 a2 a1 "
+                       "a1 a2 a1 a3 a2 a4 a3 a2 a5 a4 a3 a2 a1 a3 a2 a4 a5 a4 a3 a2 a1 a1 a2 a3 "
+                       "a2 a4 a3 a5 a4 a3"),
+    "H1d": ("braid:6", "a2 a3 a2 a4 a3 a2 a5 a4 a3 a2 a1 a1 a2 a3 a2 a4 a3 a2 a1 a5 a4 a3 a2 a1 "
+                       "a1 a2 a1 a3 a2 a4 a3 a2 a5 a4 a3 a2 a1 a3 a2 a4 a5 a4 a3 a2 a1 a1 a2 a3 "
+                       "a2 a4 a3 a5 a4 a3 a3 a2 a1 a5 a4 a3 a2 a1"),
+}
+H2 = {
+    "H2a": ("product:(braid:4,braid:4)",
+            "L.a2 L.a3 L.a2 L.a1 R.a1 R.a2 R.a1 R.a3 R.a2 R.a1 L.a1 L.a2 L.a3 L.a2 R.a1 R.a3 "
+            "R.a2 R.a1 L.a2 L.a1 L.a3 R.a1 R.a2 R.a3 L.a3 L.a2 L.a1 L.a1 L.a2 L.a3"),
+    "H2b": ("product:(braid:4,braid:4)",
+            "L.a1 L.a2 L.a1 L.a3 L.a2 L.a1 R.a1 R.a2 R.a1 L.a1 L.a2 L.a1 L.a3 L.a2 R.a2 R.a1 "
+            "R.a3 L.a2 L.a1 L.a3 R.a1 R.a3 R.a2 R.a1 R.a1 R.a2 R.a3 R.a3 R.a2"),
+    "H2c": ("product:(braid:4,torus:5:3)",
+            "L.a1 L.a2 L.a1 R.x R.x R.x R.x R.x L.a1 L.a2 L.a3 R.x R.x R.x R.x R.x L.a3 L.a2 "
+            "R.y L.a2 L.a1 L.a3 L.a3 L.a2 L.a1 L.a1"),
+    "H2d": ("product:(braid:4,torus:5:3)",
+            "L.a1 L.a2 L.a1 L.a3 L.a2 L.a1 R.x L.a2 L.a3 L.a2 R.y R.y L.a2 L.a3 L.a2 R.x R.x "
+            "R.x L.a2 R.y L.a2 L.a1 L.a3 R.x R.x R.x R.x L.a1 L.a3 L.a2"),
+}
+H3_CONJ = "a5^-1 a6^-1 a6^1 a4^1 a6^1 a2^1 a3^-1 a2^-1 a5^1 a5^1 a1^1 a4^-1"
+H3_SSS = "a5^-1 a6^-1 a7^1 a7^-1 a7^1 a6^1 a2^1 a3^-1 a7^1 a4^1"
+
+
+def _rotated(word: str) -> str:
+    first, *rest = word.split()
+    return " ".join([*rest, first])
+
+
+# id -> ("cli", argv) or ("parse", (descriptor, letters, seed))
+INPUTS: dict[str, tuple[str, object]] = {
+    **{k: ("cli", ["root", "--group", d, "-n", "2", w]) for k, (d, w) in {**H1, **H2}.items()},
+    "H3a": ("cli", ["conj", "--group", "braid:7", H3_CONJ, _rotated(H3_CONJ)]),
+    "H3b": ("cli", ["sss", "--group", "braid:8", H3_SSS]),
+    "H4a": ("parse", ("braid:4", 20_000, 0)),
+    "H4b": ("parse", ("braid:4", 40_000, 0)),
+}
+
+# Runs in the subprocess: argv[1] is the source tree, argv[2] the input as
+# JSON and argv[3] the address-space cap in MiB.
+_CHILD = r"""
+import contextlib, io, json, random, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+limit = int(sys.argv[3]) * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from garside import cli, structure_from_descriptor
+kind, spec = json.loads(sys.argv[2])
+if kind == "cli":
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        cli.run_command(spec)
+    seconds = time.perf_counter() - start
+    answer = out.getvalue().strip()
+else:
+    desc, letters, seed = spec
+    S = structure_from_descriptor(desc)
+    rng = random.Random(seed)
+    n = len(S.atoms())
+    word = " ".join(f"a{rng.randint(1, n)}^{rng.choice((1, -1))}" for _ in range(letters))
+    start = time.perf_counter()
+    g = cli.parse_word(S, word)
+    seconds = time.perf_counter() - start
+    answer = f"inf {g.inf}, canonical length {g.canonical_length}"
+print(json.dumps({"seconds": seconds, "answer": answer}))
+"""
+
+
+def run_one(key: str, src: str, timeout: float) -> str:
+    payload = json.dumps(INPUTS[key])
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", _CHILD, src, payload, str(MEMORY_MB)],
+            capture_output=True, text=True, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return f"{key}  timeout after {timeout:g} s"
+    if result.returncode != 0:
+        last = (result.stderr.strip().splitlines() or ["(no output)"])[-1]
+        return f"{key}  failed: {last}"
+    report = json.loads(result.stdout)
+    answer = report["answer"].splitlines()[0] if report["answer"] else "(no output)"
+    if len(answer) > 100:
+        answer = answer[:97] + "..."
+    return f"{key}  {report['seconds']:.3f} s  {answer}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ids", nargs="*", metavar="ID",
+                        help=f"inputs to run, from {', '.join(INPUTS)}; all by default")
+    parser.add_argument("--src", default=str(ROOT / "src"), help="source tree holding garside")
+    parser.add_argument("--timeout", type=float, default=60.0, help="seconds per input")
+    args = parser.parse_args(argv)
+    unknown = [key for key in args.ids if key not in INPUTS]
+    if unknown:
+        parser.error(f"unknown input ids {unknown}")
+    for key in args.ids or INPUTS:
+        print(run_one(key, str(Path(args.src).resolve()), args.timeout), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

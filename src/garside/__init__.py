@@ -9,6 +9,7 @@ from .conjugacy import (
     ResourceLimitError,
     SummitData,
     are_conjugate,
+    class_invariant,
     cycling,
     decycling,
     summit,
@@ -20,11 +21,13 @@ from .core import (
     GarsideStructure,
     Simple,
     StructureMismatchError,
+    degree,
     delta_power_element,
     identity_element,
     invert,
     multiply,
     normalize,
+    permutations,
     power,
     simple_element,
     validate_element,

@@ -14,11 +14,16 @@ outgoing conjugator per atom instead of one per simple.
 `summit(g)` is the class data of g: the invariants, a representative and,
 each built on first use, its witness and the super summit set.
 `summit(g).conjugator_to(h)` is the one place that compares conjugacy
-classes: it summits h with summit(g) as the target, then tests membership
-and chains witnesses.  `summit(h, target=sd)` stops as soon as the
-invariants of h are known to differ from those of sd, because cycling
-never lowers inf and decycling never raises sup (Elrifai and Morton), so a
-search that only compares classes pays for no summit it rejects.
+classes.  It first compares `class_invariant(h)`, the degree vector and
+the cycle types of the braid permutations, with the one cached for g:
+both come from homomorphisms to abelian or permutation groups, so
+conjugate elements agree on them, and a difference rejects h before any
+summit.  Agreement proves nothing, so it then summits h with summit(g) as
+the target, tests membership and chains witnesses.
+`summit(h, target=sd)` stops as soon as the invariants of h are known to
+differ from those of sd, because cycling never lowers inf and decycling
+never raises sup (Elrifai and Morton), so a search that only compares
+classes pays for no summit it rejects.
 
 Every positive answer carries a conjugating witness that verifies by direct
 multiplication; nothing is a trust-me boolean.
@@ -33,6 +38,8 @@ from .core import (
     Element,
     Simple,
     StructureMismatchError,
+    cycle_types,
+    degree,
     identity_element,
     invert,
     multiply,
@@ -71,12 +78,19 @@ class SummitData:
         return multiply(normalize(S, 0, self.cycled), invert(normalize(S, 0, self.decycled[::-1])))
 
     @cached_property
+    def invariant(self) -> tuple:
+        """The class invariant (degree vector, braid cycle types) of the representative."""
+        return class_invariant(self.representative)
+
+    @cached_property
     def closure(self) -> dict[Element, Element]:
         """The super summit set as {element: witness} rooted at the representative."""
         return _sss_closure(self.representative, DEFAULT_SSS_CAP)
 
     def conjugator_to(self, h: Element) -> Element | None:
         """With self = summit(g): w with w^{-1} · g · w = h, or None."""
+        if class_invariant(h) != self.invariant:
+            return None
         other = summit(h, target=self)
         if other is None:
             return None
@@ -84,6 +98,16 @@ class SummitData:
         if path is None:
             return None
         return multiply(multiply(self.witness, path), invert(other.witness))
+
+
+def class_invariant(g: Element) -> tuple:
+    """(degree vector, braid cycle types): equal on conjugate elements.
+
+    Both come from homomorphisms to abelian or permutation groups, so
+    conjugate elements agree on them; a difference proves two classes
+    distinct, and agreement proves nothing.
+    """
+    return degree(g), cycle_types(g)
 
 
 def cycling(g: Element) -> tuple[Element, Simple]:

@@ -172,6 +172,19 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         """One fixed decomposition of a simple into atom indices."""
 
     @abc.abstractmethod
+    def _atom_weights(self) -> tuple[tuple[int, ...], ...]:
+        """The degree vector of each atom, in table order.
+
+        Every defining relation equates words of equal weight, so the
+        weights extend to the degree homomorphism G -> Z^k.
+        """
+
+    def _permutations(self, payload) -> tuple[tuple[int, ...] | None, ...]:
+        """One entry per degree coordinate: the simple's permutation on a
+        braid component, None elsewhere."""
+        return (None,) * len(self._atom_weights()[0])
+
+    @abc.abstractmethod
     def descriptor(self) -> str:
         """The textual descriptor of this structure, e.g. ``braid:3``."""
 
@@ -309,6 +322,22 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         if c.atom_norm == 0:
             return (a, b)
         return (self.simple_product(a, c), self.simple_left_divide(c, b))
+
+    @functools.cache
+    def degree(self, s: Simple) -> tuple[int, ...]:
+        """The degree vector of s, summed over its atom word."""
+        self._check(s)
+        weights = self._atom_weights()
+        total = [0] * len(weights[0])
+        for i in self._atom_word(s.payload):
+            for c, w in enumerate(weights[i]):
+                total[c] += w
+        return tuple(total)
+
+    @functools.cache
+    def permutations(self, s: Simple) -> tuple[tuple[int, ...] | None, ...]:
+        self._check(s)
+        return self._permutations(s.payload)
 
     @functools.cache
     def simple_atom_names(self, s: Simple) -> tuple[str, ...]:
@@ -480,6 +509,57 @@ def word_length(g: Element) -> int:
     if g.sup <= 0:
         return -g.inf
     return g.canonical_length
+
+
+# ----------------------------------------------------------------------
+# class invariants: the degree vector and the braid permutations
+# ----------------------------------------------------------------------
+
+
+def degree(g: Element) -> tuple[int, ...]:
+    """The degree vector inf·deg(Delta) + sum of deg(s_i), a homomorphism G -> Z^k."""
+    S = g.structure
+    total = [g.inf * d for d in S.degree(S.delta())]
+    for s in g.factors:
+        for c, d in enumerate(S.degree(s)):
+            total[c] += d
+    return tuple(total)
+
+
+def permutations(g: Element) -> tuple[tuple[int, ...] | None, ...]:
+    """The permutation of g on each braid component, None on the others.
+
+    A braid's permutation is a homomorphism to S_n.  Delta's is the order
+    reversal, an involution, so Delta^inf contributes it exactly when inf
+    is odd; permutations compose left to right, as the payloads do.
+    """
+    S = g.structure
+    out = list(S.permutations(S.delta() if g.inf % 2 else S.identity_simple()))
+    for s in g.factors:
+        for c, p in enumerate(S.permutations(s)):
+            if p is not None:
+                out[c] = tuple(map(p.__getitem__, out[c]))
+    return tuple(out)
+
+
+def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted cycle lengths of a permutation."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = p[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def cycle_types(g: Element) -> tuple[tuple[int, ...] | None, ...]:
+    """The cycle type of g's permutation on each braid component, None elsewhere."""
+    return tuple(None if p is None else cycle_type(p) for p in permutations(g))
 
 
 def validate_element(g: Element) -> None:

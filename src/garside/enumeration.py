@@ -5,13 +5,15 @@ The sequences of a given length form the paths of the "follows" graph on
 proper simples (neither identity nor Delta): t may follow s exactly when the
 pair (s, t) is already left-weighted.  Enumeration order is the canonical
 sorted order of simples, so first hits of candidate searches are
-deterministic.
+deterministic.  Asked for a total degree, the enumeration cuts every
+prefix whose remaining factors cannot reach it and keeps that order.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from operator import le, sub
 from typing import Iterator
 
 from .core import Element, GarsideStructure, Simple
@@ -53,25 +55,52 @@ def followers(S: GarsideStructure) -> dict[Simple, tuple[Simple, ...]]:
     return _Followers(S)
 
 
-def factor_sequences(S: GarsideStructure, length: int) -> Iterator[tuple[Simple, ...]]:
-    """All left-weighted sequences of `length` proper simples."""
-    if length == 0:
-        yield ()
-        return
+@functools.cache
+def _degree_bounds(S: GarsideStructure) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The least and the greatest degree of a proper simple, per coordinate."""
+    columns = tuple(zip(*(S.degree(s) for s in proper_simples(S))))
+    return tuple(map(min, columns)), tuple(map(max, columns))
+
+
+def factor_sequences(
+    S: GarsideStructure, length: int, degree: tuple[int, ...] | None = None
+) -> Iterator[tuple[Simple, ...]]:
+    """All left-weighted sequences of `length` proper simples.
+
+    With `degree`, only those whose factor degrees sum to it, in the same
+    order: a prefix is cut when the factors still to come, each between
+    the least and the greatest degree of a proper simple in every
+    coordinate, cannot make up the rest.
+    """
     follow = followers(S)
     stack: list[Simple] = []
+    if degree is not None:
+        # reach[k]: the least and greatest degree sums of k more factors.
+        lows, highs = _degree_bounds(S)
+        reach = [(tuple(k * v for v in lows), tuple(k * v for v in highs))
+                 for k in range(length + 1)]
+        low, high = reach[length]
+        if not (all(map(le, low, degree)) and all(map(le, degree, high))):
+            return
 
-    def walk() -> Iterator[tuple[Simple, ...]]:
+    def walk(rest) -> Iterator[tuple[Simple, ...]]:
         if len(stack) == length:
             yield tuple(stack)
             return
         options = proper_simples(S) if not stack else follow[stack[-1]]
+        if rest is not None:
+            low, high = reach[length - len(stack) - 1]
         for s in options:
+            after = rest
+            if rest is not None:
+                after = tuple(map(sub, rest, S.degree(s)))
+                if not (all(map(le, low, after)) and all(map(le, after, high))):
+                    continue
             stack.append(s)
-            yield from walk()
+            yield from walk(after)
             stack.pop()
 
-    yield from walk()
+    yield from walk(degree)
 
 
 def sample_element(

@@ -12,8 +12,24 @@ forms of the single window inf = floor(t_inf(g)/n), sup = ceil(t_sup(g)/n):
 since inf_s = floor(t_inf) and sup_s = ceil(t_sup), these are the summit
 values of every root.  Since t_len(g) = n·t_len(h), and a positive t_len(h)
 is at least 1/N^2, the proper-power search stops at degree N^2·t_len(g)
-when t_len(g) > 0.  The exponential worst case is accepted and surfaced
-as a resource-limit outcome, never as a wrong answer.
+when t_len(g) > 0.
+
+Two exact class invariants reject before any power, summit or
+enumeration: the degree homomorphism G -> Z^k from the atom weights, and
+on each braid component the cycle type of the permutation (a homomorphism
+to S_n).  If h^n is conjugate to g then n·deg(h) = deg(g), and perm(h)^n
+has the cycle type of perm(g) while perm(h) has sign (-1)^deg(h).  So the
+root search answers no when n does not divide deg(g), or when no
+permutation of that sign has an n-th power of g's cycle type; it only
+enumerates the window's normal forms of degree deg(g)/n, and drops a
+candidate whose cycle types no root can have before its power and summit.
+The proper-power search tries only the divisors of the gcd of deg(g)'s
+coordinates, the power solver only the exponents with deg(g) = ±m·deg(h),
+and the generalized-power solver computes its powers only when
+p·deg(g) = ±q·deg(h).  These tests only ever reject, and the enumeration
+order is unchanged, so every positive answer is the one the unpruned
+search finds.  The exponential worst case is accepted and surfaced as a
+resource-limit outcome, never as a wrong answer.
 
 Every positive answer carries a certificate (a conjugating witness where it
 applies) that re-verifies by direct normal-form arithmetic.
@@ -22,11 +38,22 @@ applies) that re-verifies by direct normal-form arithmetic.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from math import ceil, floor
+from typing import Iterator
+from math import ceil, floor, gcd, lcm
 
 from .conjugacy import ResourceLimitError, SummitData, summit
-from .core import Element, StructureMismatchError, identity_element, invert, multiply, power
+from .core import (
+    Element,
+    StructureMismatchError,
+    cycle_types,
+    degree,
+    identity_element,
+    invert,
+    multiply,
+    power,
+)
 from .enumeration import factor_sequences
 from .translation import TranslationTriple, translation_number, translation_triple
 
@@ -84,7 +111,8 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
     """Find n with h^n equal (or conjugate) to g.
 
     For g, h != 1 the only candidate magnitude is m = t_D(g)/t_D(h); the
-    answer is +m or -m according to whether h^m matches g or g^{-1}.
+    answer is +m or -m according to whether h^m matches g or g^{-1}, and
+    an exponent n is tried only when deg(g) = n·deg(h).
     """
     if g.structure is not h.structure:
         raise StructureMismatchError("power query across structures")
@@ -97,7 +125,10 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
         if ratio.denominator != 1:
             return ProblemAnswer.no_solution()
         m = int(ratio)
+        dg, dh = degree(g), degree(h)
         for n in (m, -m):
+            if dg != tuple(n * d for d in dh):
+                continue
             hn = power(h, n)
             if up_to_conjugacy:
                 witness = summit(hn).conjugator_to(g)
@@ -110,27 +141,92 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
         return ProblemAnswer.resource_limit(str(exc))
 
 
+def _partitions(k: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
+    """The partitions of k into parts of at least `smallest`, as sorted cycle types."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(smallest, k + 1):
+        for rest in _partitions(k - first, first):
+            yield (first, *rest)
+
+
+def _power_cycle_type(cycles: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The cycle type of σ^n for σ of the given type: an L-cycle of σ
+    falls into gcd(L, n) cycles of length L/gcd(L, n)."""
+    out = []
+    for length in cycles:
+        parts = gcd(length, n)
+        out += [length // parts] * parts
+    return tuple(sorted(out))
+
+
+@functools.cache
+def _power_types(k: int, n: int) -> dict[tuple[int, tuple[int, ...]], frozenset[tuple[int, ...]]]:
+    """For σ in S_k: (parity of σ, cycle type of σ^n) -> the cycle types σ may have.
+
+    σ^n depends on n only through gcd(L, n) for cycle lengths L <= k, so
+    callers pass n modulo lcm(1..k).
+    """
+    table: dict = {}
+    for p in _partitions(k):
+        table.setdefault(((k - len(p)) % 2, _power_cycle_type(p, n)), set()).add(p)
+    return {key: frozenset(value) for key, value in table.items()}
+
+
+def _root_cycle_types(degree_g: tuple[int, ...], types: tuple, n: int) -> tuple | None:
+    """The cycle types a root of degree n may have on each braid component
+    (None on the others), or None when deg(g) and g's cycle types admit no root.
+
+    A root h has n·deg(h) = deg(g), and on each braid component perm(h)^n
+    has the cycle type of perm(g) while perm(h) has sign (-1)^deg(h).
+    """
+    if any(d % n for d in degree_g):
+        return None
+    allowed = []
+    for d, cycles in zip(degree_g, types):
+        roots = None
+        if cycles is not None:
+            k = sum(cycles)
+            roots = _power_types(k, n % lcm(*range(1, k + 1))).get(((d // n) % 2, cycles))
+            if roots is None:
+                return None
+        allowed.append(roots)
+    return tuple(allowed)
+
+
 def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAnswer:
     """Find h with h^n conjugate to g, given the triple and summit of g and n >= 2.
 
     Any root h has t_inf(h) = t_inf(g)/n and t_sup(h) = t_sup(g)/n, and the
     translation limits of every element have denominator at most N, so n is
-    rejected at once when either quotient fails that bound.  Otherwise some
-    conjugate of h lies in its super summit set, where inf = floor(t_inf(h))
-    and sup = ceil(t_sup(h)); the candidates are the normal forms of that one
-    (inf, sup) window.  The witness satisfies w^{-1} · h^n · w = g.  Raises
-    `ResourceLimitError` after `DEFAULT_CANDIDATE_CAP` candidates.
+    rejected at once when either quotient fails that bound, or when g's
+    degree and cycle types admit no root (`_root_cycle_types`).
+    Otherwise some conjugate of h lies in its super summit set, where
+    inf = floor(t_inf(h)) and sup = ceil(t_sup(h)); the candidates are the
+    normal forms of that one (inf, sup) window of degree deg(g)/n, and a
+    candidate whose cycle types no root can have is dropped before its
+    power and summit.  The witness satisfies w^{-1} · h^n · w = g.
+    Raises `ResourceLimitError` after `DEFAULT_CANDIDATE_CAP` candidates.
     """
     S = sd.representative.structure
     N = S.delta_norm()
     t_inf, t_sup = triple.t_inf / n, triple.t_sup / n
     if t_inf.denominator > N or t_sup.denominator > N:
         return ProblemAnswer.no_solution()
+    degree_g, types = sd.invariant
+    allowed = _root_cycle_types(degree_g, types, n)
+    if allowed is None:
+        return ProblemAnswer.no_solution()
     lo, hi = floor(t_inf), ceil(t_sup)
-    for scanned, factors in enumerate(factor_sequences(S, hi - lo), start=1):
+    rest = tuple(d // n - lo * e for d, e in zip(degree_g, S.degree(S.delta())))
+    has_braids = any(t is not None for t in types)
+    for scanned, factors in enumerate(factor_sequences(S, hi - lo, rest), start=1):
         if scanned > DEFAULT_CANDIDATE_CAP:
             raise ResourceLimitError(f"root search exceeded {DEFAULT_CANDIDATE_CAP} candidates")
         h = Element(S, lo, factors)
+        if has_braids and not all(t is None or t in a for t, a in zip(cycle_types(h), allowed)):
+            continue
         w = sd.conjugator_to(power(h, n))
         if w is not None:
             return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
@@ -170,7 +266,8 @@ def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
     limits with denominators <= N.  So the search reduces to finitely many
     root problems, tried in increasing n on one triple and one summit of g;
     every degree beyond the t_len bound fails `_root_search`'s denominator
-    test anyway.
+    test anyway.  Since n·deg(h) = deg(g), only the divisors of the gcd of
+    deg(g)'s coordinates are tried, or every n when deg(g) = 0.
     """
     if g.is_identity:
         # Torsion-freeness leaves only the trivial h = 1, which is excluded.
@@ -182,7 +279,9 @@ def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
         bound = N * triple.t_D
         if triple.t_len > 0:
             bound = min(bound, N * N * triple.t_len)
-        for n in range(2, floor(bound) + 1):
+        bound = floor(bound)
+        common = gcd(*degree(g))
+        for n in _divisors(common, bound) if common else range(2, bound + 1):
             answer = _root_search(triple, sd, n)
             if answer.is_solution:
                 return answer
@@ -191,13 +290,27 @@ def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
         return ProblemAnswer.resource_limit(str(exc))
 
 
+def _divisors(m: int, bound: int) -> list[int]:
+    """The divisors n of m > 0 with 2 <= n <= bound, increasing."""
+    small, large = [], []
+    i = 1
+    while i * i <= m and i <= bound:
+        if m % i == 0:
+            small.append(i)
+            if i * i != m:
+                large.append(m // i)
+        i += 1
+    return [n for n in small + large[::-1] if 2 <= n <= bound]
+
+
 def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> ProblemAnswer:
     """Find nonzero (n, m) with g^n equal (or conjugate) to h^m.
 
     Requires a structure-level unique-root certificate: a positive r such
     that every r-th power lies in a finite-index subgroup with unique roots.
     With p/q = t_D(h)/t_D(g) reduced, a solution exists if and only if
-    g^{pr} matches h^{qr} or h^{-qr}, so the check is a single comparison.
+    g^{pr} matches h^{qr} or h^{-qr}, so the check is a single comparison,
+    made only for the signs with p·deg(g) = ±q·deg(h).
     """
     if g.structure is not h.structure:
         raise StructureMismatchError("generalized power query across structures")
@@ -211,9 +324,16 @@ def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = Fals
     try:
         ratio = translation_number(h) / translation_number(g)
         p, q = ratio.numerator, ratio.denominator
+        dg, dh = degree(g), degree(h)
+        signs = [
+            sign for sign in (1, -1)
+            if tuple(p * d for d in dg) == tuple(sign * q * d for d in dh)
+        ]
+        if not signs:
+            return ProblemAnswer.no_solution()
         gp = power(g, p * r)
         sd_gp = summit(gp) if up_to_conjugacy else None
-        for sign in (1, -1):
+        for sign in signs:
             hq = power(h, sign * q * r)
             if up_to_conjugacy:
                 witness = sd_gp.conjugator_to(hq)

@@ -16,6 +16,12 @@ is the identity; mixed-letter proper simples meet in the identity.
 A direct product of two structures is again a Garside structure with all
 primitives componentwise and Delta = (Delta_1, Delta_2).
 
+The atom weights define the degree homomorphism G -> Z^k: braid atoms
+weigh 1, x and y weigh M and N (so x^N = y^M has degree N·M on both
+sides), and a product has one coordinate per component.  A braid simple's
+payload is its permutation, which `_permutations` hands to the
+permutation invariant.
+
 No structure declares Delta: `core` derives it as the join of the atoms.
 Every structure is interned by value (`core._Interned`): factories, direct
 constructors and parsed descriptors of one group all return one object,
@@ -82,6 +88,12 @@ class BraidStructure(GarsideStructure):
             word[i], word[i + 1] = word[i + 1], word[i]
             payloads.append((f"a{i + 1}", tuple(word)))
         return tuple(payloads)
+
+    def _atom_weights(self):
+        return ((1,),) * (self.n - 1)
+
+    def _permutations(self, payload):
+        return (payload,)
 
     def _norm(self, payload) -> int:
         return _inversions(payload)
@@ -158,6 +170,10 @@ class TorusStructure(GarsideStructure):
 
     def _atom_payloads(self):
         return (("x", ("x", 1)), ("y", ("y", 1)))
+
+    def _atom_weights(self):
+        # x^N = y^M has degree N·M on both sides.
+        return ((self.exp_y,), (self.exp_x,))
 
     def _norm(self, payload) -> int:
         tag, k = payload
@@ -272,6 +288,14 @@ class ProductStructure(GarsideStructure):
             for atom in self.right.atoms()
         ]
         return tuple(out)
+
+    def _atom_weights(self):
+        left, right = self.left._atom_weights(), self.right._atom_weights()
+        zero_l, zero_r = (0,) * len(left[0]), (0,) * len(right[0])
+        return tuple(w + zero_r for w in left) + tuple(zero_l + w for w in right)
+
+    def _permutations(self, payload):
+        return self.left.permutations(payload[0]) + self.right.permutations(payload[1])
 
     def _norm(self, payload) -> int:
         return payload[0].atom_norm + payload[1].atom_norm

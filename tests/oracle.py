@@ -8,9 +8,11 @@ word-length cap, super summit sets from conjugation by every simple,
 translation estimates from the one-power bracket that must contain the exact
 value for every n >= 1, the exact translation triple from two summits, one
 of g^n and one of g^{-n}, bounded-denominator rationals in an interval by a
-scan in rational arithmetic, root searches over every (inf, sup) window
-that homogeneity alone allows, proper-power searches over every degree up
-to N·t_D, normal forms by a worklist of dirty pairs,
+scan in rational arithmetic, conjugacy by summits and the super summit set
+alone with no class-invariant prefilter, root searches over every
+(inf, sup) window that homogeneity alone allows and over the one window
+with no degree or permutation pruning, proper-power searches over every
+degree up to N·t_D, normal forms by a worklist of dirty pairs,
 and token words evaluated one `power` and one `multiply` per token.
 """
 
@@ -203,6 +205,44 @@ def scan_rational_in_interval(lo: Fraction, hi: Fraction, maxden: int) -> Fracti
     return found.pop() if found else None
 
 
+def invariant_free_conjugator(sd: SummitData, h: Element) -> Element | None:
+    """With sd = summit(g): w with w^{-1} · g · w = h, or None.
+
+    `SummitData.conjugator_to` without its degree and cycle-type test: h is
+    summited against sd and its representative looked up in the closure.
+    """
+    other = summit(h, target=sd)
+    if other is None:
+        return None
+    path = sd.closure.get(other.representative)
+    if path is None:
+        return None
+    return multiply(multiply(sd.witness, path), invert(other.witness))
+
+
+def unpruned_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAnswer:
+    """The one-window root search with no degree or permutation test.
+
+    n is rejected only when t_inf(g)/n or t_sup(g)/n has a denominator
+    above N; every normal form of the window (floor(t_inf/n), ceil(t_sup/n))
+    is tried through `invariant_free_conjugator`.
+    """
+    S = sd.representative.structure
+    N = S.delta_norm()
+    t_inf, t_sup = triple.t_inf / n, triple.t_sup / n
+    if t_inf.denominator > N or t_sup.denominator > N:
+        return ProblemAnswer.no_solution()
+    lo, hi = floor(t_inf), ceil(t_sup)
+    for scanned, factors in enumerate(factor_sequences(S, hi - lo), start=1):
+        if scanned > problems.DEFAULT_CANDIDATE_CAP:
+            raise ResourceLimitError("root search exceeded the candidate cap")
+        h = Element(S, lo, factors)
+        w = invariant_free_conjugator(sd, power(h, n))
+        if w is not None:
+            return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
+    return ProblemAnswer.no_solution()
+
+
 def windowed_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAnswer:
     """Find h with h^n conjugate to g by scanning every homogeneity window.
 
@@ -210,7 +250,8 @@ def windowed_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> P
     [t_inf(g)/n - 1, t_inf(g)/n] and its sup in [t_sup(g)/n, t_sup(g)/n + 1];
     the candidates are the normal forms over every (inf, sup) pair of
     integers there, narrowest window first.  Exponents n for which t_D(g)/n
-    has a denominator above N^2 are rejected.  The witness satisfies
+    has a denominator above N^2 are rejected, and conjugacy is tested by
+    `invariant_free_conjugator`.  The witness satisfies
     w^{-1} · h^n · w = g.
     """
     S = sd.representative.structure
@@ -231,7 +272,7 @@ def windowed_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> P
             if scanned > problems.DEFAULT_CANDIDATE_CAP:
                 raise ResourceLimitError("root search exceeded the candidate cap")
             h = Element(S, lo, factors)
-            w = sd.conjugator_to(power(h, n))
+            w = invariant_free_conjugator(sd, power(h, n))
             if w is not None:
                 return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
     return ProblemAnswer.no_solution()

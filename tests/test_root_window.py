@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from garside import (
     Outcome,
+    degree,
     delta_power_element,
     invert,
     multiply,
@@ -79,9 +80,9 @@ def counting_sequences(monkeypatch):
     lengths, yielded = [], []
     original = problems.factor_sequences
 
-    def wrapper(S, length):
+    def wrapper(S, length, *target):
         lengths.append(length)
-        for factors in original(S, length):
+        for factors in original(S, length, *target):
             yielded.append(factors)
             yield factors
 
@@ -106,16 +107,33 @@ def test_degree_with_a_large_limit_denominator_scans_nothing(monkeypatch, desc, 
     assert (lengths, yielded) == ([], [])
 
 
-# Catalog negatives with integral t_inf(g)/n, where homogeneity alone allows
-# two infima; the second has t_sup(g)/n integral too, so two suprema.
+# Catalog negatives with integral t_inf(g)/n whose degree (7 and 19) is
+# odd, so no square root exists and nothing is enumerated.
+@pytest.mark.parametrize(
+    "desc, n, word", [("braid:3", 2, "D a1 a2 a2 a1"), ("torus:5:3", 2, "x x x y y")]
+)
+def test_indivisible_degree_scans_nothing(monkeypatch, desc, n, word):
+    S = structure_from_descriptor(desc)
+    g = parse_word(S, word)
+    assert (translation_triple(g).t_inf / n).denominator == 1
+    assert any(d % n for d in degree(g))
+    lengths, yielded = counting_sequences(monkeypatch)
+    assert solve_root_conjugacy(g, n).is_no_solution
+    assert (lengths, yielded) == ([], [])
+
+
+# Negatives with integral t_inf(g)/n and a degree divisible by n, where
+# homogeneity alone allows two infima; both have t_sup(g)/n integral too,
+# so two suprema.
 @pytest.mark.parametrize(
     "desc, n, word, length",
-    [("braid:3", 2, "D a1 a2 a2 a1", 1), ("torus:5:3", 2, "x x x y y", 1)],
+    [("braid:3", 2, "D a2 a2 a2 a1 a2", 1), ("torus:5:3", 2, "x x y x y x", 2)],
 )
 def test_integral_limit_enumerates_one_length(monkeypatch, desc, n, word, length):
     S = structure_from_descriptor(desc)
     g = parse_word(S, word)
     assert (translation_triple(g).t_inf / n).denominator == 1
+    assert not any(d % n for d in degree(g))
     lengths, yielded = counting_sequences(monkeypatch)
     assert solve_root_conjugacy(g, n).is_no_solution
     assert lengths == [length]

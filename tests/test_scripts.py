@@ -1,4 +1,4 @@
-"""The example scripts run against the current API."""
+"""The example and timing scripts run against the current API."""
 
 import os
 import subprocess
@@ -33,3 +33,14 @@ def test_same_answers_smoke():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.strip().endswith("236 queries, 0 differences")
+
+
+def test_hard_inputs_smoke():
+    result = subprocess.run(
+        [sys.executable, "scripts/hard_inputs.py", "H2c", "--timeout", "120"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    key, seconds, unit, answer = result.stdout.strip().split(maxsplit=3)
+    assert (key, unit, answer) == ("H2c", "s", "no solution")
+    assert float(seconds) >= 0

@@ -313,7 +313,8 @@ def test_presentation_contract():
     # A presentation implements these and nothing the base class derives.
     assert GarsideStructure.__abstractmethods__ == {
         "_atom_payloads", "_norm", "_meet", "_right_complement", "_product",
-        "_left_divide", "_reverse", "_all_payloads", "_atom_word", "descriptor",
+        "_left_divide", "_reverse", "_all_payloads", "_atom_word", "_atom_weights",
+        "descriptor",
     }
     for cls in (BraidStructure, TorusStructure, ProductStructure):
         assert not {"_identity_payload", "_delta_payload", "_tau", "_left_complement"} & set(vars(cls))
