@@ -6,6 +6,9 @@ any conjugate) and sup_s (the smallest sup); the conjugates realising both
 simultaneously form the finite, nonempty super summit set.  Iterated
 cycling raises inf, iterated decycling lowers sup, and conjugating by
 minimal simples walks the whole super summit set, which decides conjugacy.
+`summit` steps on one working list (inf, factors): a cycling moves the
+first factor to the back with `core._push`, a decycling moves the last one
+to the front with `core._push_front`, and one Element is built at the end.
 The minimal simple of an atom a at x is the ≼-least simple above a that
 keeps x in its super summit set (Franco and González-Meneses, 2003); it is
 found by climbing joins of simples, so each element has at most one
@@ -36,8 +39,12 @@ from functools import cached_property
 
 from .core import (
     Element,
+    GarsideStructure,
     Simple,
     StructureMismatchError,
+    _pop_deltas,
+    _push,
+    _push_front,
     cycle_types,
     degree,
     identity_element,
@@ -91,6 +98,10 @@ class SummitData:
         """With self = summit(g): w with w^{-1} · g · w = h, or None."""
         if class_invariant(h) != self.invariant:
             return None
+        return self._summit_conjugator(h)
+
+    def _summit_conjugator(self, h: Element) -> Element | None:
+        """`conjugator_to(h)` for an h already known to share `self.invariant`."""
         other = summit(h, target=self)
         if other is None:
             return None
@@ -110,40 +121,64 @@ def class_invariant(g: Element) -> tuple:
     return degree(g), cycle_types(g)
 
 
-def cycling(g: Element) -> tuple[Element, Simple]:
-    """Conjugate g by a = tau^{-inf}(first factor); returns (result, a).
+def _cycle(S: GarsideStructure, inf: int, factors: list[Simple]) -> tuple[int, Simple]:
+    """Cycle the working list Delta^inf · factors in place; returns (inf, a).
 
-    Since Delta^r s_1 = a Delta^r, the result is the product of the normal
-    form Delta^r s_2 ... s_k with a, so cycling never lowers inf nor raises
-    sup.  Elements without factors are returned unchanged with identity
-    conjugator.
+    With a = tau^{-inf}(s_1), Delta^inf s_1 = a Delta^inf, so the conjugate
+    a^{-1} g a is Delta^inf s_2 ... s_k · a: the first factor is popped, a
+    is pushed at the back, and a Delta it forms is folded into inf.
     """
+    a = S.tau_power(factors.pop(0), -inf)
+    _push(S, factors, a)
+    return inf + _pop_deltas(S, factors), a
+
+
+def _decycle(S: GarsideStructure, inf: int, factors: list[Simple]) -> tuple[int, Simple]:
+    """Decycle the working list Delta^inf · factors in place; returns (inf, s_k).
+
+    s_k · g · s_k^{-1} = Delta^inf tau^inf(s_k) s_1 ... s_{k-1}: the last
+    factor is popped, its twist is pushed at the front, and a Delta it
+    forms is folded into inf.
+    """
+    s = factors.pop()
+    _push_front(S, factors, S.tau_power(s, inf))
+    return inf + _pop_deltas(S, factors), s
+
+
+def _one_step(step, g: Element) -> tuple[Element, Simple]:
     S = g.structure
     if not g.factors:
         return g, S.identity_simple()
-    a = S.tau_power(g.factors[0], -g.inf)
-    return multiply(Element(S, g.inf, g.factors[1:]), simple_element(a)), a
+    factors = list(g.factors)
+    inf, conjugator = step(S, g.inf, factors)
+    return Element(S, inf, tuple(factors)), conjugator
+
+
+def cycling(g: Element) -> tuple[Element, Simple]:
+    """Conjugate g by a = tau^{-inf}(first factor); returns (result, a).
+
+    Cycling never lowers inf nor raises sup.  Elements without factors are
+    returned unchanged with identity conjugator.
+    """
+    return _one_step(_cycle, g)
 
 
 def decycling(g: Element) -> tuple[Element, Simple]:
     """Conjugate g by the inverse of its final factor s_k; returns (result, s_k).
 
-    The result is s_k · g · s_k^{-1}, the product of s_k with the normal
-    form Delta^r s_1 ... s_{k-1}; the conjugator in the w^{-1} g w sense is
-    s_k^{-1}.
+    The result is s_k · g · s_k^{-1}; the conjugator in the w^{-1} g w sense
+    is s_k^{-1}.  Elements without factors are returned unchanged with
+    identity conjugator.
     """
-    S = g.structure
-    if not g.factors:
-        return g, S.identity_simple()
-    s = g.factors[-1]
-    return multiply(simple_element(s), Element(S, g.inf, g.factors[:-1])), s
+    return _one_step(_decycle, g)
 
 
 def summit(g: Element, target: SummitData | None = None) -> SummitData | None:
     """Summit invariants, a representative realising both, and its witness.
 
     Stopping rule: once ||Delta|| consecutive cyclings fail to raise inf,
-    inf is summit; likewise for decycling and sup.
+    inf is summit; likewise for decycling and sup.  Every step works in
+    place on one list (inf, factors), and one Element is built at the end.
 
     With a `target`, returns None as soon as the invariants of g are known
     to differ from (target.inf_s, target.sup_s), and otherwise exactly what
@@ -157,33 +192,36 @@ def summit(g: Element, target: SummitData | None = None) -> SummitData | None:
         return None
     S = g.structure
     window = S.delta_norm()
-    h = g
+    inf, factors = g.inf, list(g.factors)
 
     cycled = []
     fails = 0
-    while fails < window and h.factors:
-        h2, a = cycling(h)
-        fails = 0 if h2.inf > h.inf else fails + 1
+    while fails < window and factors:
+        inf2, a = _cycle(S, inf, factors)
+        fails = 0 if inf2 > inf else fails + 1
         cycled.append(a)
-        h = h2
-        if target is not None and h.inf > target.inf_s:
+        inf = inf2
+        if target is not None and inf > target.inf_s:
             return None
-    if target is not None and h.inf != target.inf_s:
+    if target is not None and inf != target.inf_s:
         return None
 
     decycled = []
     fails = 0
-    while fails < window and h.factors:
-        h2, s = decycling(h)
-        fails = 0 if h2.sup < h.sup else fails + 1
+    sup = inf + len(factors)
+    while fails < window and factors:
+        inf, s = _decycle(S, inf, factors)
+        sup2 = inf + len(factors)
+        fails = 0 if sup2 < sup else fails + 1
         decycled.append(s)
-        h = h2
-        if target is not None and h.sup < target.sup_s:
+        sup = sup2
+        if target is not None and sup < target.sup_s:
             return None
-    if target is not None and h.sup != target.sup_s:
+    if target is not None and sup != target.sup_s:
         return None
 
-    return SummitData(h.inf, h.sup, h, tuple(cycled), tuple(decycled))
+    h = Element(S, inf, tuple(factors))
+    return SummitData(inf, sup, h, tuple(cycled), tuple(decycled))
 
 
 def _inf_closure(x: Element, c: Simple) -> Simple:

@@ -12,13 +12,15 @@ satisfies the local left-weighted condition
     right_complement(s_i)  ∧  s_{i+1}  =  identity.
 
 The normal form is unique, so structural equality of (inf, factors) is group
-equality.  One routine, `_push`, repairs it: appending a simple to a
-left-weighted list takes one leftward pass of local "slides", each moving
-weight from a factor into its left neighbour, that stops at the first pair
-it leaves unchanged.  A Delta formed on the way travels to the front, and
-only the appended slot can become the identity.  `normalize` pushes each
-raw factor and `multiply` pushes the factors of its right operand.
-Inverses need no repair: their normal form is read off directly.
+equality.  One domino-rule repair keeps it, from either end of the list.
+`_push` appends a simple with one leftward pass of local "slides", each
+moving weight from a factor into its left neighbour, that stops at the
+first pair it leaves unchanged; a Delta formed on the way travels to the
+front, and only the appended slot can become the identity.  `_push_front`
+prepends a simple with the mirror rightward pass, for left multiplication.
+`normalize` pushes each raw factor, `multiply` pushes the factors of its
+right operand, and `conjugacy.summit` cycles and decycles with one push at
+either end.  Inverses need no repair: their normal form is read off directly.
 
 Each slide is read from a row on its left simple: `a.slides` maps a right
 neighbour b to the left-weighted pair of (a, b).  Rows fill on first use
@@ -408,12 +410,44 @@ def _push(S: GarsideStructure, factors: list[Simple], s: Simple) -> bool:
     return changed
 
 
-def _finalize(S: GarsideStructure, delta_power: int, factors: list[Simple]) -> Element:
+def _push_front(S: GarsideStructure, factors: list[Simple], s: Simple) -> None:
+    """Prepend s, a simple other than the identity, to a left-weighted list
+    and slide it forward into normal form.
+
+    The mirror of `_push`, for left multiplication: by the domino rule,
+    sliding the pair at p keeps the pair at p-1 left-weighted, so one
+    rightward pass repairs the list and stops at the first pair that does
+    not change.  When the right slot of a pair empties, what follows it is
+    already left-weighted behind the left slot, so the slot is deleted and
+    the pass stops.  A Delta can only form as a prefix run.
+    """
+    factors.insert(0, s)
+    for p in range(len(factors) - 1):
+        a, b = factors[p], factors[p + 1]
+        pair = a.slides.get(b)
+        if pair is None:
+            pair = a.slides[b] = S.slide(a, b)
+        if pair[0] is a:
+            break
+        factors[p], factors[p + 1] = pair
+        if pair[1].atom_norm == 0:
+            del factors[p + 1]
+            break
+
+
+def _pop_deltas(S: GarsideStructure, factors: list[Simple]) -> int:
+    """Delete the leading run of Deltas from a repaired list; returns its length."""
     delta = S.delta()
     lead = 0
     while lead < len(factors) and factors[lead] is delta:
         lead += 1
-    return Element(S, delta_power + lead, tuple(factors[lead:]))
+    del factors[:lead]
+    return lead
+
+
+def _finalize(S: GarsideStructure, delta_power: int, factors: list[Simple]) -> Element:
+    lead = _pop_deltas(S, factors)
+    return Element(S, delta_power + lead, tuple(factors))
 
 
 def normalize(structure: GarsideStructure, delta_power: int, raw_factors: Iterable[Simple]) -> Element:

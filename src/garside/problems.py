@@ -227,7 +227,9 @@ def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAn
         h = Element(S, lo, factors)
         if has_braids and not all(t is None or t in a for t, a in zip(cycle_types(h), allowed)):
             continue
-        w = sd.conjugator_to(power(h, n))
+        # deg(h^n) = deg(g) by the enumeration and h's cycle types give h^n
+        # those of g, so h^n shares sd.invariant: skip conjugator_to's check.
+        w = sd._summit_conjugator(power(h, n))
         if w is not None:
             return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
     return ProblemAnswer.no_solution()

@@ -53,40 +53,45 @@ def test_target_summit_rejects_outside_invariants_without_cycling(monkeypatch):
     target = summit(parse_word(S, "a1 a2"))
     assert (target.inf_s, target.sup_s) == (0, 1)
     calls = []
-    original = conjugacy.cycling
-    monkeypatch.setattr(conjugacy, "cycling", lambda g: calls.append(g) or original(g))
+    original = conjugacy._cycle
+    monkeypatch.setattr(conjugacy, "_cycle", lambda *args: calls.append(args) or original(*args))
     # inf 1 is above inf_s, and sup 0 is below sup_s.
     assert summit(parse_word(S, "D a1 a3"), target=target) is None
     assert summit(parse_word(S, "a1^-1 a2^-1"), target=target) is None
     assert calls == []
+    # The hook is live: a summit that passes the up-front test cycles.
+    assert summit(parse_word(S, "a2 a1"), target=target) is not None
+    assert calls
 
 
-def counting_normalize(monkeypatch):
+def counting(monkeypatch, name):
     calls = []
-    original = conjugacy.normalize
+    original = getattr(conjugacy, name)
 
     def wrapper(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(conjugacy, "normalize", wrapper)
+    monkeypatch.setattr(conjugacy, name, wrapper)
     return calls
 
 
 def test_witness_is_built_on_first_read(monkeypatch):
-    calls = counting_normalize(monkeypatch)
-    # Both cycling and decycling record conjugators for this word.
+    calls = counting(monkeypatch, "normalize")
+    products = counting(monkeypatch, "multiply")
+    # Both cycling and decycling record conjugators for this word.  The steps
+    # work on one list of factors, so the summit itself multiplies nothing.
     sd = summit(parse_word(braid_structure(4), "a1^-1 a2 a3^2 a2^-1 a1"))
     assert sd.cycled and sd.decycled
-    assert calls == []
+    assert calls == [] and products == []
     witness = sd.witness
-    assert len(calls) == 2
+    assert len(calls) == 2 and len(products) == 1
     assert sd.witness is witness
     assert len(calls) == 2
 
 
 def test_rejected_root_candidates_build_no_witness(monkeypatch, capsys):
-    calls = counting_normalize(monkeypatch)
+    calls = counting(monkeypatch, "normalize")
     # A catalog negative: every candidate cube is rejected on its invariants.
     assert run_command(["root", "--group", "braid:4", "--json", "-n", "3", "a1 a2 a1 a1"]) == 0
     assert '"outcome": "no_solution"' in capsys.readouterr().out

@@ -1,17 +1,24 @@
 """Repair paths against a worklist renormalisation.
 
-`normalize` and `multiply` push simples onto a left-weighted list one
-leftward slide pass at a time, `invert` reads its normal form off
-directly, `multiply` twists the left factors only when tau^{h.inf} is not
-the identity, `cycling` and `decycling` repair a single junction through
-`multiply`, and `parse_word` normalizes a whole token word once.  Each is
-checked against `oracle.stack_normalize` of the whole raw factor sequence,
-with every adjacent pair marked dirty, or against the word evaluated one
-token at a time.  The summit witness, assembled on first read from the
-recorded conjugators, is checked against the product grown one step at a
-time.
+`_push` and `_push_front` are the two ends of one domino-rule repair:
+`normalize` and `multiply` push simples onto the back of a left-weighted
+list one leftward slide pass at a time, and `_push_front` prepends one
+with a rightward pass.  `invert` reads its normal form off directly,
+`multiply` twists the left factors only when tau^{h.inf} is not the
+identity, `summit` cycles and decycles on one working list with one push
+at either end, `cycling` and `decycling` are single steps of it, and
+`parse_word` normalizes a whole token word once.  Each is checked against
+`oracle.stack_normalize` of the whole raw factor sequence, with every
+adjacent pair marked dirty, or against the word evaluated one token at a
+time.  The summit representative and witness, the witness assembled on
+first read from the recorded conjugators, are checked against a summit
+that renormalises the whole word at every step and grows the witness one
+step at a time, also on the long words g^(N^2) that `tnum` summits.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +29,7 @@ from garside import (
     invert,
     multiply,
     normalize,
+    power,
     simple_element,
     structure_from_descriptor,
     summit,
@@ -84,7 +92,8 @@ def reference_multiply(g, h):
 
 
 def reference_summit(g):
-    """Summit representative and witness, the witness grown by one multiply per step."""
+    """Summit representative and witness: every step renormalises the whole
+    word, and the witness grows by one multiply per step."""
     S = g.structure
     window = S.delta_norm()
     h = g
@@ -92,14 +101,14 @@ def reference_summit(g):
 
     fails = 0
     while fails < window and h.factors:
-        h2, a = cycling(h)
+        h2, a = reference_cycling(h)
         fails = 0 if h2.inf > h.inf else fails + 1
         witness = multiply(witness, simple_element(a))
         h = h2
 
     fails = 0
     while fails < window and h.factors:
-        h2, s = decycling(h)
+        h2, s = reference_decycling(h)
         fails = 0 if h2.sup < h.sup else fails + 1
         witness = multiply(witness, invert(simple_element(s)))
         h = h2
@@ -155,6 +164,59 @@ def test_summit_witness_matches_stepwise_product(g):
     sd = summit(g)
     validate_element(sd.witness)
     assert (sd.representative, sd.witness) == reference_summit(g)
+
+
+def powered_elements_of(S):
+    """g^(N^2) for short g with Delta powers: long words, as `tnum` summits them."""
+    return normal_forms_of(S, max_raw=3).map(lambda g: power(g, S.delta_norm() ** 2))
+
+
+powered_elements = st.sampled_from(STRUCTURES).flatmap(powered_elements_of)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=powered_elements)
+def test_summit_of_long_powers_matches_stepwise_renormalisation(g):
+    sd = summit(g)
+    assert (sd.representative, sd.witness) == reference_summit(g)
+
+
+def push_front_cases_of(S):
+    """(S, Delta run length, g, s): s is any simple but the identity, or the
+    left complement of g's first factor, which forms a Delta and empties the
+    slot after it."""
+
+    def with_simple(g):
+        simples = st.sampled_from([s for s in S.enumerate_simples() if s.atom_norm])
+        if g.factors:
+            simples = st.one_of(simples, st.just(S.left_complement(g.factors[0])))
+        return st.tuples(st.just(S), st.integers(0, 2), st.just(g), simples)
+
+    return normal_forms_of(S, max_raw=12, max_inf=0).flatmap(with_simple)
+
+
+push_front_cases = st.sampled_from(STRUCTURES).flatmap(push_front_cases_of)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=push_front_cases)
+def test_push_front_matches_full_renormalisation(case):
+    S, deltas, g, s = case
+    run = (S.delta(),) * deltas
+    factors = list(run + g.factors)
+    core._push_front(S, factors, s)
+    result = core._finalize(S, 0, factors)
+    validate_element(result)
+    assert result == stack_normalize(S, 0, (s,) + run + g.factors)
+
+
+@pytest.mark.parametrize("S", STRUCTURES, ids=lambda S: S.descriptor())
+def test_push_front_of_a_left_complement_forms_a_delta_and_empties_a_slot(S):
+    g = normalize(S, 0, random.Random(3).choices(S.enumerate_simples(), k=12))
+    assert g.factors
+    factors = list(g.factors)
+    core._push_front(S, factors, S.left_complement(g.factors[0]))
+    assert factors == [S.delta(), *g.factors[1:]]
 
 
 def raw_lists_of(S):
