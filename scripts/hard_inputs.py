@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the hard inputs H1-H4 of ROADMAP.md, each in a fresh interpreter.
+"""Time the hard inputs H1-H5 of ROADMAP.md, each in a fresh interpreter.
 
     python3 scripts/hard_inputs.py [ID ...] [--src SRC] [--timeout 60]
 
@@ -28,6 +28,9 @@ The words are pinned here from the recipes of the ROADMAP table:
 * H4: ``parse_word`` of mixed ``braid:4`` words of 20,000 and 40,000
   letters ``a<randint(1, 3)>^<±1>`` from ``random.Random(0)``, built in
   the subprocess.
+* H5: ``root -n 2`` on ``a1^k a2^-k`` in ``braid:3``, k = 20 (H5a) and
+  k = 1000 (H5b): degree 0, ``t_inf = -k`` and ``t_sup = k``, so the root
+  window is k factors long and the degree cuts little of it.
 """
 
 from __future__ import annotations
@@ -84,6 +87,8 @@ INPUTS: dict[str, tuple[str, object]] = {
     "H3b": ("cli", ["sss", "--group", "braid:8", H3_SSS]),
     "H4a": ("parse", ("braid:4", 20_000, 0)),
     "H4b": ("parse", ("braid:4", 40_000, 0)),
+    "H5a": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^20 a2^-20"]),
+    "H5b": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^1000 a2^-1000"]),
 }
 
 # Runs in the subprocess: argv[1] is the source tree, argv[2] the input as

@@ -117,12 +117,6 @@ def element_json(g: Element) -> dict:
     }
 
 
-def _nf_text(g: Element) -> str:
-    factor_words = [" ".join(g.structure.simple_atom_names(s)) for s in g.factors]
-    body = " · ".join(factor_words) if factor_words else "(empty)"
-    return f"D^{g.inf} · {body}"
-
-
 def _witness_text(w: Element) -> str:
     return render_word(w) or "(identity)"
 
@@ -172,7 +166,7 @@ def _nf(args, g):
     return (
         {"element": element_json(g), "inf": g.inf, "sup": g.sup, "len": g.canonical_length,
          "word_length": word_length(g)},
-        f"{_nf_text(g)}\ninf={g.inf} sup={g.sup} len={g.canonical_length}",
+        f"{g}\ninf={g.inf} sup={g.sup} len={g.canonical_length}",
     )
 
 
@@ -202,7 +196,7 @@ def _summit(args, g):
     return (
         {"inf_s": sd.inf_s, "sup_s": sd.sup_s, "representative": element_json(sd.representative),
          "witness": element_json(sd.witness)},
-        f"inf_s={sd.inf_s} sup_s={sd.sup_s}\nrepresentative: {_nf_text(sd.representative)}\n"
+        f"inf_s={sd.inf_s} sup_s={sd.sup_s}\nrepresentative: {sd.representative}\n"
         f"witness: {_witness_text(sd.witness)}",
     )
 
@@ -211,7 +205,7 @@ def _sss(args, g):
     sss = conjugacy.super_summit_set(g)
     return (
         {"size": len(sss), "elements": [element_json(h) for h in sss]},
-        "\n".join([f"size={len(sss)}"] + [_nf_text(h) for h in sss]),
+        "\n".join([f"size={len(sss)}"] + [str(h) for h in sss]),
     )
 
 

@@ -372,10 +372,13 @@ class Element:
     def sort_key(self):
         return (self.inf, self.factors)
 
-    def __repr__(self):
+    def __str__(self):
         words = [" ".join(self.structure.simple_atom_names(s)) for s in self.factors]
         body = " · ".join(words) if words else "(empty)"
-        return f"<{self.structure.descriptor()} D^{self.inf} · {body}>"
+        return f"D^{self.inf} · {body}"
+
+    def __repr__(self):
+        return f"<{self.structure.descriptor()} {self}>"
 
 
 # ----------------------------------------------------------------------

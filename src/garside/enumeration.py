@@ -3,7 +3,8 @@ Enumeration and sampling of left-weighted factor sequences.
 
 The sequences of a given length form the paths of the "follows" graph on
 proper simples (neither identity nor Delta): t may follow s exactly when the
-pair (s, t) is already left-weighted.  Enumeration order is the canonical
+pair (s, t) is already left-weighted, and `followers(s)` is the row of s,
+cached on its first lookup.  Enumeration order is the canonical
 sorted order of simples, so first hits of candidate searches are
 deterministic.  Asked for a total degree, the enumeration cuts every
 prefix whose remaining factors cannot reach it and keeps that order.
@@ -27,32 +28,17 @@ def proper_simples(S: GarsideStructure) -> tuple[Simple, ...]:
     return tuple(s for s in S.enumerate_simples() if s != identity and s != delta)
 
 
-class _Followers(dict):
-    """Rows of the follows graph of S, each made on its first lookup.
-
-    A row costs one meet per proper simple, so building all |S|^2 up front
-    would dominate any search that visits a few rows of a large structure.
-    """
-
-    def __init__(self, S: GarsideStructure):
-        super().__init__()
-        self.structure = S
-
-    def __missing__(self, s: Simple) -> tuple[Simple, ...]:
-        S = self.structure
-        identity = S.identity_simple()
-        comp = S.right_complement(s)
-        row = self[s] = tuple(t for t in proper_simples(S) if S.meet(comp, t) == identity)
-        return row
-
-
 @functools.cache
-def followers(S: GarsideStructure) -> dict[Simple, tuple[Simple, ...]]:
-    """For each proper simple s, the proper simples t with (s, t) left-weighted.
+def followers(s: Simple) -> tuple[Simple, ...]:
+    """The proper simples t with (s, t) left-weighted, for a proper simple s.
 
-    The mapping makes the row of s when s is first looked up.
+    The row is built on its first lookup, one meet per proper simple, so a
+    search that visits a few rows of a large structure pays for no others.
     """
-    return _Followers(S)
+    S = s.structure
+    identity = S.identity_simple()
+    comp = S.right_complement(s)
+    return tuple(t for t in proper_simples(S) if S.meet(comp, t) is identity)
 
 
 @functools.cache
@@ -72,7 +58,6 @@ def factor_sequences(
     the least and the greatest degree of a proper simple in every
     coordinate, cannot make up the rest.
     """
-    follow = followers(S)
     stack: list[Simple] = []
     if degree is not None:
         # reach[k]: the least and greatest degree sums of k more factors.
@@ -87,7 +72,7 @@ def factor_sequences(
         if len(stack) == length:
             yield tuple(stack)
             return
-        options = proper_simples(S) if not stack else follow[stack[-1]]
+        options = followers(stack[-1]) if stack else proper_simples(S)
         if rest is not None:
             low, high = reach[length - len(stack) - 1]
         for s in options:
@@ -111,13 +96,9 @@ def sample_element(
 ) -> Element:
     """A random normal form with |inf| <= max_inf and length <= max_len."""
     simples = proper_simples(S)
-    follow = followers(S)
     inf = rng.randint(-max_inf, max_inf)
     length = rng.randint(0, max_len) if simples else 0
     factors: list[Simple] = []
     for _ in range(length):
-        options = simples if not factors else follow[factors[-1]]
-        if not options:
-            break
-        factors.append(rng.choice(options))
+        factors.append(rng.choice(followers(factors[-1]) if factors else simples))
     return Element(S, inf, tuple(factors))

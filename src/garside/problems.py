@@ -20,7 +20,8 @@ on each braid component the cycle type of the permutation (a homomorphism
 to S_n).  If h^n is conjugate to g then n·deg(h) = deg(g), and perm(h)^n
 has the cycle type of perm(g) while perm(h) has sign (-1)^deg(h).  So the
 root search answers no when n does not divide deg(g), or when no
-permutation of that sign has an n-th power of g's cycle type; it only
+permutation of that sign has an n-th power of g's cycle type (a cached
+set of root cycle types per strand count, n, sign and cycle type); it only
 enumerates the window's normal forms of degree deg(g)/n, and drops a
 candidate whose cycle types no root can have before its power and summit.
 The proper-power search tries only the divisors of the gcd of deg(g)'s
@@ -162,16 +163,15 @@ def _power_cycle_type(cycles: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _power_types(k: int, n: int) -> dict[tuple[int, tuple[int, ...]], frozenset[tuple[int, ...]]]:
-    """For σ in S_k: (parity of σ, cycle type of σ^n) -> the cycle types σ may have.
+def _root_types(k: int, n: int, parity: int, cycles: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """The cycle types of those σ in S_k of the given parity whose n-th power
+    has cycle type `cycles`.
 
     σ^n depends on n only through gcd(L, n) for cycle lengths L <= k, so
     callers pass n modulo lcm(1..k).
     """
-    table: dict = {}
-    for p in _partitions(k):
-        table.setdefault(((k - len(p)) % 2, _power_cycle_type(p, n)), set()).add(p)
-    return {key: frozenset(value) for key, value in table.items()}
+    return frozenset(p for p in _partitions(k)
+                     if (k - len(p)) % 2 == parity and _power_cycle_type(p, n) == cycles)
 
 
 def _root_cycle_types(degree_g: tuple[int, ...], types: tuple, n: int) -> tuple | None:
@@ -188,8 +188,8 @@ def _root_cycle_types(degree_g: tuple[int, ...], types: tuple, n: int) -> tuple 
         roots = None
         if cycles is not None:
             k = sum(cycles)
-            roots = _power_types(k, n % lcm(*range(1, k + 1))).get(((d // n) % 2, cycles))
-            if roots is None:
+            roots = _root_types(k, n % lcm(*range(1, k + 1)), (d // n) % 2, cycles)
+            if not roots:
                 return None
         allowed.append(roots)
     return tuple(allowed)
@@ -220,12 +220,11 @@ def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAn
         return ProblemAnswer.no_solution()
     lo, hi = floor(t_inf), ceil(t_sup)
     rest = tuple(d // n - lo * e for d, e in zip(degree_g, S.degree(S.delta())))
-    has_braids = any(t is not None for t in types)
     for scanned, factors in enumerate(factor_sequences(S, hi - lo, rest), start=1):
         if scanned > DEFAULT_CANDIDATE_CAP:
             raise ResourceLimitError(f"root search exceeded {DEFAULT_CANDIDATE_CAP} candidates")
         h = Element(S, lo, factors)
-        if has_braids and not all(t is None or t in a for t, a in zip(cycle_types(h), allowed)):
+        if not all(t is None or t in a for t, a in zip(cycle_types(h), allowed)):
             continue
         # deg(h^n) = deg(g) by the enumeration and h's cycle types give h^n
         # those of g, so h^n shares sd.invariant: skip conjugator_to's check.

@@ -179,10 +179,14 @@ def brute_power_types(k, n):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_power_table_matches_brute_force_over_s_k(k):
     period = math.lcm(*range(1, k + 1))
+    partitions = {brute_cycle_type(p) for p in itertools.permutations(range(k))}
     for n in range(1, 7):
         expected = brute_power_types(k, n)
-        assert problems._power_types(k, n) == expected
-        assert problems._power_types(k, n % period) == expected
+        for parity in (0, 1):
+            for cycles in partitions:
+                roots = expected.get((parity, cycles), set())
+                assert problems._root_types(k, n, parity, cycles) == roots
+                assert problems._root_types(k, n % period, parity, cycles) == roots
 
 
 def conjugacy_pairs_of(S):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from garside import GarsideStructure, braid_structure, conjugacy, invert, multiply, summit
 from garside.cli import parse_word, run_command
-from garside.enumeration import factor_sequences
+from garside.enumeration import factor_sequences, followers, proper_simples
 
 from .test_repair_paths import STRUCTURES, normal_forms_of
 
@@ -103,3 +103,16 @@ def test_first_candidate_builds_one_follower_row():
     before = GarsideStructure.meet.cache_info().currsize
     assert len(next(factor_sequences(S, 2))) == 2
     assert GarsideStructure.meet.cache_info().currsize - before < 2 * 5040
+
+
+def test_follower_rows_match_brute_force():
+    for S in [*STRUCTURES, braid_structure(2), braid_structure(5)]:
+        identity = S.identity_simple()
+        simples = proper_simples(S)
+        for s in simples:
+            row = followers(s)
+            complement = S.right_complement(s)
+            assert row == tuple(t for t in simples if S.meet(complement, t) == identity)
+            # Some atom does not divide ∂(s) != Delta, so every row is non-empty.
+            assert row
+            assert followers(s) is row
