@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the hard inputs H1-H5 of ROADMAP.md, each in a fresh interpreter.
+"""Time the hard inputs H1-H6 of ROADMAP.md, each in a fresh interpreter.
 
     python3 scripts/hard_inputs.py [ID ...] [--src SRC] [--timeout 60]
 
@@ -30,7 +30,12 @@ The words are pinned here from the recipes of the ROADMAP table:
   the subprocess.
 * H5: ``root -n 2`` on ``a1^k a2^-k`` in ``braid:3``, k = 20 (H5a) and
   k = 1000 (H5b): degree 0, ``t_inf = -k`` and ``t_sup = k``, so the root
-  window is k factors long and the degree cuts little of it.
+  window is k factors long and the degree cuts little of it.  H5c is the
+  planted square ``(a1^600 a2^-600)^2``: a 1,200-factor window.
+* H6: ``root -n 2`` on ``a1^9 a2^-12 a1^10 a2^-11`` (H6a) and
+  ``a1^12 a2^-9 a1^11 a2^-10`` (H6b) in ``braid:3``: 22-factor windows whose
+  degree and cycle type both admit a square root, so only the candidate
+  cap ends the search.
 """
 
 from __future__ import annotations
@@ -89,6 +94,9 @@ INPUTS: dict[str, tuple[str, object]] = {
     "H4b": ("parse", ("braid:4", 40_000, 0)),
     "H5a": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^20 a2^-20"]),
     "H5b": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^1000 a2^-1000"]),
+    "H5c": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^600 a2^-600 a1^600 a2^-600"]),
+    "H6a": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^9 a2^-12 a1^10 a2^-11"]),
+    "H6b": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^12 a2^-9 a1^11 a2^-10"]),
 }
 
 # Runs in the subprocess: argv[1] is the source tree, argv[2] the input as

@@ -34,11 +34,12 @@ constructor, so both compare and hash by identity: a cache or row lookup
 keyed on simples hashes addresses only, never a structure or a payload.
 
 A `GarsideStructure` supplies the presentation-specific primitives on simple
-elements (meet, right complement, products, left division, word reversal)
-at the payload level; this module wraps them with interning, caching and
+elements (meet, right complement, left division, word reversal) at the
+payload level; this module wraps them with interning, caching and
 validation, derives the join, Delta (the join of the atoms), the identity,
-tau and the left complement from them, and implements all element-level
-arithmetic on top.  Concrete structures live in `structures`.
+tau, the left complement, the product of two simples and an atom word of
+each simple from them, and implements all element-level arithmetic on top.
+Concrete structures live in `structures`.
 """
 
 from __future__ import annotations
@@ -119,8 +120,10 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
     underscore) and `descriptor`; this base class wraps them in interned
     `Simple` values, argument validation and caching.  With ∂ the right
     complement it derives the rest: Delta is the join of the atoms, the
-    minimal Garside element, the identity is ∂(Delta), tau is ∂∘∂ and the
-    left complement is tau^{-1}∘∂.  The public simple-level operations
+    minimal Garside element, the identity is ∂(Delta), tau is ∂∘∂, the
+    left complement is tau^{-1}∘∂, the product a·c is the left complement
+    of c^{-1}·∂(a), and an atom word peels the lowest-index atom that
+    left-divides what is left.  The public simple-level operations
     are cached, so after warm-up the normal-form machinery runs on table
     lookups.
     """
@@ -150,10 +153,6 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         """The simple t with a·t = Delta."""
 
     @abc.abstractmethod
-    def _product(self, a, b) -> Any:
-        """a·b, assuming b divides the right complement of a."""
-
-    @abc.abstractmethod
     def _left_divide(self, a, b) -> Any:
         """a^{-1}·b, assuming a divides b on the left."""
 
@@ -168,10 +167,6 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
     @abc.abstractmethod
     def _all_payloads(self) -> Iterator[Any]:
         """Every simple payload, identity and Delta included."""
-
-    @abc.abstractmethod
-    def _atom_word(self, payload) -> tuple[int, ...]:
-        """One fixed decomposition of a simple into atom indices."""
 
     @abc.abstractmethod
     def _atom_weights(self) -> tuple[tuple[int, ...], ...]:
@@ -272,12 +267,12 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
 
     @functools.cache
     def simple_product(self, a: Simple, c: Simple) -> Simple:
-        """a·c for simples with c dividing the right complement of a."""
-        self._check(a)
-        self._check(c)
-        if self.meet(self.right_complement(a), c) != c:
-            raise ValueError("product of simples is not simple")
-        return self.make_simple(self._product(a.payload, c.payload))
+        """a·c for simples with c dividing the right complement of a.
+
+        a·c·∂(a·c) = Delta = a·∂(a), so ∂(a·c) = c^{-1}·∂(a) and a·c is its
+        left complement.
+        """
+        return self.left_complement(self.simple_left_divide(c, self.right_complement(a)))
 
     @functools.cache
     def simple_left_divide(self, c: Simple, b: Simple) -> Simple:
@@ -326,12 +321,24 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         return (self.simple_product(a, c), self.simple_left_divide(c, b))
 
     @functools.cache
+    def atom_word(self, s: Simple) -> tuple[int, ...]:
+        """The atom indices of one word spelling s: each letter is the
+        lowest-index atom that left-divides what is left."""
+        self._check(s)
+        atoms = [self.atom_simple(i) for i in range(len(self.atoms()))]
+        word = []
+        while s.atom_norm:
+            i = next(i for i, t in enumerate(atoms) if self.meet(t, s) is t)
+            word.append(i)
+            s = self.simple_left_divide(atoms[i], s)
+        return tuple(word)
+
+    @functools.cache
     def degree(self, s: Simple) -> tuple[int, ...]:
         """The degree vector of s, summed over its atom word."""
-        self._check(s)
         weights = self._atom_weights()
         total = [0] * len(weights[0])
-        for i in self._atom_word(s.payload):
+        for i in self.atom_word(s):
             for c, w in enumerate(weights[i]):
                 total[c] += w
         return tuple(total)
@@ -344,9 +351,8 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
     @functools.cache
     def simple_atom_names(self, s: Simple) -> tuple[str, ...]:
         """A word in atom display names spelling the simple s."""
-        self._check(s)
         atoms = self.atoms()
-        return tuple(atoms[i].name for i in self._atom_word(s.payload))
+        return tuple(atoms[i].name for i in self.atom_word(s))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ is the identity; mixed-letter proper simples meet in the identity.
 A direct product of two structures is again a Garside structure with all
 primitives componentwise and Delta = (Delta_1, Delta_2).
 
+`core` derives the product of two simples and an atom word of each simple,
+peeling the lowest-index atom first: a braid simple reads as its
+lexicographically least reduced word, a torus Delta as x^N and a product
+simple as its left word, then its right word.
+
 The atom weights define the degree homomorphism G -> Z^k: braid atoms
 weigh 1, x and y weigh M and N (so x^N = y^M has degree N·M on both
 sides), and a product has one coordinate per component.  A braid simple's
@@ -38,6 +43,9 @@ from .core import GarsideStructure
 
 # The n! simples of braid:n are tabulated on demand, so n is capped.
 MAX_STRANDS = 8
+# A torus:N:M query summits a power of exponent about max(N, M)^2, so N
+# and M are capped.
+MAX_TORUS_EXPONENT = 256
 
 # ----------------------------------------------------------------------
 # permutation helpers (one-line tuples over {0..n-1}, left-to-right product)
@@ -122,9 +130,6 @@ class BraidStructure(GarsideStructure):
         inv = _inverse(a)
         return tuple(n - 1 - inv[i] for i in range(n))
 
-    def _product(self, a, b):
-        return _compose(a, b)
-
     def _left_divide(self, a, b):
         return _compose(_inverse(a), b)
 
@@ -135,21 +140,6 @@ class BraidStructure(GarsideStructure):
 
     def _all_payloads(self):
         return itertools.permutations(range(self.n))
-
-    def _atom_word(self, payload):
-        # Repeatedly peel the smallest position descent; the result is the
-        # lexicographically least reduced word.
-        word = []
-        p = list(payload)
-        i = 0
-        while i < len(p) - 1:
-            if p[i] > p[i + 1]:
-                word.append(i)
-                p[i], p[i + 1] = p[i + 1], p[i]
-                i = max(i - 1, 0)
-            else:
-                i += 1
-        return tuple(word)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +173,6 @@ class TorusStructure(GarsideStructure):
             return max(self.exp_x, self.exp_y)
         return k
 
-    def _chain_length(self, tag: str) -> int:
-        return self.exp_x if tag == "x" else self.exp_y
-
     def _meet(self, a, b):
         if a == b:
             return a
@@ -206,21 +193,8 @@ class TorusStructure(GarsideStructure):
             return ("D", 0)
         if tag == "D":
             return ("e", 0)
-        rest = self._chain_length(tag) - k
+        rest = (self.exp_x if tag == "x" else self.exp_y) - k
         return (tag, rest) if rest else ("D", 0)
-
-    def _product(self, a, b):
-        if a[0] == "e":
-            return b
-        if b[0] == "e":
-            return a
-        if a[0] == b[0] != "D":
-            total = a[1] + b[1]
-            if total < self._chain_length(a[0]):
-                return (a[0], total)
-            if total == self._chain_length(a[0]):
-                return ("D", 0)
-        raise AssertionError("product of simples is not simple")
 
     def _left_divide(self, a, b):
         if a[0] == "e":
@@ -242,14 +216,6 @@ class TorusStructure(GarsideStructure):
         for j in range(1, self.exp_y):
             yield ("y", j)
         yield ("D", 0)
-
-    def _atom_word(self, payload):
-        tag, k = payload
-        if tag == "e":
-            return ()
-        if tag == "D":
-            return (0,) * self.exp_x
-        return (0,) * k if tag == "x" else (1,) * k
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,9 +272,6 @@ class ProductStructure(GarsideStructure):
     def _right_complement(self, a):
         return (self.left.right_complement(a[0]), self.right.right_complement(a[1]))
 
-    def _product(self, a, b):
-        return (self.left.simple_product(a[0], b[0]), self.right.simple_product(a[1], b[1]))
-
     def _left_divide(self, a, b):
         return (self.left.simple_left_divide(a[0], b[0]), self.right.simple_left_divide(a[1], b[1]))
 
@@ -317,12 +280,6 @@ class ProductStructure(GarsideStructure):
 
     def _all_payloads(self):
         return itertools.product(self.left.enumerate_simples(), self.right.enumerate_simples())
-
-    def _atom_word(self, payload):
-        offset = len(self.left.atoms())
-        word = tuple(self.left._atom_word(payload[0].payload))
-        word += tuple(offset + i for i in self.right._atom_word(payload[1].payload))
-        return word
 
 
 # ----------------------------------------------------------------------
@@ -338,9 +295,9 @@ def braid_structure(n: int) -> BraidStructure:
 
 
 def torus_structure(exp_x: int, exp_y: int) -> TorusStructure:
-    """The group <x, y | x^exp_x = y^exp_y>; exponents in either order."""
-    if exp_x < 2 or exp_y < 2:
-        raise ValueError("torus exponents must be at least 2")
+    """The group <x, y | x^exp_x = y^exp_y>; exponents in 2..MAX_TORUS_EXPONENT, either order."""
+    if not (2 <= min(exp_x, exp_y) and max(exp_x, exp_y) <= MAX_TORUS_EXPONENT):
+        raise ValueError(f"torus exponents must lie in 2..{MAX_TORUS_EXPONENT}, got {exp_x}, {exp_y}")
     return TorusStructure(exp_x, exp_y)
 
 

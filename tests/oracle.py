@@ -13,7 +13,9 @@ alone with no class-invariant prefilter, root searches over every
 (inf, sup) window that homogeneity alone allows and over the one window
 with no degree or permutation pruning, proper-power searches over every
 degree up to N·t_D, normal forms by a worklist of dirty pairs,
-and token words evaluated one `power` and one `multiply` per token.
+token words evaluated one `power` and one `multiply` per token, and the
+product of two simples and an atom word of each simple by the braid and
+torus families' own formulas, not the lattice derivation in `core`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from garside import (
+    BraidStructure,
     Element,
     GarsideStructure,
     Outcome,
@@ -30,6 +33,7 @@ from garside import (
     ResourceLimitError,
     SummitData,
     Simple,
+    TorusStructure,
     TranslationTriple,
     delta_power_element,
     identity_element,
@@ -336,3 +340,60 @@ def token_word_element(S: GarsideStructure, terms: tuple[tuple[str, int], ...]) 
             term = power(simple_element(S.atom_simple(atom.index)), exponent)
         result = multiply(result, term)
     return result
+
+
+def braid_descent_word(payload: tuple[int, ...]) -> tuple[int, ...]:
+    """Repeatedly peel the smallest position descent of a permutation; the
+    result is the lexicographically least reduced word."""
+    word = []
+    p = list(payload)
+    i = 0
+    while i < len(p) - 1:
+        if p[i] > p[i + 1]:
+            word.append(i)
+            p[i], p[i + 1] = p[i + 1], p[i]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return tuple(word)
+
+
+def reference_atom_word(S: GarsideStructure, payload) -> tuple[int, ...]:
+    """An atom word of a simple: the braid descent peel, x^N for a torus
+    Delta, and a product's left word followed by its offset right word."""
+    if isinstance(S, BraidStructure):
+        return braid_descent_word(payload)
+    if isinstance(S, TorusStructure):
+        tag, k = payload
+        if tag == "e":
+            return ()
+        if tag == "D":
+            return (0,) * S.exp_x
+        return (0,) * k if tag == "x" else (1,) * k
+    offset = len(S.left.atoms())
+    left = reference_atom_word(S.left, payload[0].payload)
+    return left + tuple(offset + i for i in reference_atom_word(S.right, payload[1].payload))
+
+
+def reference_product(S: GarsideStructure, a, c):
+    """The payload of a·c for simple payloads with c dividing the right
+    complement of a: braid permutations compose, torus powers of one letter
+    add up to at most Delta, and products go componentwise."""
+    if isinstance(S, BraidStructure):
+        return tuple(c[a[i]] for i in range(len(a)))
+    if isinstance(S, TorusStructure):
+        if a[0] == "e":
+            return c
+        if c[0] == "e":
+            return a
+        if a[0] == c[0] != "D":
+            total, chain = a[1] + c[1], S.exp_x if a[0] == "x" else S.exp_y
+            if total < chain:
+                return (a[0], total)
+            if total == chain:
+                return ("D", 0)
+        raise AssertionError("product of simples is not simple")
+    return tuple(
+        side.make_simple(reference_product(side, x.payload, y.payload))
+        for side, x, y in zip((S.left, S.right), a, c)
+    )

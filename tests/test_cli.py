@@ -149,6 +149,8 @@ def test_cli_exit_codes(capsys):
     deep = "product:(braid:2," * 3000 + "braid:2" + ")" * 3000
     assert run_command(["nf", "--group", deep, "D"]) == 2
     assert "nested deeper than 16" in capsys.readouterr().err
+    assert run_command(["tnum", "--group", "torus:2000:1999", "x y^-1 x"]) == 2
+    assert "torus exponents" in capsys.readouterr().err
     assert run_command(["bogus"]) == 2
     capsys.readouterr()
     assert run_command(["nf"]) == 2

@@ -16,6 +16,7 @@ from garside import (
     invert,
     multiply,
     power,
+    product_structure,
     simple_element,
     summit,
     super_summit_set,
@@ -155,12 +156,16 @@ def test_summit_bounds_and_conjugates(g):
 
 
 def test_summit_matches_brute_force_oracle():
-    # ~50 random small elements across B3 and torus(4,3).
+    # 100 random small elements across B3, torus(4,3), torus(4,6) (N < M)
+    # and a product; the larger generating sets of the last two get shorter
+    # conjugator caps, which keep the test to about two seconds.
     rng = random.Random(23)
-    for S in (B3, T43):
+    T46 = torus_structure(4, 6)
+    B3xT23 = product_structure(B3, torus_structure(2, 3))
+    for S, cap in ((B3, 6), (T43, 6), (T46, 5), (B3xT23, 3)):
         for _ in range(25):
             g = random_word_element(S, rng, max_letters=4, max_inf=1)
-            assert summit(g).inf_s == brute_summit_inf(g, 6)
+            assert summit(g).inf_s == brute_summit_inf(g, cap)
 
 
 def test_summit_oracle_agreement_b4():

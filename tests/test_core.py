@@ -26,6 +26,7 @@ from garside.core import GarsideStructure, _push
 from garside.enumeration import proper_simples
 
 from .conftest import elements_of, perm_mul, simple_divisors
+from .oracle import reference_product
 
 
 def simple_by_perm(S, perm):
@@ -128,11 +129,12 @@ SLIDE_ROW_SAMPLE = 3_000
 
 
 def payload_slide(S, a, b):
-    """The left-weighted pair of payloads (a, b), from the payload primitives alone."""
+    """The left-weighted pair of payloads (a, b), from the payload primitives
+    and the families' own product formulas alone."""
     c = S._meet(S._right_complement(a), b)
     if S._norm(c) == 0:
         return (a, b)
-    return (S._product(a, c), S._left_divide(c, b))
+    return (reference_product(S, a, c), S._left_divide(c, b))
 
 
 @pytest.mark.parametrize(

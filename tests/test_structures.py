@@ -19,9 +19,10 @@ from garside import (
 )
 from garside.cli import parse_word
 from garside.core import GarsideStructure
-from garside.structures import DescriptorError
+from garside.structures import MAX_TORUS_EXPONENT, DescriptorError
 
 from .conftest import random_word_element, simple_divisors
+from .oracle import reference_atom_word, reference_product
 
 
 def test_braid_constants():
@@ -150,8 +151,10 @@ def test_torus_constants():
     payloads = {s.payload for s in T22.enumerate_simples()}
     assert payloads == {("e", 0), ("x", 1), ("y", 1), ("D", 0)}
     assert torus_structure(2, 3).delta_norm() == 3
-    with pytest.raises(ValueError):
-        torus_structure(1, 3)
+    assert torus_structure(MAX_TORUS_EXPONENT, MAX_TORUS_EXPONENT - 1).delta_norm() == MAX_TORUS_EXPONENT
+    for bad in ((1, 3), (MAX_TORUS_EXPONENT + 1, 3), (3, MAX_TORUS_EXPONENT + 1)):
+        with pytest.raises(ValueError):
+            torus_structure(*bad)
 
 
 def test_torus_complement_formulas():
@@ -307,14 +310,46 @@ def test_descriptor_errors():
     for bad in ("braid:x", "torus:5", "product:braid:2", "product:(braid:2)", "wat:3", deep):
         with pytest.raises(DescriptorError):
             structure_from_descriptor(bad)
+    with pytest.raises(ValueError, match="torus exponents"):
+        structure_from_descriptor(f"torus:{MAX_TORUS_EXPONENT + 1}:{MAX_TORUS_EXPONENT}")
 
 
 def test_presentation_contract():
     # A presentation implements these and nothing the base class derives.
     assert GarsideStructure.__abstractmethods__ == {
-        "_atom_payloads", "_norm", "_meet", "_right_complement", "_product",
-        "_left_divide", "_reverse", "_all_payloads", "_atom_word", "_atom_weights",
-        "descriptor",
+        "_atom_payloads", "_norm", "_meet", "_right_complement", "_left_divide",
+        "_reverse", "_all_payloads", "_atom_weights", "descriptor",
     }
+    derived = {"_identity_payload", "_delta_payload", "_tau", "_left_complement", "_product",
+               "_atom_word"}
     for cls in (BraidStructure, TorusStructure, ProductStructure):
-        assert not {"_identity_payload", "_delta_payload", "_tau", "_left_complement"} & set(vars(cls))
+        assert not derived & set(vars(cls))
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["braid:2", "braid:3", "braid:4", "braid:5", "torus:5:3", "torus:2:2",
+     # N < M: the x-first peel must still read Delta as x^4, not y^6.
+     "torus:4:6",
+     "product:(product:(braid:3,torus:2:3),braid:3)"],
+)
+def test_derived_primitives_match_family_formulas(descriptor):
+    # core derives the product and the atom word from the lattice; the
+    # families' own formulas, kept in the oracle, must agree on every
+    # simple and every valid pair.
+    S = structure_from_descriptor(descriptor)
+    atoms, weights = S.atoms(), S._atom_weights()
+    simples = S.enumerate_simples()
+    for s in simples:
+        word = reference_atom_word(S, s.payload)
+        assert S.atom_word(s) == word
+        assert S.simple_atom_names(s) == tuple(atoms[i].name for i in word)
+        assert S.degree(s) == tuple(sum(weights[i][k] for i in word) for k in range(len(weights[0])))
+    for a in simples:
+        complement = S.right_complement(a)
+        for c in simples:
+            if S.meet(complement, c) is c:
+                assert S.simple_product(a, c).payload == reference_product(S, a.payload, c.payload)
+            else:
+                with pytest.raises(ValueError, match="left divisor expected"):
+                    S.simple_product(a, c)
