@@ -12,7 +12,11 @@ to the front with `core._push_front`, and one Element is built at the end.
 The minimal simple of an atom a at x is the ≼-least simple above a that
 keeps x in its super summit set (Franco and González-Meneses, 2003); it is
 found by climbing joins of simples, so each element has at most one
-outgoing conjugator per atom instead of one per simple.
+outgoing conjugator per atom instead of one per simple.  The closure forms
+each conjugate c^{-1} h c on one list too, with a push at the front and one
+at the back, and keeps for each element only the parent link (h, c) it was
+reached by; `closure_witness` multiplies a chain of links into a witness
+only for the element a query asks about.
 
 `summit(g)` is the class data of g: the invariants, a representative and,
 each built on first use, its witness and the super summit set.
@@ -42,19 +46,20 @@ from .core import (
     GarsideStructure,
     Simple,
     StructureMismatchError,
+    _finalize,
     _pop_deltas,
     _push,
     _push_front,
     cycle_types,
     degree,
-    identity_element,
     invert,
     multiply,
     normalize,
-    simple_element,
 )
 
 DEFAULT_SSS_CAP = 100_000
+
+Closure = dict[Element, tuple[Element, Simple] | None]
 
 
 class ResourceLimitError(RuntimeError):
@@ -68,8 +73,10 @@ class SummitData:
     The witness w satisfies w^{-1} · g · w = representative for the queried
     element g; it is assembled from the recorded cycling conjugators
     a_1 ... a_p and decycling factors s_1 ... s_q on first use, as is
-    `closure`, and each is kept once built.  `conjugator_to(h)` summits h
-    against these invariants and looks its representative up in `closure`.
+    `closure`, the super summit set with a parent link per element, and
+    each is kept once built.  `conjugator_to(h)` summits h against these
+    invariants, looks its representative up in `closure` and rebuilds the
+    witness of that one element from the links.
     """
 
     inf_s: int
@@ -90,8 +97,9 @@ class SummitData:
         return class_invariant(self.representative)
 
     @cached_property
-    def closure(self) -> dict[Element, Element]:
-        """The super summit set as {element: witness} rooted at the representative."""
+    def closure(self) -> Closure:
+        """The super summit set as {element: parent link} rooted at the
+        representative; `closure_witness` turns a link chain into a witness."""
         return _sss_closure(self.representative, DEFAULT_SSS_CAP)
 
     def conjugator_to(self, h: Element) -> Element | None:
@@ -105,9 +113,9 @@ class SummitData:
         other = summit(h, target=self)
         if other is None:
             return None
-        path = self.closure.get(other.representative)
-        if path is None:
+        if other.representative not in self.closure:
             return None
+        path = closure_witness(self.closure, other.representative)
         return multiply(multiply(self.witness, path), invert(other.witness))
 
 
@@ -259,8 +267,25 @@ def _min_simple(x: Element, x_inv: Element, s: Simple) -> Simple:
             return c
 
 
-def _sss_closure(rep: Element, cap: int) -> dict[Element, Element]:
-    """The super summit set as {element: witness}, witnesses rooted at rep.
+def _conjugate(S: GarsideStructure, h: Element, c: Simple) -> Element:
+    """c^{-1} · h · c for a simple c, on one working list.
+
+    With h = Delta^p · y and l the left complement of c, l · c = Delta gives
+    c^{-1} = Delta^{-1} · l, so c^{-1} h c = Delta^{p-1} · tau^p(l) · y · c:
+    tau^p(l) is pushed at the front of the factors of y, unless it is the
+    identity (c is Delta), c at the back, and the Deltas formed are folded
+    into the power.
+    """
+    factors = list(h.factors)
+    front = S.tau_power(S.left_complement(c), h.inf)
+    if front.atom_norm:
+        _push_front(S, factors, front)
+    _push(S, factors, c)
+    return _finalize(S, h.inf - 1, factors)
+
+
+def _sss_closure(rep: Element, cap: int) -> Closure:
+    """The super summit set as {element: parent link}, rooted at rep.
 
     rep must lie in its super summit set, any two elements of which are
     linked by conjugations by simples that stay in the set (Elrifai and
@@ -269,23 +294,23 @@ def _sss_closure(rep: Element, cap: int) -> dict[Element, Element]:
     same kind for c^{-1} h c; so conjugating each h by the distinct minimal
     simples of the atoms, at most one per atom, reaches the whole set.  The
     conjugators of each h are tried in canonical order, as in the
-    closure under all simples.  Each witness w satisfies
-    w^{-1} · rep · w = element.
+    closure under all simples.  Each element other than rep maps to the
+    pair (h, c) it was first reached by, element = c^{-1} · h · c, and rep
+    maps to None; `closure_witness` follows the links back to rep.
     """
     S = rep.structure
     atoms = [S.atom_simple(i) for i in range(len(S.atoms()))]
-    seen: dict[Element, Element] = {rep: identity_element(S)}
+    seen: Closure = {rep: None}
     frontier = [rep]
     while frontier:
         nxt = []
         for h in frontier:
             h_inv = invert(h)
             for c in sorted({_min_simple(h, h_inv, a) for a in atoms}):
-                c_elt = simple_element(c)
-                h2 = multiply(multiply(invert(c_elt), h), c_elt)
+                h2 = _conjugate(S, h, c)
                 if h2 in seen:
                     continue
-                seen[h2] = multiply(seen[h], c_elt)
+                seen[h2] = (h, c)
                 nxt.append(h2)
                 if len(seen) > cap:
                     raise ResourceLimitError(
@@ -293,6 +318,21 @@ def _sss_closure(rep: Element, cap: int) -> dict[Element, Element]:
                     )
         frontier = nxt
     return seen
+
+
+def closure_witness(closure: Closure, h: Element) -> Element:
+    """The w with w^{-1} · rep · w = h, for h a key of the closure rooted at rep.
+
+    The conjugators on the parent links from h back to rep, read in the
+    order rep first, multiply to w.
+    """
+    path = []
+    link = closure[h]
+    while link is not None:
+        h, c = link
+        path.append(c)
+        link = closure[h]
+    return normalize(h.structure, 0, reversed(path))
 
 
 def super_summit_set(g: Element, cap: int = DEFAULT_SSS_CAP) -> tuple[Element, ...]:

@@ -4,7 +4,9 @@ Brute-force oracles for tests.
 These are deliberately naive and share only the normal-form arithmetic with
 the algorithms they audit: word lengths come from breadth-first search over
 the simple generators, summit infima from exhaustive conjugation up to a
-word-length cap, super summit sets from conjugation by every simple,
+word-length cap, super summit sets from conjugation by every simple and,
+for the closure's order, witnesses and cap, from conjugation by minimal
+simples with every conjugate and witness multiplied out,
 translation estimates from the one-power bracket that must contain the exact
 value for every n >= 1, the exact translation triple from two summits, one
 of g^n and one of g^{-n}, bounded-denominator rationals in an interval by a
@@ -45,6 +47,7 @@ from garside import (
     translation_triple,
 )
 from garside import problems
+from garside.conjugacy import _min_simple, closure_witness
 from garside.enumeration import factor_sequences
 
 
@@ -163,6 +166,37 @@ def brute_sss_closure(rep: Element) -> dict[Element, Element]:
     return seen
 
 
+def eager_sss_closure(rep: Element, cap: int) -> dict[Element, Element]:
+    """The super summit set of rep as {element: witness}, by minimal simples.
+
+    The breadth-first walk of `_sss_closure` over the sorted minimal simples
+    of each element, with the same cap test after each insert, but with
+    each conjugate and each witness w (w^{-1} · rep · w = element) formed
+    by `multiply` and `invert` as it is reached.
+    """
+    S = rep.structure
+    atoms = [S.atom_simple(i) for i in range(len(S.atoms()))]
+    seen: dict[Element, Element] = {rep: identity_element(S)}
+    frontier = [rep]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            h_inv = invert(h)
+            for c in sorted({_min_simple(h, h_inv, a) for a in atoms}):
+                c_elt = simple_element(c)
+                h2 = multiply(multiply(invert(c_elt), h), c_elt)
+                if h2 in seen:
+                    continue
+                seen[h2] = multiply(seen[h], c_elt)
+                nxt.append(h2)
+                if len(seen) > cap:
+                    raise ResourceLimitError(
+                        f"super summit set exceeds cap of {cap} elements"
+                    )
+        frontier = nxt
+    return seen
+
+
 def estimate_translation(g: Element, n: int) -> Bracket:
     """The bracket [inf_s(g^n)/n, inf_s(g^n)/n + 1/n] around t_inf(g)."""
     if n < 1:
@@ -218,9 +252,9 @@ def invariant_free_conjugator(sd: SummitData, h: Element) -> Element | None:
     other = summit(h, target=sd)
     if other is None:
         return None
-    path = sd.closure.get(other.representative)
-    if path is None:
+    if other.representative not in sd.closure:
         return None
+    path = closure_witness(sd.closure, other.representative)
     return multiply(multiply(sd.witness, path), invert(other.witness))
 
 

@@ -6,7 +6,10 @@ all simples, and `_sss_closure`, which conjugates by minimal simples only,
 against `oracle.brute_sss_closure`, which conjugates by every simple.
 Divisibility in the oracles is decided by element arithmetic (a ≼ c exactly
 when a^{-1} c is positive), not by the join or the minimal simples under
-audit.
+audit.  The closure's parent links are checked against
+`oracle.eager_sss_closure`, which multiplies out every conjugate and
+witness as it goes: same elements in the same order, the same witness
+rebuilt by `closure_witness`, and the cap hit at the same element.
 """
 
 import functools
@@ -27,10 +30,16 @@ from garside import (
     super_summit_set,
 )
 from garside.cli import parse_word
-from garside.conjugacy import DEFAULT_SSS_CAP, _min_simple, _sss_closure
+from garside.conjugacy import (
+    DEFAULT_SSS_CAP,
+    ResourceLimitError,
+    _min_simple,
+    _sss_closure,
+    closure_witness,
+)
 
 from .conftest import assert_conjugate_by, elements_of
-from .oracle import brute_sss_closure
+from .oracle import brute_sss_closure, eager_sss_closure
 from .test_repair_paths import STRUCTURES
 
 NESTED = "product:(product:(braid:3,torus:2:3),braid:3)"
@@ -104,8 +113,28 @@ def test_min_simple_is_least_conjugator_keeping_summit(x):
 def test_sss_closure_matches_conjugation_by_every_simple(rep):
     closure = _sss_closure(rep, DEFAULT_SSS_CAP)
     assert set(closure) == set(brute_sss_closure(rep))
-    for element, witness in closure.items():
-        assert_conjugate_by(witness, rep, element)
+    for element in closure:
+        assert_conjugate_by(closure_witness(closure, element), rep, element)
+
+
+@pytest.mark.parametrize("S", STRUCTURES, ids=lambda S: S.descriptor())
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sss_closure_matches_eager_closure(S, data):
+    rep = summit(data.draw(elements_of(S, max_letters=5, max_inf=1))).representative
+    closure = _sss_closure(rep, DEFAULT_SSS_CAP)
+    eager = eager_sss_closure(rep, DEFAULT_SSS_CAP)
+    assert list(closure) == list(eager)
+    for element, witness in eager.items():
+        assert closure_witness(closure, element) == witness
+    size = len(eager)
+    for cap in range(1, size + 1):
+        for build in (_sss_closure, eager_sss_closure):
+            if cap < size:
+                with pytest.raises(ResourceLimitError):
+                    build(rep, cap)
+            else:
+                assert len(build(rep, cap)) == size
 
 
 def test_braid7_super_summit_set():
@@ -115,6 +144,6 @@ def test_braid7_super_summit_set():
     sss = super_summit_set(g)
     assert 1 < len(sss) <= 4
     assert set(sss) == set(brute_sss_closure(sd.representative))
-    for element, witness in sd.closure.items():
+    for element in sd.closure:
         assert (element.inf, element.sup) == (sd.inf_s, sd.sup_s)
-        assert_conjugate_by(witness, sd.representative, element)
+        assert_conjugate_by(closure_witness(sd.closure, element), sd.representative, element)

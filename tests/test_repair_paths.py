@@ -14,6 +14,8 @@ time.  The summit representative and witness, the witness assembled on
 first read from the recorded conjugators, are checked against a summit
 that renormalises the whole word at every step and grows the witness one
 step at a time, also on the long words g^(N^2) that `tnum` summits.
+`_conjugate`, which forms c^{-1} h c with one push at each end of one
+list, is checked against two `multiply` calls and an `invert`.
 """
 
 import random
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from garside import (
     cycling,
     decycling,
+    delta_power_element,
     identity_element,
     invert,
     multiply,
@@ -36,6 +39,7 @@ from garside import (
     validate_element,
 )
 from garside import cli, core
+from garside.conjugacy import _conjugate
 
 from .oracle import stack_normalize, token_word_element
 
@@ -217,6 +221,27 @@ def test_push_front_of_a_left_complement_forms_a_delta_and_empties_a_slot(S):
     factors = list(g.factors)
     core._push_front(S, factors, S.left_complement(g.factors[0]))
     assert factors == [S.delta(), *g.factors[1:]]
+
+
+@pytest.mark.parametrize(
+    "S", STRUCTURES + [structure_from_descriptor("torus:4:6")], ids=lambda S: S.descriptor()
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_conjugate_matches_multiplication(S, data):
+    # Each example also takes a bare Delta power, often with negative inf.
+    hs = (
+        data.draw(normal_forms_of(S)),
+        delta_power_element(S, data.draw(st.integers(-3, 3))),
+    )
+    for h in hs:
+        for c in S.enumerate_simples():
+            if not c.atom_norm:
+                continue
+            c_elt = simple_element(c)
+            result = _conjugate(S, h, c)
+            validate_element(result)
+            assert result == multiply(multiply(invert(c_elt), h), c_elt)
 
 
 def raw_lists_of(S):
