@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the hard inputs H1-H6 of ROADMAP.md, each in a fresh interpreter.
+"""Time the hard inputs H1-H7 of ROADMAP.md, each in a fresh interpreter.
 
     python3 scripts/hard_inputs.py [ID ...] [--src SRC] [--timeout 60]
 
@@ -36,6 +36,9 @@ The words are pinned here from the recipes of the ROADMAP table:
   ``a1^12 a2^-9 a1^11 a2^-10`` (H6b) in ``braid:3``: 22-factor windows whose
   degree and cycle type both admit a square root, so only the candidate
   cap ends the search.
+* H7: ``root -n 2`` on ``L.a1^2 R.a1^2`` in ``product:(braid:8,braid:8)``:
+  the root search needs the table of simples, 40,320^2 of them, far above
+  ``core.MAX_SIMPLES``.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ INPUTS: dict[str, tuple[str, object]] = {
     "H5c": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^600 a2^-600 a1^600 a2^-600"]),
     "H6a": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^9 a2^-12 a1^10 a2^-11"]),
     "H6b": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^12 a2^-9 a1^11 a2^-10"]),
+    "H7": ("cli", ["root", "--group", "product:(braid:8,braid:8)", "-n", "2", "L.a1^2 R.a1^2"]),
 }
 
 # Runs in the subprocess: argv[1] is the source tree, argv[2] the input as

@@ -6,7 +6,6 @@ proper-power and generalized-power problems and their conjugacy versions.
 """
 
 from .conjugacy import (
-    ResourceLimitError,
     SummitData,
     are_conjugate,
     class_invariant,
@@ -19,6 +18,7 @@ from .core import (
     Atom,
     Element,
     GarsideStructure,
+    ResourceLimitError,
     Simple,
     StructureMismatchError,
     degree,

@@ -9,8 +9,11 @@ the literal ``D`` denotes Delta.  Structures are chosen with
 ``--group product:(<desc>,<desc>)``.
 
 Exit codes: 0 = computed (a no-solution answer is an answer), 1 = resource
-limit (including a word of more than MAX_WORD_ATOMS atom letters) or
-unsupported structure, 2 = usage or parse error.
+limit or unsupported structure, 2 = usage or parse error.  A tripped limit
+(a search cap, a table too large, or a word of more than MAX_WORD_ATOMS
+atom letters) is raised as `ResourceLimitError` by whichever layer trips
+it and answered here, for every command, as a ``resource_limit`` outcome
+on stdout.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import re
 import sys
 
 from . import conjugacy, problems, translation
-from .core import Element, GarsideStructure, normalize, word_length
+from .core import Element, GarsideStructure, ResourceLimitError, normalize, word_length
 from .problems import ProblemAnswer, UnsupportedStructureError
 from .structures import DescriptorError, structure_from_descriptor
 
@@ -62,7 +65,7 @@ def evaluate_word(S: GarsideStructure, terms: tuple[tuple[str, int], ...]) -> El
     """
     atom_letters = sum(abs(exponent) for name, exponent in terms if name != "D")
     if atom_letters > MAX_WORD_ATOMS:
-        raise conjugacy.ResourceLimitError(
+        raise ResourceLimitError(
             f"word has {atom_letters} atom letters, above the bound of {MAX_WORD_ATOMS}"
         )
     atoms = S.atom_by_name()
@@ -134,8 +137,6 @@ def _answer_json(answer: ProblemAnswer) -> dict:
 def _answer_text(answer: ProblemAnswer) -> str:
     if answer.is_no_solution:
         return "no solution"
-    if answer.is_resource_limit:
-        return f"resource limit: {answer.diagnostic}"
     parts = []
     if answer.n is not None:
         parts.append(f"n={answer.n}")
@@ -260,10 +261,13 @@ def _build_parser() -> _Parser:
 def _run(args) -> int:
     S = structure_from_descriptor(args.group)
     words, _, _, handler = _COMMANDS[args.command]
-    result = handler(args, *[parse_word(S, getattr(args, word)) for word in words])
     code = 0
+    try:
+        result = handler(args, *[parse_word(S, getattr(args, word)) for word in words])
+    except ResourceLimitError as exc:
+        code = 1
+        result = {"outcome": "resource_limit", "diagnostic": str(exc)}, f"resource limit: {exc}"
     if isinstance(result, ProblemAnswer):
-        code = 1 if result.is_resource_limit else 0
         result = (_answer_json(result), _answer_text(result))
     payload, text = result
     print(json.dumps(payload) if args.json else text)
@@ -282,7 +286,7 @@ def run_command(argv: list[str]) -> int:
     except (WordParseError, DescriptorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (conjugacy.ResourceLimitError, UnsupportedStructureError) as exc:
+    except UnsupportedStructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,6 +44,7 @@ from functools import cached_property
 from .core import (
     Element,
     GarsideStructure,
+    ResourceLimitError,
     Simple,
     StructureMismatchError,
     _finalize,
@@ -60,10 +61,6 @@ from .core import (
 DEFAULT_SSS_CAP = 100_000
 
 Closure = dict[Element, tuple[Element, Simple] | None]
-
-
-class ResourceLimitError(RuntimeError):
-    """A search exceeded its configured cap; the question is left undecided."""
 
 
 @dataclass(frozen=True)

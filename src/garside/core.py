@@ -48,11 +48,20 @@ import abc
 import dataclasses
 import functools
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Iterable, Iterator
+
+# A simple costs a few hundred bytes, so a table of this many is a few
+# hundred MB; no structure with more is ever tabulated.
+MAX_SIMPLES = 1_000_000
 
 
 class StructureMismatchError(ValueError):
     """Raised when an operation mixes values owned by different structures."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A search or table exceeded its cap; the question is left undecided."""
 
 
 @dataclass(frozen=True)
@@ -220,8 +229,14 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
 
     @functools.cache
     def enumerate_simples(self) -> tuple[Simple, ...]:
-        """All simple elements, in a canonical deterministic order."""
-        return tuple(sorted(self.make_simple(p) for p in self._all_payloads()))
+        """All simple elements, in a canonical deterministic order.
+
+        Raises `ResourceLimitError`, before any simple is made, when there
+        are more than MAX_SIMPLES.
+        """
+        if sum(1 for _ in islice(self._all_payloads(), MAX_SIMPLES + 1)) > MAX_SIMPLES:
+            raise ResourceLimitError(f"{self.descriptor()} has more than {MAX_SIMPLES} simples")
+        return tuple(sorted(map(self.make_simple, self._all_payloads())))
 
     @functools.cache
     def tau_order(self) -> int:

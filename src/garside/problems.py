@@ -29,8 +29,8 @@ coordinates, the power solver only the exponents with deg(g) = ±m·deg(h),
 and the generalized-power solver computes its powers only when
 p·deg(g) = ±q·deg(h).  These tests only ever reject, and the enumeration
 order is unchanged, so every positive answer is the one the unpruned
-search finds.  The exponential worst case is accepted and surfaced as a
-resource-limit outcome, never as a wrong answer.
+search finds.  The exponential worst case is accepted: a search that passes
+its cap raises `ResourceLimitError` rather than give a wrong answer.
 
 Every positive answer carries a certificate (a conjugating witness where it
 applies) that re-verifies by direct normal-form arithmetic.
@@ -44,9 +44,10 @@ from dataclasses import dataclass
 from typing import Iterator
 from math import ceil, floor, gcd, lcm
 
-from .conjugacy import ResourceLimitError, SummitData, summit
+from .conjugacy import SummitData, summit
 from .core import (
     Element,
+    ResourceLimitError,
     StructureMismatchError,
     cycle_types,
     degree,
@@ -68,12 +69,11 @@ class UnsupportedStructureError(RuntimeError):
 class Outcome(enum.Enum):
     SOLUTION = "solution"
     NO_SOLUTION = "no_solution"
-    RESOURCE_LIMIT = "resource_limit"
 
 
 @dataclass(frozen=True)
 class ProblemAnswer:
-    """Solver outcome: a certified solution, a proven no, or a resource limit.
+    """Solver outcome: a certified solution or a proven no.
 
     Which payload fields are set depends on the problem; `witness` conjugates
     the certified power onto the queried element (w^{-1} · certified · w =
@@ -85,7 +85,6 @@ class ProblemAnswer:
     m: int | None = None
     root: Element | None = None
     witness: Element | None = None
-    diagnostic: str | None = None
 
     @property
     def is_solution(self) -> bool:
@@ -95,17 +94,9 @@ class ProblemAnswer:
     def is_no_solution(self) -> bool:
         return self.outcome is Outcome.NO_SOLUTION
 
-    @property
-    def is_resource_limit(self) -> bool:
-        return self.outcome is Outcome.RESOURCE_LIMIT
-
     @staticmethod
     def no_solution() -> "ProblemAnswer":
         return ProblemAnswer(Outcome.NO_SOLUTION)
-
-    @staticmethod
-    def resource_limit(diagnostic: str) -> "ProblemAnswer":
-        return ProblemAnswer(Outcome.RESOURCE_LIMIT, diagnostic=diagnostic)
 
 
 def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> ProblemAnswer:
@@ -121,25 +112,22 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
         return ProblemAnswer(Outcome.SOLUTION, n=0, witness=identity_element(g.structure))
     if h.is_identity:
         return ProblemAnswer.no_solution()
-    try:
-        ratio = translation_number(g) / translation_number(h)
-        if ratio.denominator != 1:
-            return ProblemAnswer.no_solution()
-        m = int(ratio)
-        dg, dh = degree(g), degree(h)
-        for n in (m, -m):
-            if dg != tuple(n * d for d in dh):
-                continue
-            hn = power(h, n)
-            if up_to_conjugacy:
-                witness = summit(hn).conjugator_to(g)
-                if witness is not None:
-                    return ProblemAnswer(Outcome.SOLUTION, n=n, witness=witness)
-            elif hn == g:
-                return ProblemAnswer(Outcome.SOLUTION, n=n)
+    ratio = translation_number(g) / translation_number(h)
+    if ratio.denominator != 1:
         return ProblemAnswer.no_solution()
-    except ResourceLimitError as exc:
-        return ProblemAnswer.resource_limit(str(exc))
+    m = int(ratio)
+    dg, dh = degree(g), degree(h)
+    for n in (m, -m):
+        if dg != tuple(n * d for d in dh):
+            continue
+        hn = power(h, n)
+        if up_to_conjugacy:
+            witness = summit(hn).conjugator_to(g)
+            if witness is not None:
+                return ProblemAnswer(Outcome.SOLUTION, n=n, witness=witness)
+        elif hn == g:
+            return ProblemAnswer(Outcome.SOLUTION, n=n)
+    return ProblemAnswer.no_solution()
 
 
 def _partitions(k: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
@@ -243,10 +231,7 @@ def solve_root_conjugacy(g: Element, n: int) -> ProblemAnswer:
         raise ValueError("root degree must be at least 1")
     if n == 1:
         return ProblemAnswer(Outcome.SOLUTION, n=1, root=g, witness=identity_element(g.structure))
-    try:
-        return _root_search(translation_triple(g), summit(g), n)
-    except ResourceLimitError as exc:
-        return ProblemAnswer.resource_limit(str(exc))
+    return _root_search(translation_triple(g), summit(g), n)
 
 
 def solve_root(g: Element, n: int) -> ProblemAnswer:
@@ -274,21 +259,18 @@ def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
         # Torsion-freeness leaves only the trivial h = 1, which is excluded.
         return ProblemAnswer.no_solution()
     N = g.structure.delta_norm()
-    try:
-        triple = translation_triple(g)
-        sd = summit(g)
-        bound = N * triple.t_D
-        if triple.t_len > 0:
-            bound = min(bound, N * N * triple.t_len)
-        bound = floor(bound)
-        common = gcd(*degree(g))
-        for n in _divisors(common, bound) if common else range(2, bound + 1):
-            answer = _root_search(triple, sd, n)
-            if answer.is_solution:
-                return answer
-        return ProblemAnswer.no_solution()
-    except ResourceLimitError as exc:
-        return ProblemAnswer.resource_limit(str(exc))
+    triple = translation_triple(g)
+    sd = summit(g)
+    bound = N * triple.t_D
+    if triple.t_len > 0:
+        bound = min(bound, N * N * triple.t_len)
+    bound = floor(bound)
+    common = gcd(*degree(g))
+    for n in _divisors(common, bound) if common else range(2, bound + 1):
+        answer = _root_search(triple, sd, n)
+        if answer.is_solution:
+            return answer
+    return ProblemAnswer.no_solution()
 
 
 def _divisors(m: int, bound: int) -> list[int]:
@@ -322,26 +304,23 @@ def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = Fals
         )
     if g.is_identity or h.is_identity:
         return ProblemAnswer.no_solution()
-    try:
-        ratio = translation_number(h) / translation_number(g)
-        p, q = ratio.numerator, ratio.denominator
-        dg, dh = degree(g), degree(h)
-        signs = [
-            sign for sign in (1, -1)
-            if tuple(p * d for d in dg) == tuple(sign * q * d for d in dh)
-        ]
-        if not signs:
-            return ProblemAnswer.no_solution()
-        gp = power(g, p * r)
-        sd_gp = summit(gp) if up_to_conjugacy else None
-        for sign in signs:
-            hq = power(h, sign * q * r)
-            if up_to_conjugacy:
-                witness = sd_gp.conjugator_to(hq)
-                if witness is not None:
-                    return ProblemAnswer(Outcome.SOLUTION, n=p * r, m=sign * q * r, witness=witness)
-            elif gp == hq:
-                return ProblemAnswer(Outcome.SOLUTION, n=p * r, m=sign * q * r)
+    ratio = translation_number(h) / translation_number(g)
+    p, q = ratio.numerator, ratio.denominator
+    dg, dh = degree(g), degree(h)
+    signs = [
+        sign for sign in (1, -1)
+        if tuple(p * d for d in dg) == tuple(sign * q * d for d in dh)
+    ]
+    if not signs:
         return ProblemAnswer.no_solution()
-    except ResourceLimitError as exc:
-        return ProblemAnswer.resource_limit(str(exc))
+    gp = power(g, p * r)
+    sd_gp = summit(gp) if up_to_conjugacy else None
+    for sign in signs:
+        hq = power(h, sign * q * r)
+        if up_to_conjugacy:
+            witness = sd_gp.conjugator_to(hq)
+            if witness is not None:
+                return ProblemAnswer(Outcome.SOLUTION, n=p * r, m=sign * q * r, witness=witness)
+        elif gp == hq:
+            return ProblemAnswer(Outcome.SOLUTION, n=p * r, m=sign * q * r)
+    return ProblemAnswer.no_solution()

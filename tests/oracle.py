@@ -324,14 +324,11 @@ def every_degree_proper_power(g: Element) -> ProblemAnswer:
     """
     if g.is_identity:
         return ProblemAnswer.no_solution()
-    try:
-        triple, sd = translation_triple(g), summit(g)
-        for n in range(2, floor(g.structure.delta_norm() * triple.t_D) + 1):
-            answer = problems._root_search(triple, sd, n)
-            if answer.is_solution:
-                return answer
-    except ResourceLimitError as exc:
-        return ProblemAnswer.resource_limit(str(exc))
+    triple, sd = translation_triple(g), summit(g)
+    for n in range(2, floor(g.structure.delta_norm() * triple.t_D) + 1):
+        answer = problems._root_search(triple, sd, n)
+        if answer.is_solution:
+            return answer
     return ProblemAnswer.no_solution()
 
 

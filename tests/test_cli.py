@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from garside import braid_structure, delta_power_element, multiply, torus_structure
+from garside import (
+    braid_structure,
+    conjugacy,
+    delta_power_element,
+    multiply,
+    problems,
+    torus_structure,
+)
 from garside.cli import WordParseError, element_json, parse_word, render_word, run_command
 
 B3 = braid_structure(3)
@@ -160,7 +167,36 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
     # a word above the atom-letter bound is refused before it is evaluated
     assert run_command(["nf", "--group", "braid:3", "a1^1000000000"]) == 1
-    assert "100000" in capsys.readouterr().err
+    assert "100000" in capsys.readouterr().out
     # answered questions exit 0 even when the answer is "no solution"
     assert run_command(["root", "--group", "braid:3", "-n", "2", "a1"]) == 0
     capsys.readouterr()
+
+
+def test_cli_every_limit_answers_on_stdout(capsys, monkeypatch):
+    # a1 and a2 share a two-element super summit set, above this cap.
+    monkeypatch.setattr(conjugacy, "DEFAULT_SSS_CAP", 1)
+    message = "super summit set exceeds cap of 1 elements"
+    assert run_command(["conj", "--group", "braid:3", "a1", "a2", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"outcome": "resource_limit", "diagnostic": message}
+    assert err == ""
+    assert run_command(["conj", "--group", "braid:3", "a1", "a2"]) == 1
+    assert capsys.readouterr() == (f"resource limit: {message}\n", "")
+
+    # A solver's limit answers in the same form, with its own diagnostic.
+    monkeypatch.setattr(problems, "DEFAULT_CANDIDATE_CAP", 0)
+    assert run_command(["root", "--group", "braid:3", "-n", "3", "D^2", "--json"]) == 1
+    assert capsys.readouterr() == (
+        '{"outcome": "resource_limit", "diagnostic": "root search exceeded 0 candidates"}\n', "")
+    assert run_command(["root", "--group", "braid:3", "-n", "3", "D^2"]) == 1
+    assert capsys.readouterr() == ("resource limit: root search exceeded 0 candidates\n", "")
+
+
+def test_cli_refuses_a_table_of_too_many_simples(capsys):
+    # 40,320^2 simples: the count stops at MAX_SIMPLES + 1, before any is made.
+    argv = ["root", "--group", "product:(braid:8,braid:8)", "-n", "2", "L.a1^2 R.a1^2", "--json"]
+    assert run_command(argv) == 1
+    assert capsys.readouterr() == (
+        '{"outcome": "resource_limit", '
+        '"diagnostic": "product:(braid:8,braid:8) has more than 1000000 simples"}\n', "")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from garside import (
-    Outcome,
+    ResourceLimitError,
     UnsupportedStructureError,
     are_conjugate,
     braid_structure,
@@ -189,9 +189,8 @@ def test_generalized_power_on_product_of_braids():
 
 def test_root_search_resource_limit_is_distinct(monkeypatch):
     monkeypatch.setattr(problems, "DEFAULT_CANDIDATE_CAP", 0)
-    answer = solve_root_conjugacy(delta_power_element(B3, 2), 3)
-    assert answer.outcome is Outcome.RESOURCE_LIMIT
-    assert answer.diagnostic
+    with pytest.raises(ResourceLimitError, match="exceeded 0 candidates"):
+        solve_root_conjugacy(delta_power_element(B3, 2), 3)
 
 
 def test_proper_power_search_computes_class_data_once(monkeypatch):
@@ -221,6 +220,5 @@ def test_root_search_builds_super_summit_set_only_when_needed(monkeypatch):
     # No candidate square reaches the summit invariants of a1.
     assert solve_root_conjugacy(parse_word(B3, "a1"), 2).is_no_solution
     # The candidate a1 does reach those of a1^2, so the set is built and trips the cap.
-    answer = solve_root_conjugacy(parse_word(B3, "a1^2"), 2)
-    assert answer.outcome is Outcome.RESOURCE_LIMIT
-    assert "cap of 1" in answer.diagnostic
+    with pytest.raises(ResourceLimitError, match="cap of 1"):
+        solve_root_conjugacy(parse_word(B3, "a1^2"), 2)
