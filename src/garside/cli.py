@@ -24,6 +24,7 @@ import functools
 import json
 import re
 import sys
+from collections import Counter
 
 from . import conjugacy, problems, translation
 from .core import Element, GarsideStructure, ResourceLimitError, normalize, word_length
@@ -43,17 +44,22 @@ class WordParseError(ValueError):
 
 
 def parse_tokens(text: str) -> tuple[tuple[str, int], ...]:
-    """A word as (generator token, nonzero exponent) pairs."""
+    """A word as (generator token, nonzero exponent) pairs; each distinct
+    token is matched once per call."""
+    seen: dict[str, tuple[str, int]] = {}
     terms = []
     for position, token in enumerate(text.split(), start=1):
-        match = _TOKEN.match(token)
-        if match is None:
-            raise WordParseError(f"malformed token {token!r} at position {position}")
-        exp = match.group("exp")
-        exponent = int(exp) if exp is not None else 1
-        if exponent == 0:
-            raise WordParseError(f"zero exponent in {token!r} at position {position}")
-        terms.append((match.group("name"), exponent))
+        term = seen.get(token)
+        if term is None:
+            match = _TOKEN.match(token)
+            if match is None:
+                raise WordParseError(f"malformed token {token!r} at position {position}")
+            exp = match.group("exp")
+            exponent = int(exp) if exp is not None else 1
+            if exponent == 0:
+                raise WordParseError(f"zero exponent in {token!r} at position {position}")
+            term = seen[token] = (match.group("name"), exponent)
+        terms.append(term)
     return tuple(terms)
 
 
@@ -63,26 +69,35 @@ def evaluate_word(S: GarsideStructure, terms: tuple[tuple[str, int], ...]) -> El
     Read from the right, each Delta moves to the front, s·Delta^d =
     Delta^d·tau^d(s), and a^{-1} = Delta^{-1}·left_complement(a).
     """
-    atom_letters = sum(abs(exponent) for name, exponent in terms if name != "D")
+    # Distinct terms in the order they first occur, so the first unknown
+    # one is also the first by position.
+    counts = Counter(terms)
+    atom_letters = sum(abs(exponent) * k for (name, exponent), k in counts.items() if name != "D")
     if atom_letters > MAX_WORD_ATOMS:
         raise ResourceLimitError(
             f"word has {atom_letters} atom letters, above the bound of {MAX_WORD_ATOMS}"
         )
     atoms = S.atom_by_name()
-    for position, (name, _) in enumerate(terms, start=1):
-        if name != "D" and name not in atoms:
-            raise WordParseError(f"unknown generator {name!r} at position {position}")
+    letters = {}
+    for term in counts:
+        name = term[0]
+        if name == "D" or name in letters:
+            continue
+        if name not in atoms:
+            raise WordParseError(
+                f"unknown generator {name!r} at position {terms.index(term) + 1}")
+        a = S.atom_simple(atoms[name].index)
+        letters[name] = (a, S.left_complement(a))
     raw = []
     d = 0
     for name, exponent in reversed(terms):
         if name == "D":
             d += exponent
             continue
-        a = S.atom_simple(atoms[name].index)
+        a, complement = letters[name]
         if exponent > 0:
             raw += [S.tau_power(a, d)] * exponent
         else:
-            complement = S.left_complement(a)
             for _ in range(-exponent):
                 raw.append(S.tau_power(complement, d))
                 d -= 1

@@ -6,9 +6,11 @@ any conjugate) and sup_s (the smallest sup); the conjugates realising both
 simultaneously form the finite, nonempty super summit set.  Iterated
 cycling raises inf, iterated decycling lowers sup, and conjugating by
 minimal simples walks the whole super summit set, which decides conjugacy.
-`summit` steps on one working list (inf, factors): a cycling moves the
-first factor to the back with `core._push`, a decycling moves the last one
-to the front with `core._push_front`, and one Element is built at the end.
+`summit` steps on one working list (inf, factors) that never holds Delta:
+a cycling moves the first factor to the back with `core._push`, a
+decycling moves the last one to the front with `core._push_front`, a
+Delta either push splits off is added to inf (one split off at the back
+twists the list), and one Element is built at the end.
 The minimal simple of an atom a at x is the ≼-least simple above a that
 keeps x in its super summit set (Franco and González-Meneses, 2003); it is
 found by climbing joins of simples, so each element has at most one
@@ -47,8 +49,6 @@ from .core import (
     ResourceLimitError,
     Simple,
     StructureMismatchError,
-    _finalize,
-    _pop_deltas,
     _push,
     _push_front,
     cycle_types,
@@ -130,24 +130,27 @@ def _cycle(S: GarsideStructure, inf: int, factors: list[Simple]) -> tuple[int, S
     """Cycle the working list Delta^inf · factors in place; returns (inf, a).
 
     With a = tau^{-inf}(s_1), Delta^inf s_1 = a Delta^inf, so the conjugate
-    a^{-1} g a is Delta^inf s_2 ... s_k · a: the first factor is popped, a
-    is pushed at the back, and a Delta it forms is folded into inf.
+    a^{-1} g a is Delta^inf s_2 ... s_k · a: the first factor is popped and
+    a is pushed at the back.  A Delta the push splits off is owed at the
+    back, and Delta^inf · factors · Delta = Delta^{inf+1} · tau(factors),
+    so the list is twisted at once, with one `map`.
     """
     a = S.tau_power(factors.pop(0), -inf)
-    _push(S, factors, a)
-    return inf + _pop_deltas(S, factors), a
+    if _push(S, factors, a):
+        factors[:] = map(S.twist(1).__getitem__, factors)
+        inf += 1
+    return inf, a
 
 
 def _decycle(S: GarsideStructure, inf: int, factors: list[Simple]) -> tuple[int, Simple]:
     """Decycle the working list Delta^inf · factors in place; returns (inf, s_k).
 
     s_k · g · s_k^{-1} = Delta^inf tau^inf(s_k) s_1 ... s_{k-1}: the last
-    factor is popped, its twist is pushed at the front, and a Delta it
-    forms is folded into inf.
+    factor is popped and its twist is pushed at the front, where a Delta it
+    forms is split off and added to inf.
     """
     s = factors.pop()
-    _push_front(S, factors, S.tau_power(s, inf))
-    return inf + _pop_deltas(S, factors), s
+    return inf + _push_front(S, factors, S.tau_power(s, inf)), s
 
 
 def _one_step(step, g: Element) -> tuple[Element, Simple]:
@@ -269,16 +272,15 @@ def _conjugate(S: GarsideStructure, h: Element, c: Simple) -> Element:
 
     With h = Delta^p · y and l the left complement of c, l · c = Delta gives
     c^{-1} = Delta^{-1} · l, so c^{-1} h c = Delta^{p-1} · tau^p(l) · y · c:
-    tau^p(l) is pushed at the front of the factors of y, unless it is the
-    identity (c is Delta), c at the back, and the Deltas formed are folded
-    into the power.
+    tau^p(l) is pushed at the front of the factors of y (nothing, when c is
+    Delta) and c at the back.  A Delta split off at the front adds to the
+    power; one split off at the back adds to it too and twists the list.
     """
     factors = list(h.factors)
-    front = S.tau_power(S.left_complement(c), h.inf)
-    if front.atom_norm:
-        _push_front(S, factors, front)
-    _push(S, factors, c)
-    return _finalize(S, h.inf - 1, factors)
+    inf = h.inf - 1 + _push_front(S, factors, S.tau_power(S.left_complement(c), h.inf))
+    if _push(S, factors, c):
+        return Element(S, inf + 1, tuple(map(S.twist(1).__getitem__, factors)))
+    return Element(S, inf, tuple(factors))
 
 
 def _sss_closure(rep: Element, cap: int) -> Closure:
@@ -332,9 +334,10 @@ def closure_witness(closure: Closure, h: Element) -> Element:
     return normalize(h.structure, 0, reversed(path))
 
 
-def super_summit_set(g: Element, cap: int = DEFAULT_SSS_CAP) -> tuple[Element, ...]:
-    """The full super summit set of g, in canonical order."""
-    closure = _sss_closure(summit(g).representative, cap)
+def super_summit_set(g: Element, cap: int | None = None) -> tuple[Element, ...]:
+    """The full super summit set of g, in canonical order; the cap defaults
+    to DEFAULT_SSS_CAP as read at call time."""
+    closure = _sss_closure(summit(g).representative, DEFAULT_SSS_CAP if cap is None else cap)
     return tuple(sorted(closure, key=Element.sort_key))
 
 

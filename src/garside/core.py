@@ -12,15 +12,23 @@ satisfies the local left-weighted condition
     right_complement(s_i)  ∧  s_{i+1}  =  identity.
 
 The normal form is unique, so structural equality of (inf, factors) is group
-equality.  One domino-rule repair keeps it, from either end of the list.
-`_push` appends a simple with one leftward pass of local "slides", each
-moving weight from a factor into its left neighbour, that stops at the
-first pair it leaves unchanged; a Delta formed on the way travels to the
-front, and only the appended slot can become the identity.  `_push_front`
-prepends a simple with the mirror rightward pass, for left multiplication.
-`normalize` pushes each raw factor, `multiply` pushes the factors of its
-right operand, and `conjugacy.summit` cycles and decycles with one push at
-either end.  Inverses need no repair: their normal form is read off directly.
+equality.  One domino-rule repair keeps it, from either end of a working
+list that never holds Delta or the identity.  `_push` appends a simple with
+one leftward pass of local "slides", each moving weight from a factor into
+its left neighbour, that stops at the first pair it leaves unchanged; only
+the appended slot can become the identity.  A Delta formed by a slide is
+split off at once: P·Delta·Q = P·tau^{-1}(Q)·Delta, so the pass twists the
+part Q it has already walked, drops the Delta and reports it, and never
+does more work than the slides it made.  `_push_front` prepends a simple
+with the mirror rightward pass, for left multiplication, and reports a
+Delta formed at the front.  The caller settles each reported Delta:
+`normalize` and `multiply` owe them at the back and twist the list once at
+the end; `conjugacy` cycles, decycles and conjugates with one push at
+either end, adds a Delta split off at the front to inf, and twists the
+list at once for one split off at the back.  Twists are table lookups
+(`GarsideStructure.tau_power` and `twist`), so a run of factors is
+twisted with one `map`.  Inverses need no repair: their normal form is
+read off directly.
 
 Each slide is read from a row on its left simple: `a.slides` maps a right
 neighbour b to the left-weighted pair of (a, b).  Rows fill on first use
@@ -85,8 +93,10 @@ class Simple:
     constructor, and its cache is keyed on the interned structure, so equal
     simples are the same object and compare and hash by identity.
 
-    `slides` is the simple's row of left-weighted pairs, filled by
-    `_push`: `slides[b]` is `structure.slide(self, b)`, kept only here.
+    `slides` is the simple's row of left-weighted pairs, filled by the
+    normal-form engine: `slides[b]` is `structure.slide(self, b)`, kept
+    only here.  `orbit` is the simple's orbit under tau, (s, tau(s), ...),
+    filled by the first `structure.tau_power(self, k)`.
     """
 
     structure: "GarsideStructure" = field(repr=False)
@@ -95,6 +105,7 @@ class Simple:
     slides: dict["Simple", tuple["Simple", "Simple"]] = field(
         default_factory=dict, init=False, repr=False
     )
+    orbit: list["Simple"] = field(default_factory=list, init=False, repr=False)
 
     def __lt__(self, other: "Simple"):
         if not isinstance(other, Simple):
@@ -321,9 +332,24 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         return self.left_complement(suffix)
 
     def tau_power(self, s: Simple, k: int) -> Simple:
-        for _ in range(k % self.tau_order()):
-            s = self.tau_simple(s)
-        return s
+        """tau^k(s), read from the orbit row of s, filled on first use."""
+        orbit = s.orbit
+        if not orbit:
+            t = s
+            while not orbit or t is not s:
+                orbit.append(t)
+                t = self.tau_simple(t)
+        return orbit[k % len(orbit)]
+
+    def twist(self, k: int) -> "_Twist":
+        """tau^k as a dict on simples: `map(S.twist(k).__getitem__, run)`
+        twists a run of factors without a Python call per factor."""
+        twists = self._twists()
+        return twists[k % len(twists)]
+
+    @functools.cache
+    def _twists(self) -> tuple["_Twist", ...]:
+        return tuple(_Twist(self, k) for k in range(self.tau_order()))
 
     # The rows `a.slides` are the only slide store, so this cache keeps no
     # entries; `cache_info()` still counts the calls, one per row miss.
@@ -370,6 +396,20 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         return tuple(atoms[i].name for i in self.atom_word(s))
 
 
+class _Twist(dict):
+    """tau^k on the simples of one structure, filled on first lookup."""
+
+    __slots__ = ("structure", "k")
+
+    def __init__(self, structure: GarsideStructure, k: int):
+        super().__init__()
+        self.structure, self.k = structure, k
+
+    def __missing__(self, s: Simple) -> Simple:
+        t = self[s] = self.structure.tau_power(s, self.k)
+        return t
+
+
 @dataclass(frozen=True)
 class Element:
     """A group element in left-weighted normal form Delta^inf · factors."""
@@ -407,81 +447,118 @@ class Element:
 # ----------------------------------------------------------------------
 
 
-def _push(S: GarsideStructure, factors: list[Simple], s: Simple) -> bool:
+def _push(S: GarsideStructure, factors: list[Simple], s: Simple) -> int | None:
     """Append s to a left-weighted list and slide it back into normal form.
 
-    `factors` is a run of Deltas followed by proper left-weighted factors.
-    By the domino rule, sliding the pair at p keeps the pair at p+1
-    left-weighted, so one leftward pass repairs the list and stops at the
-    first pair that does not change; a Delta formed on the way travels to
-    the front.  Only the appended slot can empty, and it is then popped.
-    Each slide is read from the row `a.slides`, filled from `S.slide` on a
-    miss.  Returns whether any pair changed.
+    `factors` holds proper simples only: no Delta, no identity.  By the
+    domino rule, sliding the pair at p keeps the pair at p+1 left-weighted,
+    so one leftward pass repairs the list and stops at the first pair that
+    does not change.  Only the appended slot can empty, and it is then
+    popped.  A slide that forms Delta at p ends the pass: with P the factors
+    before it and Q those after, P·Delta·Q = P·tau^{-1}(Q)·Delta, so Q is
+    twisted and the Delta dropped; the caller owes it at the back.  Pushing
+    Delta itself only reports it.  Each slide is read from the row
+    `a.slides`, filled from `S.slide` on a miss.
+
+    Returns the number of Deltas split off (0 or 1), or None when no pair
+    changed, so that whatever follows s left-weighted can be appended as is.
     """
+    delta = S.delta()
+    if s is delta:
+        return 1
     factors.append(s)
-    changed = False
-    for p in range(len(factors) - 2, -1, -1):
-        a, b = factors[p], factors[p + 1]
+    p = len(factors) - 1
+    b = s
+    deltas = None
+    while p:
+        # b belongs at p; slide the pair (factors[p - 1], b).
+        a = factors[p - 1]
         pair = a.slides.get(b)
         if pair is None:
             pair = a.slides[b] = S.slide(a, b)
-        if pair[0] is a:
+        b, factors[p] = pair
+        if b is a:
             break
-        factors[p], factors[p + 1] = pair
-        changed = True
+        deltas = 0
+        if b is delta:
+            factors[p - 1:] = map(S.twist(-1).__getitem__, factors[p:])
+            deltas = 1
+            break
+        p -= 1
+    else:
+        factors[0] = b
     if factors[-1].atom_norm == 0:
         factors.pop()
-    return changed
+    return deltas
 
 
-def _push_front(S: GarsideStructure, factors: list[Simple], s: Simple) -> None:
-    """Prepend s, a simple other than the identity, to a left-weighted list
-    and slide it forward into normal form.
+def _push_front(S: GarsideStructure, factors: list[Simple], s: Simple) -> int:
+    """Prepend s to a left-weighted list and slide it forward into normal form.
 
     The mirror of `_push`, for left multiplication: by the domino rule,
     sliding the pair at p keeps the pair at p-1 left-weighted, so one
     rightward pass repairs the list and stops at the first pair that does
     not change.  When the right slot of a pair empties, what follows it is
     already left-weighted behind the left slot, so the slot is deleted and
-    the pass stops.  A Delta can only form as a prefix run.
+    the pass stops.  A Delta can only form at the front, and at most one:
+    it is deleted there, and Delta^r · Delta · list needs no twist.
+
+    Returns the number of Deltas split off the front (0 or 1).
     """
+    if s.atom_norm == 0:
+        return 0
     factors.insert(0, s)
-    for p in range(len(factors) - 1):
-        a, b = factors[p], factors[p + 1]
+    a = s
+    for p in range(1, len(factors)):
+        # a is at p - 1; slide the pair (a, factors[p]).
+        b = factors[p]
         pair = a.slides.get(b)
         if pair is None:
             pair = a.slides[b] = S.slide(a, b)
         if pair[0] is a:
             break
-        factors[p], factors[p + 1] = pair
-        if pair[1].atom_norm == 0:
-            del factors[p + 1]
+        factors[p - 1], a = pair
+        if a.atom_norm == 0:
+            del factors[p]
             break
-
-
-def _pop_deltas(S: GarsideStructure, factors: list[Simple]) -> int:
-    """Delete the leading run of Deltas from a repaired list; returns its length."""
-    delta = S.delta()
-    lead = 0
-    while lead < len(factors) and factors[lead] is delta:
-        lead += 1
-    del factors[:lead]
-    return lead
-
-
-def _finalize(S: GarsideStructure, delta_power: int, factors: list[Simple]) -> Element:
-    lead = _pop_deltas(S, factors)
-    return Element(S, delta_power + lead, tuple(factors))
+        factors[p] = a
+    if factors[0] is S.delta():
+        del factors[0]
+        return 1
+    return 0
 
 
 def normalize(structure: GarsideStructure, delta_power: int, raw_factors: Iterable[Simple]) -> Element:
-    """The unique normal form of Delta^delta_power · (product of raw factors)."""
-    factors = []
+    """The unique normal form of Delta^delta_power · (product of raw factors).
+
+    Raw factors merge into a pending simple while the slide row of the
+    pair says their product is simple (its right slot is the identity);
+    otherwise the left-weighted left slot is pushed and the right slot
+    becomes the pending simple.  The Deltas the pushes report are owed at
+    the back: Delta^owed · s = tau^{-owed}(s) · Delta^owed, so each later
+    push is twisted by tau^{-owed} and the finished list once by tau^owed.
+    """
+    S = structure
+    identity = S.identity_simple()
+    factors: list[Simple] = []
+    owed = 0
+    pending = identity
     for s in raw_factors:
-        if s.structure is not structure:
+        if s.structure is not S:
             raise StructureMismatchError("factor belongs to a different structure")
-        _push(structure, factors, s)
-    return _finalize(structure, delta_power, factors)
+        pair = pending.slides.get(s)
+        if pair is None:
+            pair = pending.slides[s] = S.slide(pending, s)
+        a, b = pair
+        if b is identity:
+            pending = a
+        else:
+            owed += _push(S, factors, S.tau_power(a, -owed) if owed else a) or 0
+            pending = b
+    owed += _push(S, factors, S.tau_power(pending, -owed) if owed else pending) or 0
+    if owed:
+        factors = map(S.twist(owed).__getitem__, factors)
+    return Element(S, delta_power + owed, tuple(factors))
 
 
 def identity_element(structure: GarsideStructure) -> Element:
@@ -506,9 +583,10 @@ def multiply(g: Element, h: Element) -> Element:
     """Normal form of g·h.
 
     Uses Delta^u a Delta^v b = Delta^{u+v} tau^v(a) b, then pushes the
-    factors of h one at a time onto the twisted factors of g.  Once a push
+    factors of h one at a time onto the twisted factors of g.  The Deltas
+    the pushes report are owed at the back, as in `normalize`.  Once a push
     changes nothing, the rest of h is already left-weighted and is appended
-    as it is.
+    as it is, after the final twist.
     """
     if g.structure is not h.structure:
         raise StructureMismatchError("product of elements from different structures")
@@ -517,13 +595,18 @@ def multiply(g: Element, h: Element) -> Element:
         return g
     if g.is_identity:
         return h
-    k = h.inf % S.tau_order()
-    factors = [S.tau_power(s, k) for s in g.factors] if k else list(g.factors)
+    factors = list(map(S.twist(h.inf).__getitem__, g.factors) if h.inf else g.factors)
+    owed = 0
+    rest: tuple[Simple, ...] = ()
     for i, s in enumerate(h.factors):
-        if not _push(S, factors, s):
-            factors.extend(h.factors[i + 1:])
+        deltas = _push(S, factors, S.tau_power(s, -owed) if owed else s)
+        if deltas is None:
+            rest = h.factors[i + 1:]
             break
-    return _finalize(S, g.inf + h.inf, factors)
+        owed += deltas
+    if owed:
+        factors = map(S.twist(owed).__getitem__, factors)
+    return Element(S, g.inf + h.inf + owed, (*factors, *rest))
 
 
 def invert(g: Element) -> Element:

@@ -193,6 +193,14 @@ def test_cli_every_limit_answers_on_stdout(capsys, monkeypatch):
     assert capsys.readouterr() == ("resource limit: root search exceeded 0 candidates\n", "")
 
 
+def test_cli_sss_reads_the_cap_at_call_time(capsys, monkeypatch):
+    # The super summit set of a1 is {a1, a2}, above a cap of 1 set after import.
+    monkeypatch.setattr(conjugacy, "DEFAULT_SSS_CAP", 1)
+    assert run_command(["sss", "--group", "braid:3", "--json", "a1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "outcome": "resource_limit", "diagnostic": "super summit set exceeds cap of 1 elements"}
+
+
 def test_cli_refuses_a_table_of_too_many_simples(capsys):
     # 40,320^2 simples: the count stops at MAX_SIMPLES + 1, before any is made.
     argv = ["root", "--group", "product:(braid:8,braid:8)", "-n", "2", "L.a1^2 R.a1^2", "--json"]

@@ -22,7 +22,7 @@ from garside import (
     validate_element,
     word_length,
 )
-from garside.core import GarsideStructure, _push
+from garside.core import GarsideStructure
 from garside.enumeration import proper_simples
 
 from .conftest import elements_of, perm_mul, simple_divisors
@@ -151,14 +151,15 @@ def payload_slide(S, a, b):
 )
 def test_slide_rows_match_payload_slides(descriptor):
     # All pairs where there are at most SLIDE_ROW_SAMPLE, else a seeded
-    # sample.  Pushing b onto [a] fills the row of a for b; the
+    # sample, Delta and the identity included.  Normalizing a·b makes a the
+    # pending simple and merges b through the row of a, filling it; the
     # row must then hold the interned pair a fresh payload slide gives.
     S = structure_from_descriptor(descriptor)
     pairs = list(itertools.product(S.enumerate_simples(), repeat=2))
     if len(pairs) > SLIDE_ROW_SAMPLE:
         pairs = random.Random(61).sample(pairs, SLIDE_ROW_SAMPLE)
     for a, b in pairs:
-        _push(S, [a], b)
+        normalize(S, 0, (a, b))
     for a, b in pairs:
         row = a.slides[b]
         expected = payload_slide(S, a.payload, b.payload)

@@ -15,7 +15,10 @@ first read from the recorded conjugators, are checked against a summit
 that renormalises the whole word at every step and grows the witness one
 step at a time, also on the long words g^(N^2) that `tnum` summits.
 `_conjugate`, which forms c^{-1} h c with one push at each end of one
-list, is checked against two `multiply` calls and an `invert`.
+list, is checked against two `multiply` calls and an `invert`.  At scale,
+seeded raw lists of up to 300 simples and 2,000-letter words check that
+the pushes leave no Delta and no identity in a working list, and that the
+Deltas they report, settled by their callers, give the oracle's answer.
 """
 
 import random
@@ -25,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garside import (
+    Element,
     cycling,
     decycling,
     delta_power_element,
@@ -39,7 +43,7 @@ from garside import (
     validate_element,
 )
 from garside import cli, core
-from garside.conjugacy import _conjugate
+from garside.conjugacy import _conjugate, _cycle
 
 from .oracle import stack_normalize, token_word_element
 
@@ -186,15 +190,15 @@ def test_summit_of_long_powers_matches_stepwise_renormalisation(g):
 
 
 def push_front_cases_of(S):
-    """(S, Delta run length, g, s): s is any simple but the identity, or the
+    """(S, g, s): s is any simple, Delta and the identity included, or the
     left complement of g's first factor, which forms a Delta and empties the
     slot after it."""
 
     def with_simple(g):
-        simples = st.sampled_from([s for s in S.enumerate_simples() if s.atom_norm])
+        simples = st.sampled_from(S.enumerate_simples())
         if g.factors:
             simples = st.one_of(simples, st.just(S.left_complement(g.factors[0])))
-        return st.tuples(st.just(S), st.integers(0, 2), st.just(g), simples)
+        return st.tuples(st.just(S), st.just(g), simples)
 
     return normal_forms_of(S, max_raw=12, max_inf=0).flatmap(with_simple)
 
@@ -205,13 +209,12 @@ push_front_cases = st.sampled_from(STRUCTURES).flatmap(push_front_cases_of)
 @settings(max_examples=300, deadline=None)
 @given(case=push_front_cases)
 def test_push_front_matches_full_renormalisation(case):
-    S, deltas, g, s = case
-    run = (S.delta(),) * deltas
-    factors = list(run + g.factors)
-    core._push_front(S, factors, s)
-    result = core._finalize(S, 0, factors)
+    S, g, s = case
+    factors = list(g.factors)
+    deltas = core._push_front(S, factors, s)
+    result = Element(S, deltas, tuple(factors))
     validate_element(result)
-    assert result == stack_normalize(S, 0, (s,) + run + g.factors)
+    assert result == stack_normalize(S, 0, (s,) + g.factors)
 
 
 @pytest.mark.parametrize("S", STRUCTURES, ids=lambda S: S.descriptor())
@@ -219,8 +222,8 @@ def test_push_front_of_a_left_complement_forms_a_delta_and_empties_a_slot(S):
     g = normalize(S, 0, random.Random(3).choices(S.enumerate_simples(), k=12))
     assert g.factors
     factors = list(g.factors)
-    core._push_front(S, factors, S.left_complement(g.factors[0]))
-    assert factors == [S.delta(), *g.factors[1:]]
+    assert core._push_front(S, factors, S.left_complement(g.factors[0])) == 1
+    assert factors == list(g.factors[1:])
 
 
 @pytest.mark.parametrize(
@@ -311,3 +314,151 @@ def test_parse_word_normalizes_once(monkeypatch):
     cli.parse_word(S, "a1^3 D a2^-2 a3 D^-2 a1^-1 a3^2 D^3")
     assert calls == {"normalize": 1, "multiply": 0, "power": 0}
     assert not {"multiply", "power"} & set(vars(cli))
+
+
+# ----------------------------------------------------------------------
+# the engine at scale: long seeded raw lists and words on every family
+# ----------------------------------------------------------------------
+
+
+def long_raw(S, rng, n):
+    """n raw simples: Delta, the identity, left complements and the right
+    complement of the previous draw (which forms a Delta with it) each come
+    about one time in eight, and any simple the rest of the time."""
+    simples = S.enumerate_simples()
+    raw = []
+    for _ in range(n):
+        roll = rng.randrange(8)
+        if roll == 0:
+            s = S.delta()
+        elif roll == 1:
+            s = S.identity_simple()
+        elif roll == 2:
+            s = S.left_complement(rng.choice(simples))
+        elif roll == 3 and raw:
+            s = S.right_complement(raw[-1])
+        else:
+            s = rng.choice(simples)
+        raw.append(s)
+    return raw
+
+
+def assert_working_list(S, factors):
+    """No Delta, no identity, every adjacent pair left-weighted."""
+    validate_element(Element(S, 0, tuple(factors)))
+
+
+by_descriptor = pytest.mark.parametrize("S", STRUCTURES, ids=lambda S: S.descriptor())
+
+
+@by_descriptor
+def test_normalize_and_multiply_match_worklist_on_long_raw_lists(S):
+    rng = random.Random(f"long raw {S.descriptor()}")
+    for _ in range(4):
+        r, q = rng.randint(-3, 3), rng.randint(-3, 3)
+        raw = long_raw(S, rng, rng.randint(0, 300))
+        raw2 = long_raw(S, rng, rng.randint(0, 300))
+        g = normalize(S, r, raw)
+        validate_element(g)
+        assert g == stack_normalize(S, r, raw)
+        h = normalize(S, q, raw2)
+        twisted = [S.tau_power(s, q) for s in raw]
+        assert multiply(g, h) == stack_normalize(S, r + q, twisted + raw2)
+
+
+@by_descriptor
+def test_push_and_push_front_split_off_every_delta(S):
+    # Delta^r · L · s = Delta^(r+d) · tau^d(L') and s · L = Delta^d · L'.
+    rng = random.Random(f"pushes {S.descriptor()}")
+    simples = S.enumerate_simples()
+    split = 0
+    for _ in range(4):
+        g = normalize(S, rng.randint(-2, 2), long_raw(S, rng, rng.randint(0, 300)))
+        ends = (S.right_complement(g.factors[-1]), S.left_complement(g.factors[0])) if g.factors else ()
+        for s in (S.delta(), S.identity_simple(), *ends, *rng.sample(simples, min(10, len(simples)))):
+            factors = list(g.factors)
+            deltas = core._push(S, factors, s) or 0
+            assert_working_list(S, factors)
+            back = Element(S, g.inf + deltas, tuple(S.tau_power(f, deltas) for f in factors))
+            assert back == stack_normalize(S, g.inf, g.factors + (s,))
+
+            factors = list(g.factors)
+            front_deltas = core._push_front(S, factors, s)
+            assert_working_list(S, factors)
+            front = Element(S, front_deltas, tuple(factors))
+            assert front == stack_normalize(S, 0, (s,) + g.factors)
+            split += deltas + front_deltas
+    assert split
+
+
+@by_descriptor
+def test_cycle_and_conjugate_that_split_off_a_delta_match_multiply(S):
+    rng = random.Random(f"steps {S.descriptor()}")
+    simples = [s for s in S.enumerate_simples() if s.atom_norm]
+    cycle_splits = conjugate_splits = 0
+    for _ in range(30):
+        h = normalize(S, rng.randint(-2, 2), long_raw(S, rng, rng.randint(1, 12)))
+        if h.factors:
+            factors = list(h.factors)
+            inf, a = _cycle(S, h.inf, factors)
+            assert_working_list(S, factors)
+            a_elt = simple_element(a)
+            assert Element(S, inf, tuple(factors)) == multiply(multiply(invert(a_elt), h), a_elt)
+            cycle_splits += inf > h.inf
+        for c in rng.sample(simples, min(8, len(simples))):
+            result = _conjugate(S, h, c)
+            validate_element(result)
+            c_elt = simple_element(c)
+            assert result == multiply(multiply(invert(c_elt), h), c_elt)
+            # Delta^(p-1) · front · y · c with a Delta split off at both ends.
+            conjugate_splits += result.inf == h.inf + 1
+    assert cycle_splits and conjugate_splits
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["braid:4", "torus:5:3", "product:(product:(braid:3,torus:2:3),braid:3)"]
+)
+def test_long_mixed_words_parse_as_token_by_token(descriptor):
+    # 2,000 atom letters with exponent ±1 and a D^±1 about one token in 50.
+    S = structure_from_descriptor(descriptor)
+    rng = random.Random(f"words {descriptor}")
+    names = [atom.name for atom in S.atoms()]
+    terms = []
+    while len(terms) < 2000:
+        if rng.randrange(50) == 0:
+            terms.append(("D", rng.choice((-1, 1))))
+        terms.append((rng.choice(names), rng.choice((-1, 1))))
+    text = " ".join(f"{name}^{exponent}" for name, exponent in terms)
+    g = cli.parse_word(S, text)
+    validate_element(g)
+    assert g == token_word_element(S, tuple(terms))
+
+
+@by_descriptor
+def test_push_edge_cases(S):
+    delta, identity = S.delta(), S.identity_simple()
+    rng = random.Random(5)
+    g = identity_element(S)
+    while len(g.factors) < 2:
+        g = normalize(S, 0, rng.choices(S.enumerate_simples(), k=12))
+    for start in ([], list(g.factors)):
+        # Pushing Delta only reports it; pushing the identity changes nothing.
+        factors = list(start)
+        assert core._push(S, factors, delta) == 1 and factors == start
+        assert core._push_front(S, factors, delta) == 1 and factors == start
+        assert core._push(S, factors, identity) is None and factors == start
+        assert core._push_front(S, factors, identity) == 0 and factors == start
+    # Onto an empty list, a proper simple is the list.
+    a = S.atom_simple(0)
+    for push in (core._push, core._push_front):
+        factors = []
+        push(S, factors, a)
+        assert factors == [a]
+    # The last factor times its right complement slides to (Delta, identity):
+    # the Delta is reported, the identity popped, and nothing else moves.
+    factors = list(g.factors)
+    assert core._push(S, factors, S.right_complement(g.factors[-1])) == 1
+    assert factors == list(g.factors[:-1])
+    factors = [a]
+    assert core._push(S, factors, S.right_complement(a)) == 1
+    assert factors == []
