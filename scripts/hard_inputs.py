@@ -22,9 +22,12 @@ The words are pinned here from the recipes of the ROADMAP table:
   ``product:(braid:4,torus:5:3)``.
 * H3: ``conj`` of a 12-letter mixed ``braid:7`` word (letters
   ``a<randint(1, 6)>^<±1>`` from ``random.Random(5)``) with its cyclic
-  rotation by one letter, a conjugate, so the answer needs the whole super
-  summit set; and ``sss`` of a 10-letter ``braid:8`` word drawn the same
-  way.
+  rotation by one letter, a conjugate whose summit the walk of the
+  35,212-element super summit set reaches early (H3a); ``sss`` of a
+  10-letter ``braid:8`` word drawn the same way (H3b); and ``conj`` of a
+  10-letter ``braid:6`` word with its reversal (H3c): the two share
+  degree, cycle type and ``(inf_s, sup_s)`` but are not conjugate, so the
+  walk covers the whole 10,516-element super summit set.
 * H4: ``parse_word`` of mixed ``braid:4`` words of 20,000 and 40,000
   letters ``a<randint(1, 3)>^<±1>`` from ``random.Random(0)``, built in
   the subprocess.
@@ -81,6 +84,7 @@ H2 = {
 }
 H3_CONJ = "a5^-1 a6^-1 a6^1 a4^1 a6^1 a2^1 a3^-1 a2^-1 a5^1 a5^1 a1^1 a4^-1"
 H3_SSS = "a5^-1 a6^-1 a7^1 a7^-1 a7^1 a6^1 a2^1 a3^-1 a7^1 a4^1"
+H3_WALK = "a2 a3 a4^-1 a4^-1 a2 a4 a4^-1 a5 a4^-1 a2"
 
 
 def _rotated(word: str) -> str:
@@ -93,6 +97,7 @@ INPUTS: dict[str, tuple[str, object]] = {
     **{k: ("cli", ["root", "--group", d, "-n", "2", w]) for k, (d, w) in {**H1, **H2}.items()},
     "H3a": ("cli", ["conj", "--group", "braid:7", H3_CONJ, _rotated(H3_CONJ)]),
     "H3b": ("cli", ["sss", "--group", "braid:8", H3_SSS]),
+    "H3c": ("cli", ["conj", "--group", "braid:6", H3_WALK, " ".join(H3_WALK.split()[::-1])]),
     "H4a": ("parse", ("braid:4", 20_000, 0)),
     "H4b": ("parse", ("braid:4", 40_000, 0)),
     "H5a": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^20 a2^-20"]),

@@ -27,7 +27,7 @@ import sys
 from collections import Counter
 
 from . import conjugacy, problems, translation
-from .core import Element, GarsideStructure, ResourceLimitError, normalize, word_length
+from .core import Element, GarsideStructure, ResourceLimitError, normalize_word, word_length
 from .problems import ProblemAnswer, UnsupportedStructureError
 from .structures import DescriptorError, structure_from_descriptor
 
@@ -64,11 +64,7 @@ def parse_tokens(text: str) -> tuple[tuple[str, int], ...]:
 
 
 def evaluate_word(S: GarsideStructure, terms: tuple[tuple[str, int], ...]) -> Element:
-    """The element of a token word, with one `normalize` call.
-
-    Read from the right, each Delta moves to the front, s·Delta^d =
-    Delta^d·tau^d(s), and a^{-1} = Delta^{-1}·left_complement(a).
-    """
+    """The element of a token word, with one `normalize_word` call."""
     # Distinct terms in the order they first occur, so the first unknown
     # one is also the first by position.
     counts = Counter(terms)
@@ -80,28 +76,15 @@ def evaluate_word(S: GarsideStructure, terms: tuple[tuple[str, int], ...]) -> El
     atoms = S.atom_by_name()
     letters = {}
     for term in counts:
-        name = term[0]
-        if name == "D" or name in letters:
-            continue
-        if name not in atoms:
+        name, exponent = term
+        if name == "D":
+            letters[term] = (S.delta(), exponent)
+        elif name in atoms:
+            letters[term] = (S.atom_simple(atoms[name].index), exponent)
+        else:
             raise WordParseError(
                 f"unknown generator {name!r} at position {terms.index(term) + 1}")
-        a = S.atom_simple(atoms[name].index)
-        letters[name] = (a, S.left_complement(a))
-    raw = []
-    d = 0
-    for name, exponent in reversed(terms):
-        if name == "D":
-            d += exponent
-            continue
-        a, complement = letters[name]
-        if exponent > 0:
-            raw += [S.tau_power(a, d)] * exponent
-        else:
-            for _ in range(-exponent):
-                raw.append(S.tau_power(complement, d))
-                d -= 1
-    return normalize(S, d, reversed(raw))
+    return normalize_word(S, list(map(letters.__getitem__, terms)))
 
 
 def parse_word(S: GarsideStructure, text: str) -> Element:

@@ -14,21 +14,26 @@ twists the list), and one Element is built at the end.
 The minimal simple of an atom a at x is the ≼-least simple above a that
 keeps x in its super summit set (Franco and González-Meneses, 2003); it is
 found by climbing joins of simples, so each element has at most one
-outgoing conjugator per atom instead of one per simple.  The closure forms
-each conjugate c^{-1} h c on one list too, with a push at the front and one
-at the back, and keeps for each element only the parent link (h, c) it was
-reached by; `closure_witness` multiplies a chain of links into a witness
-only for the element a query asks about.
+outgoing conjugator per atom instead of one per simple.  The walk of the
+set, `_sss_walk`, is a generator: it forms each conjugate c^{-1} h c on one
+list too, with a push at the front and one at the back, inserts it with
+the parent link (h, c) it was reached by, and yields it, so a caller can
+stop at any element and resume later.
 
 `summit(g)` is the class data of g: the invariants, a representative and,
-each built on first use, its witness and the super summit set.
+each built on first use, its witness and the walk of its super summit set.
 `summit(g).conjugator_to(h)` is the one place that compares conjugacy
 classes.  It first compares `class_invariant(h)`, the degree vector and
 the cycle types of the braid permutations, with the one cached for g:
 both come from homomorphisms to abelian or permutation groups, so
 conjugate elements agree on them, and a difference rejects h before any
 summit.  Agreement proves nothing, so it then summits h with summit(g) as
-the target, tests membership and chains witnesses.
+the target and walks g's set only until h's representative is inserted,
+or to its end; the walk is kept, so later queries on the same class (the
+candidates of one root search) resume it.  The witness is one word of
+simples, normalized once: g's cycling conjugators, its decycled factors
+inverted, the link path to h's representative, and h's summit witness
+inverted.
 `summit(h, target=sd)` stops as soon as the invariants of h are known to
 differ from those of sd, because cycling never lowers inf and decycling
 never raises sup (Elrifai and Morton), so a search that only compares
@@ -40,8 +45,9 @@ multiplication; nothing is a trust-me boolean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 from .core import (
     Element,
@@ -54,8 +60,8 @@ from .core import (
     cycle_types,
     degree,
     invert,
-    multiply,
     normalize,
+    normalize_word,
 )
 
 DEFAULT_SSS_CAP = 100_000
@@ -68,12 +74,17 @@ class SummitData:
     """Summit invariants of a conjugacy class plus a realising conjugate.
 
     The witness w satisfies w^{-1} · g · w = representative for the queried
-    element g; it is assembled from the recorded cycling conjugators
-    a_1 ... a_p and decycling factors s_1 ... s_q on first use, as is
-    `closure`, the super summit set with a parent link per element, and
-    each is kept once built.  `conjugator_to(h)` summits h against these
-    invariants, looks its representative up in `closure` and rebuilds the
-    witness of that one element from the links.
+    element g; it is normalized from the recorded cycling conjugators
+    a_1 ... a_p and decycling factors s_1 ... s_q on first use.  The super
+    summit set is walked lazily, breadth first from the representative
+    with a parent link per element, and the walk is kept between queries:
+    `conjugator_to(h)` summits h against these invariants and advances the
+    walk only until h's representative is reached or the set ends, so a
+    conjugate within `DEFAULT_SSS_CAP` elements of the representative is
+    found even in a larger set; `closure` walks the whole set.  Once the
+    walk has passed the cap, every later query that needs it raises
+    `ResourceLimitError` again, so a capped walk never reads as a finished
+    one.
     """
 
     inf_s: int
@@ -81,12 +92,17 @@ class SummitData:
     representative: Element
     cycled: tuple[Simple, ...]
     decycled: tuple[Simple, ...]
+    # The message of the walk's cap failure, once it has failed.
+    _failure: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def witness(self) -> Element:
         """w = a_1 ... a_p · s_1^{-1} ... s_q^{-1} = a_1 ... a_p · (s_q ... s_1)^{-1}."""
-        S = self.representative.structure
-        return multiply(normalize(S, 0, self.cycled), invert(normalize(S, 0, self.decycled[::-1])))
+        return normalize_word(self.representative.structure, self._witness_word())
+
+    def _witness_word(self) -> list[tuple[Simple, int]]:
+        """The witness as a word of simples with exponents."""
+        return [(a, 1) for a in self.cycled] + [(s, -1) for s in self.decycled]
 
     @cached_property
     def invariant(self) -> tuple:
@@ -94,10 +110,34 @@ class SummitData:
         return class_invariant(self.representative)
 
     @cached_property
+    def _links(self) -> Closure:
+        """The part of the super summit set walked so far, as {element: parent link}."""
+        return {self.representative: None}
+
+    @cached_property
+    def _walk(self) -> Iterator[Element]:
+        """The walk that fills `_links`, kept between queries."""
+        return _sss_walk(self._links, DEFAULT_SSS_CAP)
+
+    def _reaches(self, h: Element | None) -> bool:
+        """Whether h is in the super summit set, walking only until it is
+        inserted (the whole set for None); raises for a walk past the cap."""
+        if self._failure is not None:
+            raise ResourceLimitError(self._failure)
+        if h in self._links:
+            return True
+        try:
+            return any(x == h for x in self._walk)
+        except ResourceLimitError as failure:
+            object.__setattr__(self, "_failure", str(failure))
+            raise
+
+    @property
     def closure(self) -> Closure:
         """The super summit set as {element: parent link} rooted at the
         representative; `closure_witness` turns a link chain into a witness."""
-        return _sss_closure(self.representative, DEFAULT_SSS_CAP)
+        self._reaches(None)
+        return self._links
 
     def conjugator_to(self, h: Element) -> Element | None:
         """With self = summit(g): w with w^{-1} · g · w = h, or None."""
@@ -106,14 +146,17 @@ class SummitData:
         return self._summit_conjugator(h)
 
     def _summit_conjugator(self, h: Element) -> Element | None:
-        """`conjugator_to(h)` for an h already known to share `self.invariant`."""
+        """`conjugator_to(h)` for an h already known to share `self.invariant`.
+
+        w = (witness of g) · (path to h's representative) · (witness of h)^{-1},
+        normalized as one word.
+        """
         other = summit(h, target=self)
-        if other is None:
+        if other is None or not self._reaches(other.representative):
             return None
-        if other.representative not in self.closure:
-            return None
-        path = closure_witness(self.closure, other.representative)
-        return multiply(multiply(self.witness, path), invert(other.witness))
+        path = [(c, 1) for c in _link_path(self._links, other.representative)]
+        inverse = [(s, -e) for s, e in reversed(other._witness_word())]
+        return normalize_word(h.structure, self._witness_word() + path + inverse)
 
 
 def class_invariant(g: Element) -> tuple:
@@ -283,23 +326,26 @@ def _conjugate(S: GarsideStructure, h: Element, c: Simple) -> Element:
     return Element(S, inf, tuple(factors))
 
 
-def _sss_closure(rep: Element, cap: int) -> Closure:
-    """The super summit set as {element: parent link}, rooted at rep.
+def _sss_walk(seen: Closure, cap: int) -> Iterator[Element]:
+    """Walk the super summit set breadth first from the one key of `seen`.
 
-    rep must lie in its super summit set, any two elements of which are
-    linked by conjugations by simples that stay in the set (Elrifai and
-    Morton).  Such a simple s for h lies above some atom, hence above that
-    atom's minimal simple c at h, and c^{-1} s is a shorter simple of the
-    same kind for c^{-1} h c; so conjugating each h by the distinct minimal
-    simples of the atoms, at most one per atom, reaches the whole set.  The
-    conjugators of each h are tried in canonical order, as in the
-    closure under all simples.  Each element other than rep maps to the
-    pair (h, c) it was first reached by, element = c^{-1} · h · c, and rep
-    maps to None; `closure_witness` follows the links back to rep.
+    That key, rep, must lie in its super summit set, any two elements of
+    which are linked by conjugations by simples that stay in the set
+    (Elrifai and Morton).  Such a simple s for h lies above some atom,
+    hence above that atom's minimal simple c at h, and c^{-1} s is a
+    shorter simple of the same kind for c^{-1} h c; so conjugating each h
+    by the distinct minimal simples of the atoms, at most one per atom,
+    reaches the whole set.  The conjugators of each h are tried in
+    canonical order, as in the closure under all simples.  Each new
+    element is inserted into `seen` with the pair (h, c) it was first
+    reached by, element = c^{-1} · h · c, and rep keeps its link None;
+    after each insert the size is tested against the cap, which raises
+    `ResourceLimitError`, and then the element is yielded, so a caller can
+    stop the walk at any element and resume it later.
     """
+    (rep,) = seen
     S = rep.structure
     atoms = [S.atom_simple(i) for i in range(len(S.atoms()))]
-    seen: Closure = {rep: None}
     frontier = [rep]
     while frontier:
         nxt = []
@@ -315,23 +361,34 @@ def _sss_closure(rep: Element, cap: int) -> Closure:
                     raise ResourceLimitError(
                         f"super summit set exceeds cap of {cap} elements"
                     )
+                yield h2
         frontier = nxt
+
+
+def _sss_closure(rep: Element, cap: int) -> Closure:
+    """The super summit set as {element: parent link}, rooted at rep: the
+    whole of `_sss_walk`; `closure_witness` follows the links back to rep."""
+    seen: Closure = {rep: None}
+    for _ in _sss_walk(seen, cap):
+        pass
     return seen
 
 
-def closure_witness(closure: Closure, h: Element) -> Element:
-    """The w with w^{-1} · rep · w = h, for h a key of the closure rooted at rep.
-
-    The conjugators on the parent links from h back to rep, read in the
-    order rep first, multiply to w.
-    """
+def _link_path(closure: Closure, h: Element) -> list[Simple]:
+    """The conjugators on the parent links from rep to h, rep first."""
     path = []
     link = closure[h]
     while link is not None:
         h, c = link
         path.append(c)
         link = closure[h]
-    return normalize(h.structure, 0, reversed(path))
+    return path[::-1]
+
+
+def closure_witness(closure: Closure, h: Element) -> Element:
+    """The w with w^{-1} · rep · w = h, for h a key of the closure rooted at rep:
+    the product of the conjugators on the links from rep to h."""
+    return normalize(h.structure, 0, _link_path(closure, h))
 
 
 def super_summit_set(g: Element, cap: int | None = None) -> tuple[Element, ...]:

@@ -57,7 +57,7 @@ import dataclasses
 import functools
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 # A simple costs a few hundred bytes, so a table of this many is a few
 # hundred MB; no structure with more is ever tabulated.
@@ -559,6 +559,30 @@ def normalize(structure: GarsideStructure, delta_power: int, raw_factors: Iterab
     if owed:
         factors = map(S.twist(owed).__getitem__, factors)
     return Element(S, delta_power + owed, tuple(factors))
+
+
+def normalize_word(structure: GarsideStructure, word: Sequence[tuple[Simple, int]]) -> Element:
+    """The normal form of s_1^e_1 · ... · s_m^e_m, with one `normalize` call.
+
+    Read from the right, each Delta moves to the front, s·Delta^d =
+    Delta^d·tau^d(s), and s^{-1} = Delta^{-1}·left_complement(s), so the
+    word becomes Delta^d · (one positive raw factor per letter).
+    """
+    S = structure
+    delta = S.delta()
+    raw = []
+    d = 0
+    for s, exponent in reversed(word):
+        if s is delta:
+            d += exponent
+        elif exponent > 0:
+            raw += [S.tau_power(s, d)] * exponent
+        else:
+            complement = S.left_complement(s)
+            for _ in range(-exponent):
+                raw.append(S.tau_power(complement, d))
+                d -= 1
+    return normalize(S, d, reversed(raw))
 
 
 def identity_element(structure: GarsideStructure) -> Element:

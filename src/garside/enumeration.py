@@ -7,7 +7,9 @@ pair (s, t) is already left-weighted, and `followers(s)` is the row of s,
 cached on its first lookup.  Enumeration order is the canonical
 sorted order of simples, so first hits of candidate searches are
 deterministic.  Asked for a total degree, the enumeration cuts every
-prefix whose remaining factors cannot reach it and keeps that order.
+prefix whose remaining factors cannot reach it and keeps that order.  The
+walk keeps its position on explicit stacks, one level per factor, so a
+window of any length enumerates without recursion.
 """
 
 from __future__ import annotations
@@ -43,9 +45,15 @@ def followers(s: Simple) -> tuple[Simple, ...]:
 
 @functools.cache
 def _degree_bounds(S: GarsideStructure) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The least and the greatest degree of a proper simple, per coordinate."""
-    columns = tuple(zip(*(S.degree(s) for s in proper_simples(S))))
-    return tuple(map(min, columns)), tuple(map(max, columns))
+    """The least and the greatest degree of a proper simple, per coordinate.
+
+    Every proper simple lies above an atom and atoms are proper (braid:2,
+    whose one atom is Delta, has no proper simples), so the least is the
+    least atom weight; ∂ permutes the proper simples and
+    deg(s) + deg(∂s) = deg(Delta), so the greatest is deg(Delta) minus it.
+    """
+    lows = tuple(map(min, zip(*S._atom_weights())))
+    return lows, tuple(map(sub, S.degree(S.delta()), lows))
 
 
 def factor_sequences(
@@ -56,9 +64,11 @@ def factor_sequences(
     With `degree`, only those whose factor degrees sum to it, in the same
     order: a prefix is cut when the factors still to come, each between
     the least and the greatest degree of a proper simple in every
-    coordinate, cannot make up the rest.
+    coordinate, cannot make up the rest.  The walk keeps its position on
+    explicit stacks, one level per factor chosen: the chosen factors, the
+    degree each prefix leaves to make up, and an iterator over the options
+    for the next factor; so a window of any length takes no recursion.
     """
-    stack: list[Simple] = []
     if degree is not None:
         # reach[k]: the least and greatest degree sums of k more factors.
         lows, highs = _degree_bounds(S)
@@ -67,25 +77,34 @@ def factor_sequences(
         low, high = reach[length]
         if not (all(map(le, low, degree)) and all(map(le, degree, high))):
             return
-
-    def walk(rest) -> Iterator[tuple[Simple, ...]]:
-        if len(stack) == length:
-            yield tuple(stack)
-            return
-        options = followers(stack[-1]) if stack else proper_simples(S)
-        if rest is not None:
-            low, high = reach[length - len(stack) - 1]
-        for s in options:
-            after = rest
-            if rest is not None:
-                after = tuple(map(sub, rest, S.degree(s)))
+    if length == 0:
+        yield ()
+        return
+    prefix: list[Simple] = []
+    rests = [degree]
+    options = [iter(proper_simples(S))]
+    while options:
+        depth = len(prefix)
+        if degree is not None:
+            low, high = reach[length - depth - 1]
+        for s in options[-1]:
+            after = rests[-1]
+            if after is not None:
+                after = tuple(map(sub, after, S.degree(s)))
                 if not (all(map(le, low, after)) and all(map(le, after, high))):
                     continue
-            stack.append(s)
-            yield from walk(after)
-            stack.pop()
-
-    yield from walk(degree)
+            if depth + 1 == length:
+                yield (*prefix, s)
+                continue
+            prefix.append(s)
+            rests.append(after)
+            options.append(iter(followers(s)))
+            break
+        else:
+            options.pop()
+            rests.pop()
+            if prefix:
+                prefix.pop()
 
 
 def sample_element(

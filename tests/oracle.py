@@ -10,11 +10,14 @@ simples with every conjugate and witness multiplied out,
 translation estimates from the one-power bracket that must contain the exact
 value for every n >= 1, the exact translation triple from two summits, one
 of g^n and one of g^{-n}, bounded-denominator rationals in an interval by a
-scan in rational arithmetic, conjugacy by summits and the super summit set
-alone with no class-invariant prefilter, root searches over every
+scan in rational arithmetic, conjugacy by summits and the whole super
+summit set alone with no class-invariant prefilter and the witness
+multiplied out piece by piece, root searches over every
 (inf, sup) window that homogeneity alone allows and over the one window
 with no degree or permutation pruning, proper-power searches over every
-degree up to N·t_D, normal forms by a worklist of dirty pairs,
+degree up to N·t_D, the degree bounds of proper simples by taking the
+degree of each, left-weighted factor sequences by one recursive generator
+per factor, normal forms by a worklist of dirty pairs,
 token words evaluated one `power` and one `multiply` per token, and the
 product of two simples and an atom word of each simple by the braid and
 torus families' own formulas, not the lattice derivation in `core`.
@@ -25,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
+from operator import le, sub
+from typing import Iterator
 
 from garside import (
     BraidStructure,
@@ -41,6 +46,7 @@ from garside import (
     identity_element,
     invert,
     multiply,
+    normalize,
     power,
     simple_element,
     summit,
@@ -48,7 +54,7 @@ from garside import (
 )
 from garside import problems
 from garside.conjugacy import _min_simple, closure_witness
-from garside.enumeration import factor_sequences
+from garside.enumeration import factor_sequences, followers, proper_simples
 
 
 class MultipleCandidatesError(RuntimeError):
@@ -243,11 +249,20 @@ def scan_rational_in_interval(lo: Fraction, hi: Fraction, maxden: int) -> Fracti
     return found.pop() if found else None
 
 
+def piecewise_witness(sd: SummitData) -> Element:
+    """The witness a_1 ... a_p · (s_q ... s_1)^{-1} of a summit from its
+    recorded conjugators, by two normalizations, an inverse and a product."""
+    S = sd.representative.structure
+    return multiply(normalize(S, 0, sd.cycled), invert(normalize(S, 0, sd.decycled[::-1])))
+
+
 def invariant_free_conjugator(sd: SummitData, h: Element) -> Element | None:
     """With sd = summit(g): w with w^{-1} · g · w = h, or None.
 
     `SummitData.conjugator_to` without its degree and cycle-type test: h is
-    summited against sd and its representative looked up in the closure.
+    summited against sd, its representative looked up in the whole closure,
+    and the witness multiplied out piece by piece: g's summit witness, the
+    path to h's representative and the inverse of h's summit witness.
     """
     other = summit(h, target=sd)
     if other is None:
@@ -255,7 +270,7 @@ def invariant_free_conjugator(sd: SummitData, h: Element) -> Element | None:
     if other.representative not in sd.closure:
         return None
     path = closure_witness(sd.closure, other.representative)
-    return multiply(multiply(sd.witness, path), invert(other.witness))
+    return multiply(multiply(piecewise_witness(sd), path), invert(piecewise_witness(other)))
 
 
 def unpruned_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAnswer:
@@ -330,6 +345,48 @@ def every_degree_proper_power(g: Element) -> ProblemAnswer:
         if answer.is_solution:
             return answer
     return ProblemAnswer.no_solution()
+
+
+def enumerated_degree_bounds(S: GarsideStructure) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The least and greatest degree of a proper simple, per coordinate,
+    taken over the degree of every proper simple."""
+    columns = tuple(zip(*(S.degree(s) for s in proper_simples(S))))
+    return tuple(map(min, columns)), tuple(map(max, columns))
+
+
+def recursive_factor_sequences(
+    S: GarsideStructure, length: int, degree: tuple[int, ...] | None = None
+) -> Iterator[tuple[Simple, ...]]:
+    """The left-weighted sequences of `length` proper simples, by one
+    recursive generator per factor, with the degree cut of
+    `enumeration.factor_sequences` on the enumerated degree bounds."""
+    stack: list[Simple] = []
+    if degree is not None:
+        lows, highs = enumerated_degree_bounds(S)
+        reach = [(tuple(k * v for v in lows), tuple(k * v for v in highs))
+                 for k in range(length + 1)]
+        low, high = reach[length]
+        if not (all(map(le, low, degree)) and all(map(le, degree, high))):
+            return
+
+    def walk(rest) -> Iterator[tuple[Simple, ...]]:
+        if len(stack) == length:
+            yield tuple(stack)
+            return
+        options = followers(stack[-1]) if stack else proper_simples(S)
+        if rest is not None:
+            low, high = reach[length - len(stack) - 1]
+        for s in options:
+            after = rest
+            if rest is not None:
+                after = tuple(map(sub, rest, S.degree(s)))
+                if not (all(map(le, low, after)) and all(map(le, after, high))):
+                    continue
+            stack.append(s)
+            yield from walk(after)
+            stack.pop()
+
+    yield from walk(degree)
 
 
 def stack_normalize(S: GarsideStructure, delta_power: int, raw_factors) -> Element:

@@ -1,6 +1,6 @@
 """Summits that pay only for what they decide.
 
-The witness of `summit(g)` is assembled on first read, and
+The witness of `summit(g)` is normalized as one word on first read, and
 `summit(x, target=sd)` stops as soon as the invariants of x are known to
 differ from those of sd.  Both are checked against the plain summit on the
 families of `test_repair_paths`, and by counting the normalizations the
@@ -14,6 +14,7 @@ from garside import GarsideStructure, braid_structure, conjugacy, invert, multip
 from garside.cli import parse_word, run_command
 from garside.enumeration import factor_sequences, followers, proper_simples
 
+from .conftest import assert_conjugate_by
 from .test_repair_paths import STRUCTURES, normal_forms_of
 
 
@@ -77,25 +78,28 @@ def counting(monkeypatch, name):
 
 
 def test_witness_is_built_on_first_read(monkeypatch):
-    calls = counting(monkeypatch, "normalize")
-    products = counting(monkeypatch, "multiply")
+    words = counting(monkeypatch, "normalize_word")
     # Both cycling and decycling record conjugators for this word.  The steps
-    # work on one list of factors, so the summit itself multiplies nothing.
-    sd = summit(parse_word(braid_structure(4), "a1^-1 a2 a3^2 a2^-1 a1"))
+    # work on one list of factors, so the summit itself normalizes nothing.
+    g = parse_word(braid_structure(4), "a1^-1 a2 a3^2 a2^-1 a1")
+    sd = summit(g)
     assert sd.cycled and sd.decycled
-    assert calls == [] and products == []
+    assert words == []
     witness = sd.witness
-    assert len(calls) == 2 and len(products) == 1
+    # One word: the cycling conjugators, then the decycled factors inverted.
+    assert len(words) == 1
     assert sd.witness is witness
-    assert len(calls) == 2
+    assert len(words) == 1
+    assert_conjugate_by(witness, g, sd.representative)
 
 
 def test_rejected_root_candidates_build_no_witness(monkeypatch, capsys):
+    words = counting(monkeypatch, "normalize_word")
     calls = counting(monkeypatch, "normalize")
     # A catalog negative: every candidate cube is rejected on its invariants.
     assert run_command(["root", "--group", "braid:4", "--json", "-n", "3", "a1 a2 a1 a1"]) == 0
     assert '"outcome": "no_solution"' in capsys.readouterr().out
-    assert calls == []
+    assert words == [] and calls == []
 
 
 def test_first_candidate_builds_one_follower_row():

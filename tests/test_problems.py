@@ -194,7 +194,10 @@ def test_root_search_resource_limit_is_distinct(monkeypatch):
 
 
 def test_proper_power_search_computes_class_data_once(monkeypatch):
-    calls = {"translation_triple": 0, "_sss_closure": 0}
+    # Walks of the super summit set started, not `_sss_closure` calls: a
+    # root candidate advances the one walk of g's summit data, and only as
+    # far as it needs.
+    calls = {"translation_triple": 0, "_sss_walk": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -204,14 +207,25 @@ def test_proper_power_search_computes_class_data_once(monkeypatch):
         return wrapper
 
     for name, fn in (("translation_triple", translation.translation_triple),
-                     ("_sss_closure", conjugacy._sss_closure)):
+                     ("_sss_walk", conjugacy._sss_walk)):
         for module in (translation, conjugacy, problems):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
+    reached = []
+    original = conjugacy.SummitData._reaches
+    monkeypatch.setattr(conjugacy.SummitData, "_reaches",
+                        lambda sd, h: reached.append(h) or original(sd, h))
     g = parse_word(B3, "a1^5 a2^3")
     assert solve_proper_power_conjugacy(g).is_no_solution
     assert calls["translation_triple"] == 1
-    assert calls["_sss_closure"] <= 1
+    assert calls["_sss_walk"] <= 1
+    # Six root candidates of this word reach its summit invariants, all on one walk.
+    calls["translation_triple"] = 0
+    g = parse_word(B3, "a2^3 a1^-2 a2")
+    assert solve_proper_power_conjugacy(g).is_no_solution
+    assert calls["translation_triple"] == 1
+    assert len(reached) == 6
+    assert calls["_sss_walk"] == 1
 
 
 def test_root_search_builds_super_summit_set_only_when_needed(monkeypatch):

@@ -7,11 +7,12 @@ with a rightward pass.  `invert` reads its normal form off directly,
 `multiply` twists the left factors only when tau^{h.inf} is not the
 identity, `summit` cycles and decycles on one working list with one push
 at either end, `cycling` and `decycling` are single steps of it, and
-`parse_word` normalizes a whole token word once.  Each is checked against
+`core.normalize_word`, which `parse_word` calls, normalizes a whole word
+of simples with exponents once.  Each is checked against
 `oracle.stack_normalize` of the whole raw factor sequence, with every
-adjacent pair marked dirty, or against the word evaluated one token at a
-time.  The summit representative and witness, the witness assembled on
-first read from the recorded conjugators, are checked against a summit
+adjacent pair marked dirty, or against the word evaluated one letter or
+token at a time.  The summit representative and witness, the witness
+normalized on first read from the recorded conjugators, are checked against a summit
 that renormalises the whole word at every step and grows the witness one
 step at a time, also on the long words g^(N^2) that `tnum` summits.
 `_conjugate`, which forms c^{-1} h c with one push at each end of one
@@ -295,6 +296,24 @@ def test_parse_word_matches_token_by_token_evaluation(case):
     assert g == token_word_element(S, terms)
 
 
+def simple_words_of(S):
+    """Words of any simples, the identity and Delta included, with exponents in ±1..2."""
+    letters = st.tuples(st.sampled_from(S.enumerate_simples()), st.sampled_from((-2, -1, 1, 2)))
+    return st.tuples(st.just(S), st.lists(letters, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(STRUCTURES).flatmap(simple_words_of))
+def test_normalize_word_matches_letter_by_letter_products(case):
+    S, word = case
+    g = core.normalize_word(S, word)
+    validate_element(g)
+    expected = identity_element(S)
+    for s, exponent in word:
+        expected = multiply(expected, power(simple_element(s), exponent))
+    assert g == expected
+
+
 def test_parse_word_normalizes_once(monkeypatch):
     calls = {"normalize": 0, "multiply": 0, "power": 0}
 
@@ -307,7 +326,7 @@ def test_parse_word_normalizes_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cli, "normalize")
+    counted(core, "normalize")
     counted(core, "multiply")
     counted(core, "power")
     S = structure_from_descriptor("braid:4")
