@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the hard inputs H1-H7 of ROADMAP.md, each in a fresh interpreter.
+"""Time the hard inputs H1-H8 of ROADMAP.md, each in a fresh interpreter.
 
     python3 scripts/hard_inputs.py [ID ...] [--src SRC] [--timeout 60]
 
@@ -42,6 +42,14 @@ The words are pinned here from the recipes of the ROADMAP table:
 * H7: ``root -n 2`` on ``L.a1^2 R.a1^2`` in ``product:(braid:8,braid:8)``:
   the root search needs the table of simples, 40,320^2 of them, far above
   ``core.MAX_SIMPLES``.
+* H8: five queries of a seeded hostile sweep, pinned with the exact argv
+  of the ROADMAP rows: ``properpower`` on a mixed ``braid:7`` word (H8a),
+  ``root -n 2`` on a ``braid:7`` word (H8b), ``root -n 3`` on a
+  ``braid:6`` word whose 12-factor window has a cube root's degree and
+  cycle type (H8c), ``properpower`` on a ``product:(braid:5,braid:5)``
+  word (H8d) and ``sss`` of the 3-letter ``braid:7`` word
+  ``a6 a2^2 a3^-2``, whose super summit set runs towards the cap (H8e).
+  Each takes from several seconds to more than 90.
 """
 
 from __future__ import annotations
@@ -106,6 +114,15 @@ INPUTS: dict[str, tuple[str, object]] = {
     "H6a": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^9 a2^-12 a1^10 a2^-11"]),
     "H6b": ("cli", ["root", "--group", "braid:3", "-n", "2", "a1^12 a2^-9 a1^11 a2^-10"]),
     "H7": ("cli", ["root", "--group", "product:(braid:8,braid:8)", "-n", "2", "L.a1^2 R.a1^2"]),
+    "H8a": ("cli", ["properpower", "--group", "braid:7",
+                    "a2^-4 a3 a5^-2 a4^2 a2 a2^-1 a2^-2 a5^-2"]),
+    "H8b": ("cli", ["root", "-n", "2", "--group", "braid:7",
+                    "a3 a4^-1 a4^2 a2 a2^8 a6^2 a2^2 a3^2 a2^-2 a2^11"]),
+    "H8c": ("cli", ["root", "-n", "3", "--group", "braid:6",
+                    "a3^-1 a3^-1 a2^-1 a4 a2 a1 a4^-1 a1 a3^-1 a5 a3^29 a5^24 a3^10"]),
+    "H8d": ("cli", ["properpower", "--group", "product:(braid:5,braid:5)",
+                    "R.a3^-1 R.a1 L.a4^15 L.a1^-1"]),
+    "H8e": ("cli", ["sss", "--group", "braid:7", "a6 a2^2 a3^-2"]),
 }
 
 # Runs in the subprocess: argv[1] is the source tree, argv[2] the input as

@@ -60,7 +60,6 @@ from .core import (
     cycle_types,
     degree,
     invert,
-    normalize,
     normalize_word,
 )
 
@@ -81,10 +80,10 @@ class SummitData:
     `conjugator_to(h)` summits h against these invariants and advances the
     walk only until h's representative is reached or the set ends, so a
     conjugate within `DEFAULT_SSS_CAP` elements of the representative is
-    found even in a larger set; `closure` walks the whole set.  Once the
-    walk has passed the cap, every later query that needs it raises
-    `ResourceLimitError` again, so a capped walk never reads as a finished
-    one.
+    found even in a larger set.  Once the walk has passed the cap, every
+    later query that needs it raises `ResourceLimitError` again, so a
+    capped walk never reads as a finished one.  The whole set is drained
+    by `super_summit_set`, not here.
     """
 
     inf_s: int
@@ -119,9 +118,9 @@ class SummitData:
         """The walk that fills `_links`, kept between queries."""
         return _sss_walk(self._links, DEFAULT_SSS_CAP)
 
-    def _reaches(self, h: Element | None) -> bool:
+    def _reaches(self, h: Element) -> bool:
         """Whether h is in the super summit set, walking only until it is
-        inserted (the whole set for None); raises for a walk past the cap."""
+        inserted; raises for a walk past the cap."""
         if self._failure is not None:
             raise ResourceLimitError(self._failure)
         if h in self._links:
@@ -131,13 +130,6 @@ class SummitData:
         except ResourceLimitError as failure:
             object.__setattr__(self, "_failure", str(failure))
             raise
-
-    @property
-    def closure(self) -> Closure:
-        """The super summit set as {element: parent link} rooted at the
-        representative; `closure_witness` turns a link chain into a witness."""
-        self._reaches(None)
-        return self._links
 
     def conjugator_to(self, h: Element) -> Element | None:
         """With self = summit(g): w with w^{-1} · g · w = h, or None."""
@@ -367,7 +359,7 @@ def _sss_walk(seen: Closure, cap: int) -> Iterator[Element]:
 
 def _sss_closure(rep: Element, cap: int) -> Closure:
     """The super summit set as {element: parent link}, rooted at rep: the
-    whole of `_sss_walk`; `closure_witness` follows the links back to rep."""
+    whole of `_sss_walk`, the one place that drains it."""
     seen: Closure = {rep: None}
     for _ in _sss_walk(seen, cap):
         pass
@@ -383,12 +375,6 @@ def _link_path(closure: Closure, h: Element) -> list[Simple]:
         path.append(c)
         link = closure[h]
     return path[::-1]
-
-
-def closure_witness(closure: Closure, h: Element) -> Element:
-    """The w with w^{-1} · rep · w = h, for h a key of the closure rooted at rep:
-    the product of the conjugators on the links from rep to h."""
-    return normalize(h.structure, 0, _link_path(closure, h))
 
 
 def super_summit_set(g: Element, cap: int | None = None) -> tuple[Element, ...]:

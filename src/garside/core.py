@@ -95,8 +95,7 @@ class Simple:
 
     `slides` is the simple's row of left-weighted pairs, filled by the
     normal-form engine: `slides[b]` is `structure.slide(self, b)`, kept
-    only here.  `orbit` is the simple's orbit under tau, (s, tau(s), ...),
-    filled by the first `structure.tau_power(self, k)`.
+    only here.
     """
 
     structure: "GarsideStructure" = field(repr=False)
@@ -105,7 +104,6 @@ class Simple:
     slides: dict["Simple", tuple["Simple", "Simple"]] = field(
         default_factory=dict, init=False, repr=False
     )
-    orbit: list["Simple"] = field(default_factory=list, init=False, repr=False)
 
     def __lt__(self, other: "Simple"):
         if not isinstance(other, Simple):
@@ -332,22 +330,17 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         return self.left_complement(suffix)
 
     def tau_power(self, s: Simple, k: int) -> Simple:
-        """tau^k(s), read from the orbit row of s, filled on first use."""
-        orbit = s.orbit
-        if not orbit:
-            t = s
-            while not orbit or t is not s:
-                orbit.append(t)
-                t = self.tau_simple(t)
-        return orbit[k % len(orbit)]
+        """tau^k(s), read from the table that `twist(k)` serves."""
+        twists = self._twists
+        return twists[k % len(twists)][s]
 
     def twist(self, k: int) -> "_Twist":
         """tau^k as a dict on simples: `map(S.twist(k).__getitem__, run)`
         twists a run of factors without a Python call per factor."""
-        twists = self._twists()
+        twists = self._twists
         return twists[k % len(twists)]
 
-    @functools.cache
+    @functools.cached_property
     def _twists(self) -> tuple["_Twist", ...]:
         return tuple(_Twist(self, k) for k in range(self.tau_order()))
 
@@ -397,7 +390,8 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
 
 
 class _Twist(dict):
-    """tau^k on the simples of one structure, filled on first lookup."""
+    """tau^k on the simples of one structure, for 0 <= k < tau_order(),
+    filled on first lookup by applying tau k times."""
 
     __slots__ = ("structure", "k")
 
@@ -406,7 +400,10 @@ class _Twist(dict):
         self.structure, self.k = structure, k
 
     def __missing__(self, s: Simple) -> Simple:
-        t = self[s] = self.structure.tau_power(s, self.k)
+        t = s
+        for _ in range(self.k):
+            t = self.structure.tau_simple(t)
+        self[s] = t
         return t
 
 

@@ -6,9 +6,9 @@ proper simples (neither identity nor Delta): t may follow s exactly when the
 pair (s, t) is already left-weighted, and `followers(s)` is the row of s,
 cached on its first lookup.  Enumeration order is the canonical
 sorted order of simples, so first hits of candidate searches are
-deterministic.  Asked for a total degree, the enumeration cuts every
-prefix whose remaining factors cannot reach it and keeps that order.  The
-walk keeps its position on explicit stacks, one level per factor, so a
+deterministic.  Every enumeration is asked for a total degree, and cuts
+every prefix whose remaining factors cannot reach it, keeping that order.
+The walk keeps its position on explicit stacks, one level per factor, so a
 window of any length enumerates without recursion.
 """
 
@@ -57,26 +57,25 @@ def _degree_bounds(S: GarsideStructure) -> tuple[tuple[int, ...], tuple[int, ...
 
 
 def factor_sequences(
-    S: GarsideStructure, length: int, degree: tuple[int, ...] | None = None
+    S: GarsideStructure, length: int, degree: tuple[int, ...]
 ) -> Iterator[tuple[Simple, ...]]:
-    """All left-weighted sequences of `length` proper simples.
+    """The left-weighted sequences of `length` proper simples whose factor
+    degrees sum to `degree`, in canonical order.
 
-    With `degree`, only those whose factor degrees sum to it, in the same
-    order: a prefix is cut when the factors still to come, each between
-    the least and the greatest degree of a proper simple in every
-    coordinate, cannot make up the rest.  The walk keeps its position on
-    explicit stacks, one level per factor chosen: the chosen factors, the
-    degree each prefix leaves to make up, and an iterator over the options
-    for the next factor; so a window of any length takes no recursion.
+    A prefix is cut when the factors still to come, each between the least
+    and the greatest degree of a proper simple in every coordinate, cannot
+    make up the rest.  The walk keeps its position on explicit stacks, one
+    level per factor chosen: the chosen factors, the degree each prefix
+    leaves to make up, and an iterator over the options for the next
+    factor; so a window of any length takes no recursion.
     """
-    if degree is not None:
-        # reach[k]: the least and greatest degree sums of k more factors.
-        lows, highs = _degree_bounds(S)
-        reach = [(tuple(k * v for v in lows), tuple(k * v for v in highs))
-                 for k in range(length + 1)]
-        low, high = reach[length]
-        if not (all(map(le, low, degree)) and all(map(le, degree, high))):
-            return
+    # reach[k]: the least and greatest degree sums of k more factors.
+    lows, highs = _degree_bounds(S)
+    reach = [(tuple(k * v for v in lows), tuple(k * v for v in highs))
+             for k in range(length + 1)]
+    low, high = reach[length]
+    if not (all(map(le, low, degree)) and all(map(le, degree, high))):
+        return
     if length == 0:
         yield ()
         return
@@ -85,14 +84,11 @@ def factor_sequences(
     options = [iter(proper_simples(S))]
     while options:
         depth = len(prefix)
-        if degree is not None:
-            low, high = reach[length - depth - 1]
+        low, high = reach[length - depth - 1]
         for s in options[-1]:
-            after = rests[-1]
-            if after is not None:
-                after = tuple(map(sub, after, S.degree(s)))
-                if not (all(map(le, low, after)) and all(map(le, after, high))):
-                    continue
+            after = tuple(map(sub, rests[-1], S.degree(s)))
+            if not (all(map(le, low, after)) and all(map(le, after, high))):
+                continue
             if depth + 1 == length:
                 yield (*prefix, s)
                 continue

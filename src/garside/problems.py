@@ -273,17 +273,23 @@ def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
     return ProblemAnswer.no_solution()
 
 
-def _divisors(m: int, bound: int) -> list[int]:
-    """The divisors n of m > 0 with 2 <= n <= bound, increasing."""
-    small, large = [], []
+def _divisors(m: int, bound: int) -> Iterator[int]:
+    """The divisors n of m > 0 with 2 <= n <= bound, increasing.
+
+    The trial division up to sqrt(m) yields each divisor below it as soon
+    as it finds it, so a search that stops at a small degree scans no
+    further; the divisors above sqrt(m) come last.
+    """
+    large = []
     i = 1
     while i * i <= m and i <= bound:
         if m % i == 0:
-            small.append(i)
-            if i * i != m:
+            if i > 1:
+                yield i
+            if i * i != m and m // i <= bound:
                 large.append(m // i)
         i += 1
-    return [n for n in small + large[::-1] if 2 <= n <= bound]
+    yield from reversed(large)
 
 
 def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> ProblemAnswer:

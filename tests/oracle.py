@@ -6,7 +6,8 @@ the algorithms they audit: word lengths come from breadth-first search over
 the simple generators, summit infima from exhaustive conjugation up to a
 word-length cap, super summit sets from conjugation by every simple and,
 for the closure's order, witnesses and cap, from conjugation by minimal
-simples with every conjugate and witness multiplied out,
+simples with every conjugate and witness multiplied out, the witness of a
+closure's parent links multiplied out one simple at a time,
 translation estimates from the one-power bracket that must contain the exact
 value for every n >= 1, the exact translation triple from two summits, one
 of g^n and one of g^{-n}, bounded-denominator rationals in an interval by a
@@ -25,6 +26,7 @@ torus families' own formulas, not the lattice derivation in `core`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -52,9 +54,9 @@ from garside import (
     summit,
     translation_triple,
 )
-from garside import problems
-from garside.conjugacy import _min_simple, closure_witness
-from garside.enumeration import factor_sequences, followers, proper_simples
+from garside import conjugacy, problems
+from garside.conjugacy import Closure, _min_simple, _sss_closure
+from garside.enumeration import followers, proper_simples
 
 
 class MultipleCandidatesError(RuntimeError):
@@ -256,6 +258,26 @@ def piecewise_witness(sd: SummitData) -> Element:
     return multiply(normalize(S, 0, sd.cycled), invert(normalize(S, 0, sd.decycled[::-1])))
 
 
+def link_witness(closure: Closure, h: Element) -> Element:
+    """The w with w^{-1} · rep · w = h, for h a key of a closure rooted at
+    rep: the conjugators on the parent links from h back to rep, multiplied
+    out one simple at a time."""
+    w = identity_element(h.structure)
+    link = closure[h]
+    while link is not None:
+        h, c = link
+        w = multiply(simple_element(c), w)
+        link = closure[h]
+    return w
+
+
+@functools.lru_cache(maxsize=1)
+def _whole_set(rep: Element, cap: int) -> Closure:
+    """The whole super summit set of rep; kept for the one rep a search
+    asks about again and again."""
+    return _sss_closure(rep, cap)
+
+
 def invariant_free_conjugator(sd: SummitData, h: Element) -> Element | None:
     """With sd = summit(g): w with w^{-1} · g · w = h, or None.
 
@@ -267,9 +289,10 @@ def invariant_free_conjugator(sd: SummitData, h: Element) -> Element | None:
     other = summit(h, target=sd)
     if other is None:
         return None
-    if other.representative not in sd.closure:
+    closure = _whole_set(sd.representative, conjugacy.DEFAULT_SSS_CAP)
+    if other.representative not in closure:
         return None
-    path = closure_witness(sd.closure, other.representative)
+    path = link_witness(closure, other.representative)
     return multiply(multiply(piecewise_witness(sd), path), invert(piecewise_witness(other)))
 
 
@@ -286,7 +309,7 @@ def unpruned_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> P
     if t_inf.denominator > N or t_sup.denominator > N:
         return ProblemAnswer.no_solution()
     lo, hi = floor(t_inf), ceil(t_sup)
-    for scanned, factors in enumerate(factor_sequences(S, hi - lo), start=1):
+    for scanned, factors in enumerate(recursive_factor_sequences(S, hi - lo), start=1):
         if scanned > problems.DEFAULT_CANDIDATE_CAP:
             raise ResourceLimitError("root search exceeded the candidate cap")
         h = Element(S, lo, factors)
@@ -320,7 +343,7 @@ def windowed_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> P
     )
     scanned = 0
     for lo, hi in windows:
-        for factors in factor_sequences(S, hi - lo):
+        for factors in recursive_factor_sequences(S, hi - lo):
             scanned += 1
             if scanned > problems.DEFAULT_CANDIDATE_CAP:
                 raise ResourceLimitError("root search exceeded the candidate cap")

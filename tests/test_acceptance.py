@@ -30,10 +30,10 @@ from garside import (
 )
 from garside.cli import parse_word
 from garside.core import Element
-from garside.enumeration import factor_sequences, sample_element
+from garside.enumeration import sample_element
 
 from .conftest import assert_conjugate_by
-from .oracle import bfs_word_length, brute_summit_inf
+from .oracle import bfs_word_length, brute_summit_inf, recursive_factor_sequences
 
 B3 = braid_structure(3)
 B4 = braid_structure(4)
@@ -132,13 +132,13 @@ def test_criterion_5_oracle_equivalence():
     checked = 0
     for inf in (-1, 0, 1):
         for length in (0, 1, 2):
-            for factors in factor_sequences(B3, length):
+            for factors in recursive_factor_sequences(B3, length):
                 g = Element(B3, inf, factors)
                 assert bfs_word_length(g, cap=8) == word_length(g)
                 checked += 1
     for inf in range(-2, 3):
         for length in (0, 1, 2):
-            for factors in factor_sequences(T43, length):
+            for factors in recursive_factor_sequences(T43, length):
                 g = Element(T43, inf, factors)
                 assert bfs_word_length(g, cap=8) == word_length(g)
                 checked += 1

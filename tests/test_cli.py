@@ -128,6 +128,13 @@ def test_cli_solver_commands(capsys):
     assert run_command(["properpower", "--group", "braid:3", "a1"]) == 0
     assert "no solution" in capsys.readouterr().out
 
+    # Huge Delta exponents: the divisor scan stops at the first degree
+    # that answers, 2 here and 101 for the odd exponent 10^18 + 1.
+    assert run_command(["properpower", "--group", "braid:3", "D^1000000000000000000"]) == 0
+    assert capsys.readouterr().out.startswith("solution n=2 root D^500000000000000000")
+    assert run_command(["properpower", "--group", "braid:3", "D^1000000000000000001"]) == 0
+    assert capsys.readouterr().out.startswith("solution n=101 root D^9900990099009901")
+
     assert run_command(["genpower", "--group", "braid:3", "D", "D^3"]) == 0
     out = capsys.readouterr().out
     assert "n=18" in out and "m=6" in out

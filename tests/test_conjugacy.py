@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from garside import (
     Element,
@@ -27,6 +28,7 @@ from garside.cli import parse_word
 
 from .conftest import assert_conjugate_by, elements_of, random_word_element
 from .oracle import brute_summit_inf
+from .test_repair_paths import STRUCTURES, normal_forms_of
 
 B3 = braid_structure(3)
 T53 = torus_structure(5, 3)
@@ -166,6 +168,18 @@ def test_summit_matches_brute_force_oracle():
         for _ in range(25):
             g = random_word_element(S, rng, max_letters=4, max_inf=1)
             assert summit(g).inf_s == brute_summit_inf(g, cap)
+
+
+@pytest.mark.parametrize("S", STRUCTURES, ids=lambda S: S.descriptor())
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_summit_bounds_the_brute_force_conjugates(S, data):
+    # No conjugate by a word of at most two simples or inverses has a
+    # larger inf, or a smaller sup, than the summit values.
+    g = data.draw(normal_forms_of(S))
+    sd = summit(g)
+    assert brute_summit_inf(g, 2) <= sd.inf_s
+    assert sd.sup_s <= -brute_summit_inf(invert(g), 2)
 
 
 def test_summit_oracle_agreement_b4():

@@ -27,6 +27,7 @@ from garside.enumeration import proper_simples
 
 from .conftest import elements_of, perm_mul, simple_divisors
 from .oracle import reference_product
+from .test_repair_paths import STRUCTURES
 
 
 def simple_by_perm(S, perm):
@@ -191,6 +192,23 @@ def test_derived_operations_match_slides(descriptor):
         assert normalize(S, 0, (s, S.delta())) == normalize(S, 1, (S.tau_simple(s),))
         assert normalize(S, 0, (S.left_complement(s), s)) == Element(S, 1, ())
         assert simple_element(s) == normalize(S, 0, (s,))
+
+
+@pytest.mark.parametrize(
+    "S",
+    [*STRUCTURES, braid_structure(5), structure_from_descriptor("torus:4:6")],
+    ids=lambda S: S.descriptor(),
+)
+def test_tau_tables_apply_tau_k_mod_order_times(S):
+    # `tau_power` and `twist` read the same tables; check both against
+    # tau_simple applied directly.
+    for s in S.enumerate_simples():
+        for k in range(-3, 4):
+            expected = s
+            for _ in range(k % S.tau_order()):
+                expected = S.tau_simple(expected)
+            assert S.tau_power(s, k) is expected
+            assert S.twist(k)[s] is expected
 
 
 def test_normalize_fixtures(b3, torus53):

@@ -4,10 +4,12 @@
 one remaining degree per level, no recursion, so a window of any length
 enumerates.  It is checked against `oracle.recursive_factor_sequences`,
 one recursive generator per factor on the enumerated degree bounds, on
-the families of `test_repair_paths` for lengths 0-4, with and without a
-degree.  `_degree_bounds` reads the least atom weight and deg(Delta) minus
-it; it is checked against `oracle.enumerated_degree_bounds`, the degree of
-every proper simple.  A planted square with a 1,200-factor window (H5c of
+the families of `test_repair_paths` for lengths 0-4, at every degree the
+oracle's unpruned walk reaches, where the walks of all those degrees
+together make up the unpruned walk (at three of them for the two longest
+walks of the nested product).  `_degree_bounds` reads the least atom
+weight and deg(Delta) minus it; it is checked against
+`oracle.enumerated_degree_bounds`, the degree of every proper simple.  A planted square with a 1,200-factor window (H5c of
 `scripts/hard_inputs.py`) answers, and its root re-verifies.
 """
 
@@ -23,8 +25,12 @@ from garside.enumeration import _degree_bounds, factor_sequences
 from .oracle import enumerated_degree_bounds, recursive_factor_sequences
 from .test_repair_paths import STRUCTURES
 
-# Sequences compared per (family, length) without a degree.
+# Sequences of the unpruned oracle walk compared per (family, length).
 PREFIX = 60_000
+# Walks of at most this many sequences are checked at every degree they
+# reach; the nested product's walks of length 3 and 4 reach over a
+# thousand degrees, so three of their degrees are checked instead.
+EVERY_DEGREE = 6_000
 
 
 @pytest.mark.parametrize(
@@ -45,18 +51,26 @@ def total_degree(S, factors):
 @pytest.mark.parametrize("S", STRUCTURES, ids=lambda S: S.descriptor())
 @pytest.mark.parametrize("length", range(5))
 def test_stack_walk_matches_recursive_walk(S, length):
-    walked = list(islice(factor_sequences(S, length), PREFIX))
-    assert walked == list(islice(recursive_factor_sequences(S, length), PREFIX))
-    # With a degree: those of the first, a middle and the last sequence
-    # walked, zero, and one above every sequence of this length.
-    degrees = {total_degree(S, walked[i]) for i in (0, len(walked) // 2, -1)}
+    walked = list(islice(recursive_factor_sequences(S, length), PREFIX))
+    by_degree = {}
+    for factors in walked:
+        by_degree.setdefault(total_degree(S, factors), []).append(factors)
+    if len(walked) <= EVERY_DEGREE:
+        # Each sequence has one degree, so the walks of every degree
+        # reached, each equal to the unpruned walk's sequences of that
+        # degree, together make up the unpruned walk.
+        degrees = set(by_degree)
+    else:
+        # Those of the first, a middle and the last sequence walked.
+        degrees = {total_degree(S, walked[i]) for i in (0, len(walked) // 2, -1)}
+    # Zero, and one above every sequence of this length.
     degrees |= {total_degree(S, ()), total_degree(S, [S.delta()] * (length + 1))}
     for degree in degrees:
         pruned = list(factor_sequences(S, length, degree))
         assert pruned == list(recursive_factor_sequences(S, length, degree))
         assert all(total_degree(S, factors) == degree for factors in pruned)
         if len(walked) < PREFIX:
-            assert pruned == [f for f in walked if total_degree(S, f) == degree]
+            assert pruned == by_degree.get(degree, [])
 
 
 def test_long_window_planted_square_answers(capsys):

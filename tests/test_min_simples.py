@@ -6,10 +6,12 @@ all simples, and `_sss_closure`, which conjugates by minimal simples only,
 against `oracle.brute_sss_closure`, which conjugates by every simple.
 Divisibility in the oracles is decided by element arithmetic (a ≼ c exactly
 when a^{-1} c is positive), not by the join or the minimal simples under
-audit.  The closure's parent links are checked against
+audit.  Each parent link (h, c) of the closure is checked to give
+c^{-1} · h · c = element, and the links are checked against
 `oracle.eager_sss_closure`, which multiplies out every conjugate and
 witness as it goes: same elements in the same order, the same witness
-rebuilt by `closure_witness`, and the cap hit at the same element.
+rebuilt from the links by `oracle.link_witness`, and the cap hit at the
+same element.
 """
 
 import functools
@@ -30,16 +32,10 @@ from garside import (
     super_summit_set,
 )
 from garside.cli import parse_word
-from garside.conjugacy import (
-    DEFAULT_SSS_CAP,
-    ResourceLimitError,
-    _min_simple,
-    _sss_closure,
-    closure_witness,
-)
+from garside.conjugacy import DEFAULT_SSS_CAP, ResourceLimitError, _min_simple, _sss_closure
 
 from .conftest import assert_conjugate_by, elements_of
-from .oracle import brute_sss_closure, eager_sss_closure
+from .oracle import brute_sss_closure, eager_sss_closure, link_witness
 from .test_repair_paths import STRUCTURES
 
 NESTED = "product:(product:(braid:3,torus:2:3),braid:3)"
@@ -72,6 +68,18 @@ def conjugate_bounds(x, c):
     c_elt = simple_element(c)
     y = multiply(multiply(invert(c_elt), x), c_elt)
     return y.inf, y.sup
+
+
+def assert_links_conjugate(closure, rep):
+    """The closure is a tree of parent links rooted at rep: each element
+    but rep has a link (h, c) to an earlier element h, and c^{-1} · h · c
+    is the element, so the conjugators on its chain conjugate rep to it."""
+    position = {h: i for i, h in enumerate(closure)}
+    assert position[rep] == 0 and closure[rep] is None
+    for element, link in list(closure.items())[1:]:
+        h, c = link
+        assert position[h] < position[element]
+        assert_conjugate_by(simple_element(c), h, element)
 
 
 summit_representatives = st.sampled_from(STRUCTURES).flatmap(
@@ -113,8 +121,7 @@ def test_min_simple_is_least_conjugator_keeping_summit(x):
 def test_sss_closure_matches_conjugation_by_every_simple(rep):
     closure = _sss_closure(rep, DEFAULT_SSS_CAP)
     assert set(closure) == set(brute_sss_closure(rep))
-    for element in closure:
-        assert_conjugate_by(closure_witness(closure, element), rep, element)
+    assert_links_conjugate(closure, rep)
 
 
 @pytest.mark.parametrize("S", STRUCTURES, ids=lambda S: S.descriptor())
@@ -126,7 +133,7 @@ def test_sss_closure_matches_eager_closure(S, data):
     eager = eager_sss_closure(rep, DEFAULT_SSS_CAP)
     assert list(closure) == list(eager)
     for element, witness in eager.items():
-        assert closure_witness(closure, element) == witness
+        assert link_witness(closure, element) == witness
     size = len(eager)
     for cap in range(1, size + 1):
         for build in (_sss_closure, eager_sss_closure):
@@ -144,6 +151,6 @@ def test_braid7_super_summit_set():
     sss = super_summit_set(g)
     assert 1 < len(sss) <= 4
     assert set(sss) == set(brute_sss_closure(sd.representative))
-    for element in sd.closure:
+    for element in sss:
         assert (element.inf, element.sup) == (sd.inf_s, sd.sup_s)
-        assert_conjugate_by(closure_witness(sd.closure, element), sd.representative, element)
+        assert_conjugate_by(sd.conjugator_to(element), g, element)

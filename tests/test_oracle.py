@@ -15,10 +15,15 @@ from garside import (
     word_length,
 )
 from garside.cli import parse_word
-from garside.enumeration import factor_sequences
 
 from .conftest import random_word_element
-from .oracle import Bracket, bfs_word_length, brute_summit_inf, estimate_translation
+from .oracle import (
+    Bracket,
+    bfs_word_length,
+    brute_summit_inf,
+    estimate_translation,
+    recursive_factor_sequences,
+)
 
 B3 = braid_structure(3)
 T53 = torus_structure(5, 3)
@@ -35,7 +40,7 @@ def test_bfs_word_length_fixtures():
 def test_bfs_matches_case_formula_exhaustive_b3():
     for inf in (-1, 0, 1):
         for length in (0, 1, 2):
-            for factors in factor_sequences(B3, length):
+            for factors in recursive_factor_sequences(B3, length):
                 g = Element(B3, inf, factors)
                 assert bfs_word_length(g, cap=8) == word_length(g)
 
@@ -43,7 +48,7 @@ def test_bfs_matches_case_formula_exhaustive_b3():
 def test_bfs_matches_case_formula_exhaustive_torus43():
     for inf in range(-2, 3):
         for length in (0, 1, 2):
-            for factors in factor_sequences(T43, length):
+            for factors in recursive_factor_sequences(T43, length):
                 g = Element(T43, inf, factors)
                 assert bfs_word_length(g, cap=8) == word_length(g)
 

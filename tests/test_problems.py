@@ -23,6 +23,7 @@ from garside import (
 )
 from garside import conjugacy, problems, translation
 from garside.cli import parse_word
+from garside.problems import _divisors
 
 from .conftest import assert_conjugate_by, random_word_element
 
@@ -236,3 +237,15 @@ def test_root_search_builds_super_summit_set_only_when_needed(monkeypatch):
     # The candidate a1 does reach those of a1^2, so the set is built and trips the cap.
     with pytest.raises(ResourceLimitError, match="cap of 1"):
         solve_root_conjugacy(parse_word(B3, "a1^2"), 2)
+
+
+def test_divisors_yield_a_small_divisor_at_once():
+    # A list of every divisor would first scan to sqrt(3·10^18).
+    m = 3 * 10**18
+    assert next(_divisors(m, m)) == 2
+
+
+def test_divisors_match_brute_force():
+    for m in range(1, 400):
+        for bound in range(60):
+            assert list(_divisors(m, bound)) == [n for n in range(2, bound + 1) if m % n == 0]

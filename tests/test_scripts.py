@@ -1,11 +1,15 @@
 """The example and timing scripts run against the current API."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from garside import structure_from_descriptor
+from garside.cli import _build_parser, parse_word
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,3 +48,24 @@ def test_hard_inputs_smoke():
     key, seconds, unit, answer = result.stdout.strip().split(maxsplit=3)
     assert (key, unit, answer) == ("H2c", "s", "no solution")
     assert float(seconds) >= 0
+
+
+def test_hard_inputs_know_every_id():
+    # Pinned, not run: several of these take from 5 to more than 90 s.
+    spec = importlib.util.spec_from_file_location("hard_inputs", ROOT / "scripts/hard_inputs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    expected = [*(f"H1{c}" for c in "abcd"), *(f"H2{c}" for c in "abcd"), "H3a", "H3b", "H3c",
+                "H4a", "H4b", "H5a", "H5b", "H5c", "H6a", "H6b", "H7",
+                *(f"H8{c}" for c in "abcde")]
+    assert list(script.INPUTS) == expected
+    # Every CLI input is a valid command on words that parse.
+    for kind, argv in script.INPUTS.values():
+        if kind == "cli":
+            args = _build_parser().parse_args(argv)
+            S = structure_from_descriptor(args.group)
+            for name in ("word", "word1", "word2"):
+                if hasattr(args, name):
+                    parse_word(S, getattr(args, name))
+    with pytest.raises(SystemExit):
+        script.main(["H9"])

@@ -2,8 +2,8 @@
 
 `SummitData` walks the set breadth first from its representative and
 keeps the walk between queries: `conjugator_to(h)` advances it only until
-h's representative is inserted, and `closure` drains it.  On the families
-of `test_repair_paths`: a partial walk holds a prefix of `_sss_closure`,
+h's representative is inserted.  On the families of `test_repair_paths`:
+a partial walk holds a prefix of `_sss_closure`, the one drain of the set,
 keys and parent links alike; `conjugator_to` gives the witness of
 `oracle.invariant_free_conjugator`, which looks the target up in the whole
 set and multiplies the witness out piece by piece; and under a small cap
@@ -45,9 +45,9 @@ def test_partial_walk_is_a_prefix_of_the_closure(data):
     k = data.draw(st.integers(0, len(full) - 1))
     assert sd._reaches(full[k][0])
     assert list(sd._links.items()) == full[:k + 1]
-    # The walk resumes where it stopped and ends with the whole closure.
+    # The walk resumes where it stopped and reaches the whole closure.
     assert sd._reaches(full[-1][0])
-    assert list(sd.closure.items()) == full
+    assert list(sd._links.items()) == full
 
 
 @settings(max_examples=150, deadline=None)
@@ -98,8 +98,6 @@ def test_cap_answers_inside_and_raises_beyond(monkeypatch, S):
     near = targets[0][1]
     with pytest.raises(ResourceLimitError):
         sd.conjugator_to(near)
-    with pytest.raises(ResourceLimitError):
-        sd.closure
 
 
 def test_conj_answers_a_target_inside_the_cap_of_a_larger_set(monkeypatch, capsys):
