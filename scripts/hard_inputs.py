@@ -5,11 +5,13 @@
 
 Every input runs in its own subprocess, which imports ``garside`` from SRC
 (``src/`` of this checkout by default), times the one call in process and
-prints its time and answer; a subprocess that outlives ``--timeout``
-seconds is stopped and reported as a timeout, and one that asks for more
-than MEMORY_MB of address space fails with a MemoryError (the ``sss`` of
-H3 needs about 1.5 GB).  With no
-IDs every input runs, in table order.
+prints its time and answer, and the CLI exit code when it is not 0 (1 for
+``resource_limit``, 2 for an error); a subprocess that outlives
+``--timeout`` seconds is stopped and reported as a timeout, and one that
+asks for more than MEMORY_MB of address space fails with a MemoryError
+(the ``sss`` of H3 needs about 1.5 GB).  With no IDs every input runs, in
+table order.  ``scripts/hostile_sweep.py`` runs its queries through the
+same ``run_child``.
 
 The words are pinned here from the recipes of the ROADMAP table:
 
@@ -134,11 +136,12 @@ limit = int(sys.argv[3]) * 2**20
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from garside import cli, structure_from_descriptor
 kind, spec = json.loads(sys.argv[2])
+code = 0
 if kind == "cli":
     out = io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stdout(out):
-        cli.run_command(spec)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = cli.run_command(spec)
     seconds = time.perf_counter() - start
     answer = out.getvalue().strip()
 else:
@@ -151,27 +154,46 @@ else:
     g = cli.parse_word(S, word)
     seconds = time.perf_counter() - start
     answer = f"inf {g.inf}, canonical length {g.canonical_length}"
-print(json.dumps({"seconds": seconds, "answer": answer}))
+print(json.dumps({"seconds": seconds, "exit": code, "answer": answer}))
 """
 
 
-def run_one(key: str, src: str, timeout: float) -> str:
-    payload = json.dumps(INPUTS[key])
+def run_child(spec, src: str, timeout: float) -> dict:
+    """Run one input, ("cli", argv) or ("parse", ...), in a fresh interpreter.
+
+    The report holds ``seconds``, ``exit`` (the CLI exit code, 0 for a
+    parse) and ``answer`` (stdout and stderr of the command); or ``timeout``
+    for a child stopped after ``timeout`` seconds; or ``failed``, the last
+    stderr line of a child that died.
+    """
     try:
         result = subprocess.run(
-            [sys.executable, "-c", _CHILD, src, payload, str(MEMORY_MB)],
+            [sys.executable, "-c", _CHILD, src, json.dumps(spec), str(MEMORY_MB)],
             capture_output=True, text=True, timeout=timeout,
         )
     except subprocess.TimeoutExpired:
-        return f"{key}  timeout after {timeout:g} s"
+        return {"timeout": True}
     if result.returncode != 0:
-        last = (result.stderr.strip().splitlines() or ["(no output)"])[-1]
-        return f"{key}  failed: {last}"
-    report = json.loads(result.stdout)
+        return {"failed": (result.stderr.strip().splitlines() or ["(no output)"])[-1]}
+    return json.loads(result.stdout)
+
+
+def describe(report: dict) -> str:
+    """The first line of a finished child's answer, after its exit code
+    when that is not 0."""
     answer = report["answer"].splitlines()[0] if report["answer"] else "(no output)"
     if len(answer) > 100:
         answer = answer[:97] + "..."
-    return f"{key}  {report['seconds']:.3f} s  {answer}"
+    return answer if report["exit"] == 0 else f"exit {report['exit']}  {answer}"
+
+
+def run_one(key: str, src: str, timeout: float) -> str:
+    report = run_child(INPUTS[key], src, timeout)
+    if "timeout" in report:
+        return f"{key}  timeout after {timeout:g} s"
+    if "failed" in report:
+        return f"{key}  failed: {report['failed']}"
+    return f"{key}  {report['seconds']:.3f} s  {describe(report)}"
 
 
 def main(argv=None) -> int:

@@ -9,8 +9,6 @@ from .conjugacy import (
     SummitData,
     are_conjugate,
     class_invariant,
-    cycling,
-    decycling,
     summit,
     super_summit_set,
 )

@@ -170,7 +170,7 @@ def _cycle(S: GarsideStructure, inf: int, factors: list[Simple]) -> tuple[int, S
     back, and Delta^inf · factors · Delta = Delta^{inf+1} · tau(factors),
     so the list is twisted at once, with one `map`.
     """
-    a = S.tau_power(factors.pop(0), -inf)
+    a = S.twist(-inf)[factors.pop(0)]
     if _push(S, factors, a):
         factors[:] = map(S.twist(1).__getitem__, factors)
         inf += 1
@@ -185,35 +185,7 @@ def _decycle(S: GarsideStructure, inf: int, factors: list[Simple]) -> tuple[int,
     forms is split off and added to inf.
     """
     s = factors.pop()
-    return inf + _push_front(S, factors, S.tau_power(s, inf)), s
-
-
-def _one_step(step, g: Element) -> tuple[Element, Simple]:
-    S = g.structure
-    if not g.factors:
-        return g, S.identity_simple()
-    factors = list(g.factors)
-    inf, conjugator = step(S, g.inf, factors)
-    return Element(S, inf, tuple(factors)), conjugator
-
-
-def cycling(g: Element) -> tuple[Element, Simple]:
-    """Conjugate g by a = tau^{-inf}(first factor); returns (result, a).
-
-    Cycling never lowers inf nor raises sup.  Elements without factors are
-    returned unchanged with identity conjugator.
-    """
-    return _one_step(_cycle, g)
-
-
-def decycling(g: Element) -> tuple[Element, Simple]:
-    """Conjugate g by the inverse of its final factor s_k; returns (result, s_k).
-
-    The result is s_k · g · s_k^{-1}; the conjugator in the w^{-1} g w sense
-    is s_k^{-1}.  Elements without factors are returned unchanged with
-    identity conjugator.
-    """
-    return _one_step(_decycle, g)
+    return inf + _push_front(S, factors, S.twist(inf)[s]), s
 
 
 def summit(g: Element, target: SummitData | None = None) -> SummitData | None:
@@ -277,8 +249,9 @@ def _inf_closure(x: Element, c: Simple) -> Simple:
     c <- c ∨ y\tau^p(c) stops at the least such simple.
     """
     S = x.structure
+    twist = S.twist(x.inf)
     while True:
-        t = S.tau_power(c, x.inf)
+        t = twist[c]
         for f in x.factors:
             t = S.simple_left_divide(f, S.join(f, t))
         grown = S.join(c, t)
@@ -312,7 +285,7 @@ def _conjugate(S: GarsideStructure, h: Element, c: Simple) -> Element:
     power; one split off at the back adds to it too and twists the list.
     """
     factors = list(h.factors)
-    inf = h.inf - 1 + _push_front(S, factors, S.tau_power(S.left_complement(c), h.inf))
+    inf = h.inf - 1 + _push_front(S, factors, S.twist(h.inf)[S.left_complement(c)])
     if _push(S, factors, c):
         return Element(S, inf + 1, tuple(map(S.twist(1).__getitem__, factors)))
     return Element(S, inf, tuple(factors))

@@ -26,8 +26,8 @@ Delta formed at the front.  The caller settles each reported Delta:
 the end; `conjugacy` cycles, decycles and conjugates with one push at
 either end, adds a Delta split off at the front to inf, and twists the
 list at once for one split off at the back.  Twists are table lookups
-(`GarsideStructure.tau_power` and `twist`), so a run of factors is
-twisted with one `map`.  Inverses need no repair: their normal form is
+(`GarsideStructure.twist`), so a run of factors is twisted with one
+`map`.  Inverses need no repair: their normal form is
 read off directly.
 
 Each slide is read from a row on its left simple: `a.slides` maps a right
@@ -91,7 +91,9 @@ class Simple:
 
     Simples are interned: `GarsideStructure.make_simple` is the only
     constructor, and its cache is keyed on the interned structure, so equal
-    simples are the same object and compare and hash by identity.
+    simples are the same object and compare and hash by identity.  The
+    interning holds within one thread: a structure and the values made
+    from it are for one thread at a time.
 
     `slides` is the simple's row of left-weighted pairs, filled by the
     normal-form engine: `slides[b]` is `structure.slide(self, b)`, kept
@@ -117,10 +119,12 @@ _STRUCTURES: dict[tuple, "GarsideStructure"] = {}
 class _Interned(abc.ABCMeta):
     """Metaclass that makes each structure value a single object.
 
-    A constructor call builds the instance as usual, then returns the first
-    instance built with the same class and field values.  Components of a
-    product are themselves interned, so the key hashes by identity all the
-    way down, and structures can use identity for `==` and `hash`.
+    A constructor call builds the instance as usual, validation in
+    `__post_init__` included, then returns the first instance built with
+    the same class and field values, so a value that fails validation is
+    never interned.  Components of a product are themselves interned, so
+    the key hashes by identity all the way down, and structures can use
+    identity for `==` and `hash`.
     """
 
     def __call__(cls, *args, **kwargs):
@@ -209,6 +213,9 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
 
     @functools.cache
     def make_simple(self, payload) -> Simple:
+        """The one `Simple` of a payload.  `functools.cache` takes no lock,
+        so two threads that miss at once can each make one: use a structure
+        from one thread at a time."""
         return Simple(self, payload, self._norm(payload))
 
     @functools.cache
@@ -287,7 +294,7 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
     @functools.cache
     def left_complement(self, s: Simple) -> Simple:
         """The simple t with t·s = Delta: Delta·s^{-1} = tau^{-1}(right_complement(s))."""
-        return self.tau_power(self.right_complement(s), -1)
+        return self.twist(-1)[self.right_complement(s)]
 
     @functools.cache
     def simple_product(self, a: Simple, c: Simple) -> Simple:
@@ -329,14 +336,10 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         suffix = rev(self.meet(rev(self.right_complement(a)), rev(self.right_complement(b))))
         return self.left_complement(suffix)
 
-    def tau_power(self, s: Simple, k: int) -> Simple:
-        """tau^k(s), read from the table that `twist(k)` serves."""
-        twists = self._twists
-        return twists[k % len(twists)][s]
-
     def twist(self, k: int) -> "_Twist":
-        """tau^k as a dict on simples: `map(S.twist(k).__getitem__, run)`
-        twists a run of factors without a Python call per factor."""
+        """tau^k as a dict on simples, the only store of tau^k: `S.twist(k)[s]`
+        reads one entry, and `map(S.twist(k).__getitem__, run)` twists a run
+        of factors without a Python call per factor."""
         twists = self._twists
         return twists[k % len(twists)]
 
@@ -550,9 +553,9 @@ def normalize(structure: GarsideStructure, delta_power: int, raw_factors: Iterab
         if b is identity:
             pending = a
         else:
-            owed += _push(S, factors, S.tau_power(a, -owed) if owed else a) or 0
+            owed += _push(S, factors, S.twist(-owed)[a] if owed else a) or 0
             pending = b
-    owed += _push(S, factors, S.tau_power(pending, -owed) if owed else pending) or 0
+    owed += _push(S, factors, S.twist(-owed)[pending] if owed else pending) or 0
     if owed:
         factors = map(S.twist(owed).__getitem__, factors)
     return Element(S, delta_power + owed, tuple(factors))
@@ -573,11 +576,11 @@ def normalize_word(structure: GarsideStructure, word: Sequence[tuple[Simple, int
         if s is delta:
             d += exponent
         elif exponent > 0:
-            raw += [S.tau_power(s, d)] * exponent
+            raw += [S.twist(d)[s]] * exponent
         else:
             complement = S.left_complement(s)
             for _ in range(-exponent):
-                raw.append(S.tau_power(complement, d))
+                raw.append(S.twist(d)[complement])
                 d -= 1
     return normalize(S, d, reversed(raw))
 
@@ -620,7 +623,7 @@ def multiply(g: Element, h: Element) -> Element:
     owed = 0
     rest: tuple[Simple, ...] = ()
     for i, s in enumerate(h.factors):
-        deltas = _push(S, factors, S.tau_power(s, -owed) if owed else s)
+        deltas = _push(S, factors, S.twist(-owed)[s] if owed else s)
         if deltas is None:
             rest = h.factors[i + 1:]
             break
@@ -643,7 +646,7 @@ def invert(g: Element) -> Element:
     S = g.structure
     r, k = g.inf, len(g.factors)
     factors = tuple(
-        S.tau_power(S.right_complement(g.factors[i]), -(r + i + 1))
+        S.twist(-(r + i + 1))[S.right_complement(g.factors[i])]
         for i in range(k - 1, -1, -1)
     )
     return Element(S, -(r + k), factors)

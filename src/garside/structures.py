@@ -28,9 +28,12 @@ payload is its permutation, which `_permutations` hands to the
 permutation invariant.
 
 No structure declares Delta: `core` derives it as the join of the atoms.
-Every structure is interned by value (`core._Interned`): factories, direct
-constructors and parsed descriptors of one group all return one object,
-which compares and hashes by identity.
+Every structure is interned by value (`core._Interned`): constructors and
+parsed descriptors of one group return one object, which compares and
+hashes by identity.  Each class checks its own caps (MAX_STRANDS,
+MAX_TORUS_EXPONENT) in `__post_init__`, before the value is interned, so
+every construction path is bounded; `braid_structure`, `torus_structure`
+and `product_structure` are the classes themselves.
 """
 
 from __future__ import annotations
@@ -71,11 +74,16 @@ def _inversions(p: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True, eq=False)
 class BraidStructure(GarsideStructure):
-    """The classical Garside structure on the braid group with n strands."""
+    """The classical Garside structure on the braid group with n strands,
+    2 <= n <= MAX_STRANDS."""
 
     n: int
 
     tau_order_hint = 2
+
+    def __post_init__(self):
+        if self.n < 2 or self.n > MAX_STRANDS:
+            raise ValueError(f"strand count must satisfy 2 <= n <= {MAX_STRANDS}, got {self.n}")
 
     @property
     def unique_root_exponent(self) -> int:
@@ -146,14 +154,19 @@ class BraidStructure(GarsideStructure):
 class TorusStructure(GarsideStructure):
     """The group <x, y | x^N = y^M> with Delta = x^N = y^M (central).
 
-    Payloads are ('e', 0), ('x', i), ('y', j) and ('D', 0); the exponents may
-    be given in either order, and ||Delta|| = max(N, M).
+    Payloads are ('e', 0), ('x', i), ('y', j) and ('D', 0); the exponents lie
+    in 2..MAX_TORUS_EXPONENT, in either order, and ||Delta|| = max(N, M).
     """
 
     exp_x: int
     exp_y: int
 
     tau_order_hint = 1
+
+    def __post_init__(self):
+        x, y = self.exp_x, self.exp_y
+        if not (2 <= min(x, y) and max(x, y) <= MAX_TORUS_EXPONENT):
+            raise ValueError(f"torus exponents must lie in 2..{MAX_TORUS_EXPONENT}, got {x}, {y}")
 
     def descriptor(self) -> str:
         return f"torus:{self.exp_x}:{self.exp_y}"
@@ -287,22 +300,10 @@ class ProductStructure(GarsideStructure):
 # ----------------------------------------------------------------------
 
 
-def braid_structure(n: int) -> BraidStructure:
-    """The braid group B_n, for 2 <= n <= MAX_STRANDS."""
-    if n < 2 or n > MAX_STRANDS:
-        raise ValueError(f"strand count must satisfy 2 <= n <= {MAX_STRANDS}, got {n}")
-    return BraidStructure(n)
-
-
-def torus_structure(exp_x: int, exp_y: int) -> TorusStructure:
-    """The group <x, y | x^exp_x = y^exp_y>; exponents in 2..MAX_TORUS_EXPONENT, either order."""
-    if not (2 <= min(exp_x, exp_y) and max(exp_x, exp_y) <= MAX_TORUS_EXPONENT):
-        raise ValueError(f"torus exponents must lie in 2..{MAX_TORUS_EXPONENT}, got {exp_x}, {exp_y}")
-    return TorusStructure(exp_x, exp_y)
-
-
-def product_structure(left: GarsideStructure, right: GarsideStructure) -> ProductStructure:
-    return ProductStructure(left, right)
+# The factory names; each class checks its own caps.
+braid_structure = BraidStructure
+torus_structure = TorusStructure
+product_structure = ProductStructure
 
 
 class DescriptorError(ValueError):

@@ -165,6 +165,8 @@ def test_cli_exit_codes(capsys):
     assert "nested deeper than 16" in capsys.readouterr().err
     assert run_command(["tnum", "--group", "torus:2000:1999", "x y^-1 x"]) == 2
     assert "torus exponents" in capsys.readouterr().err
+    assert run_command(["nf", "--group", "braid:9", "a1"]) == 2
+    assert capsys.readouterr().err == "error: strand count must satisfy 2 <= n <= 8, got 9\n"
     assert run_command(["bogus"]) == 2
     capsys.readouterr()
     assert run_command(["nf"]) == 2

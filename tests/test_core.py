@@ -200,14 +200,12 @@ def test_derived_operations_match_slides(descriptor):
     ids=lambda S: S.descriptor(),
 )
 def test_tau_tables_apply_tau_k_mod_order_times(S):
-    # `tau_power` and `twist` read the same tables; check both against
-    # tau_simple applied directly.
+    # The `twist` tables against tau_simple applied directly.
     for s in S.enumerate_simples():
         for k in range(-3, 4):
             expected = s
             for _ in range(k % S.tau_order()):
                 expected = S.tau_simple(expected)
-            assert S.tau_power(s, k) is expected
             assert S.twist(k)[s] is expected
 
 

@@ -50,11 +50,26 @@ def test_hard_inputs_smoke():
     assert float(seconds) >= 0
 
 
-def test_hard_inputs_know_every_id():
-    # Pinned, not run: several of these take from 5 to more than 90 s.
-    spec = importlib.util.spec_from_file_location("hard_inputs", ROOT / "scripts/hard_inputs.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / f"scripts/{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def parse_cli_words(argv):
+    """Parse argv with the CLI's parser and each of its words in its group."""
+    args = _build_parser().parse_args(argv)
+    S = structure_from_descriptor(args.group)
+    for name in ("word", "word1", "word2"):
+        if hasattr(args, name):
+            parse_word(S, getattr(args, name))
+    return args
+
+
+def test_hard_inputs_know_every_id():
+    # Pinned, not run: several of these take from 5 to more than 90 s.
+    script = load_script("hard_inputs")
     expected = [*(f"H1{c}" for c in "abcd"), *(f"H2{c}" for c in "abcd"), "H3a", "H3b", "H3c",
                 "H4a", "H4b", "H5a", "H5b", "H5c", "H6a", "H6b", "H7",
                 *(f"H8{c}" for c in "abcde")]
@@ -62,10 +77,39 @@ def test_hard_inputs_know_every_id():
     # Every CLI input is a valid command on words that parse.
     for kind, argv in script.INPUTS.values():
         if kind == "cli":
-            args = _build_parser().parse_args(argv)
-            S = structure_from_descriptor(args.group)
-            for name in ("word", "word1", "word2"):
-                if hasattr(args, name):
-                    parse_word(S, getattr(args, name))
+            parse_cli_words(argv)
     with pytest.raises(SystemExit):
         script.main(["H9"])
+
+
+def test_hard_inputs_report_a_timeout():
+    result = subprocess.run(
+        [sys.executable, "scripts/hard_inputs.py", "H8e", "--timeout", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == "H8e  timeout after 1 s\n"
+
+
+def test_hostile_sweep_queries_are_seeded_and_parse():
+    sweep = load_script("hostile_sweep")
+    drawn = sweep.queries(1, 60)
+    assert drawn == sweep.queries(1, 60)
+    assert drawn[:30] == sweep.queries(1, 30)
+    assert drawn != sweep.queries(2, 60)
+    for argv in drawn:
+        args = parse_cli_words(argv)
+        assert args.group in sweep.STRUCTURES
+        word = args.word if hasattr(args, "word") else args.word1
+        assert 3 <= len(word.split()) <= 14
+
+
+def test_hostile_sweep_runs_one_query_per_line():
+    sweep = load_script("hostile_sweep")
+    outcome, line = sweep.run_query(["tnum", "--group", "braid:3", "a1 a2"], timeout=120)
+    assert outcome == "answer"
+    assert line.endswith("garside tnum --group braid:3 'a1 a2'  ->  "
+                         "t_inf=2/3 t_sup=2/3 t_len=0 t_D=2/3 t_Dbar=0")
+    outcome, line = sweep.run_query(["nf", "--group", "braid:9", "a1"], timeout=120)
+    assert outcome == "error"
+    assert line.endswith("exit 2  error: strand count must satisfy 2 <= n <= 8, got 9")

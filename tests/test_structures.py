@@ -1,6 +1,7 @@
 """Concrete structures: constants, exhaustive primitive laws, product laws."""
 
 import random
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from garside import (
     torus_structure,
 )
 from garside.cli import parse_word
+from garside import core
 from garside.core import GarsideStructure
 from garside.structures import MAX_TORUS_EXPONENT, DescriptorError
 
@@ -126,6 +128,24 @@ def test_braid_range_errors():
     with pytest.raises(ValueError):
         braid_structure(9)
     braid_structure(8)
+
+
+def test_constructors_check_their_caps():
+    # The classes check the caps themselves, before interning, so a direct
+    # construction is bounded like a factory call or a parsed descriptor.
+    assert braid_structure is BraidStructure
+    assert torus_structure is TorusStructure
+    assert product_structure is ProductStructure
+    interned = len(core._STRUCTURES)
+    for make, message in (
+        (lambda: BraidStructure(9), "strand count must satisfy 2 <= n <= 8, got 9"),
+        (lambda: BraidStructure(1), "strand count must satisfy 2 <= n <= 8, got 1"),
+        (lambda: TorusStructure(1, 3), "torus exponents must lie in 2..256, got 1, 3"),
+        (lambda: TorusStructure(2, 257), "torus exponents must lie in 2..256, got 2, 257"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+    assert len(core._STRUCTURES) == interned
 
 
 def test_delta_is_the_join_of_the_atoms():
@@ -312,6 +332,8 @@ def test_descriptor_errors():
             structure_from_descriptor(bad)
     with pytest.raises(ValueError, match="torus exponents"):
         structure_from_descriptor(f"torus:{MAX_TORUS_EXPONENT + 1}:{MAX_TORUS_EXPONENT}")
+    with pytest.raises(ValueError, match="strand count must satisfy 2 <= n <= 8, got 9"):
+        structure_from_descriptor("braid:9")
 
 
 def test_presentation_contract():
