@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the hard inputs H1-H8 of ROADMAP.md, each in a fresh interpreter.
+"""Time the hard inputs H1-H9 of ROADMAP.md, each in a fresh interpreter.
 
     python3 scripts/hard_inputs.py [ID ...] [--src SRC] [--timeout 60]
 
@@ -52,6 +52,11 @@ The words are pinned here from the recipes of the ROADMAP table:
   word (H8d) and ``sss`` of the 3-letter ``braid:7`` word
   ``a6 a2^2 a3^-2``, whose super summit set runs towards the cap (H8e).
   Each takes from several seconds to more than 90.
+* H9: two-token words whose translation triple or generalized power needs
+  a power of more than ``core.MAX_POWER_FACTORS`` factors: ``tnum`` of
+  ``a1^100000`` in ``braid:7`` (H9a), whose ``g^(N^2)`` has about
+  4.4·10^7 factors, and ``genpower`` of ``a1`` and ``a1^100000`` in
+  ``braid:7`` (H9b).  Both answer ``resource_limit`` within seconds.
 """
 
 from __future__ import annotations
@@ -125,6 +130,8 @@ INPUTS: dict[str, tuple[str, object]] = {
     "H8d": ("cli", ["properpower", "--group", "product:(braid:5,braid:5)",
                     "R.a3^-1 R.a1 L.a4^15 L.a1^-1"]),
     "H8e": ("cli", ["sss", "--group", "braid:7", "a6 a2^2 a3^-2"]),
+    "H9a": ("cli", ["tnum", "--group", "braid:7", "a1^100000"]),
+    "H9b": ("cli", ["genpower", "--group", "braid:7", "a1", "a1^100000"]),
 }
 
 # Runs in the subprocess: argv[1] is the source tree, argv[2] the input as

@@ -21,7 +21,12 @@ JSON and the text output are checked.  The list is
   (last, so that the families before it keep their words), ``--per-command``
   short random words each, with ``D`` tokens anywhere and exponents in
   ±1..3, and with powers and conjugates of them as the second word so
-  that positive answers occur too.
+  that positive answers occur too;
+* ``nf`` of five invalid words per family, built from its first atom name
+  a: a malformed token ``a^x``, a zero exponent ``a^0``, an unknown
+  generator ``az``, an unknown generator before a malformed token, and a
+  word over the atom bound that holds an unknown generator, so that the
+  order of the reader's errors is compared on stderr and in exit codes.
 
 Prints the query count (text runs included) and every difference; exits 1
 on any difference.
@@ -107,6 +112,14 @@ def _command_queries(desc: str, atoms: list[str], rng: random.Random, count: int
     return queries
 
 
+def _invalid_queries(desc: str, atom: str) -> list[list[str]]:
+    """``nf`` of words that fail to parse, or exceed the atom bound, in
+    ways built from one atom name."""
+    words = [f"{atom}^x", f"{atom}^0", f"{atom}z", f"{atom}z {atom}^x",
+             f"{atom}z {atom}^100000"]
+    return [["nf", "--group", desc, "--json", word] for word in words]
+
+
 def _generate(src: str, seed: int, per_workload: int, per_command: int) -> list[list[str]]:
     _import_garside(src)
     sys.path.insert(0, str(BENCH))
@@ -125,6 +138,8 @@ def _generate(src: str, seed: int, per_workload: int, per_command: int) -> list[
     for desc in STRUCTURES:
         atoms = [atom.name for atom in structure_from_descriptor(desc).atoms()]
         queries += _command_queries(desc, atoms, rng, per_command)
+    for desc in STRUCTURES:
+        queries += _invalid_queries(desc, structure_from_descriptor(desc).atoms()[0].name)
     return queries + [[arg for arg in argv if arg != "--json"] for argv in queries]
 
 

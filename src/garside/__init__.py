@@ -32,7 +32,6 @@ from .core import (
     word_length,
 )
 from .problems import (
-    Outcome,
     ProblemAnswer,
     UnsupportedStructureError,
     solve_generalized_power,

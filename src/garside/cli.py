@@ -6,11 +6,15 @@ Words are whitespace-separated tokens ``<name>`` or ``<name>^<int>``, where
 torus atoms ``x`` and ``y``, product atoms ``L.<name>`` / ``R.<name>``) and
 the literal ``D`` denotes Delta.  Structures are chosen with
 ``--group braid:<n>``, ``--group torus:<N>:<M>`` or
-``--group product:(<desc>,<desc>)``.
+``--group product:(<desc>,<desc>)``.  A word is read in one pass, and
+its errors come in a fixed order: a malformed token or a zero exponent, by
+position; then a word of more than MAX_WORD_ATOMS atom letters; then the
+first unknown generator, by position.
 
 Exit codes: 0 = computed (a no-solution answer is an answer), 1 = resource
 limit or unsupported structure, 2 = usage or parse error.  A tripped limit
-(a search cap, a table too large, or a word of more than MAX_WORD_ATOMS
+(a search cap, a table too large, a power of more than
+`core.MAX_POWER_FACTORS` factors, or a word of more than MAX_WORD_ATOMS
 atom letters) is raised as `ResourceLimitError` by whichever layer trips
 it and answered here, for every command, as a ``resource_limit`` outcome
 on stdout.
@@ -24,10 +28,9 @@ import functools
 import json
 import re
 import sys
-from collections import Counter
 
 from . import conjugacy, problems, translation
-from .core import Element, GarsideStructure, ResourceLimitError, normalize_word, word_length
+from .core import Element, GarsideStructure, ResourceLimitError, Simple, normalize_word, word_length
 from .problems import ProblemAnswer, UnsupportedStructureError
 from .structures import DescriptorError, structure_from_descriptor
 
@@ -43,14 +46,24 @@ class WordParseError(ValueError):
     """A word failed to parse; the message carries the offending position."""
 
 
-def parse_tokens(text: str) -> tuple[tuple[str, int], ...]:
-    """A word as (generator token, nonzero exponent) pairs; each distinct
-    token is matched once per call."""
-    seen: dict[str, tuple[str, int]] = {}
-    terms = []
+def parse_word(S: GarsideStructure, text: str) -> Element:
+    """Parse a word over the structure's atoms into a normalized element.
+
+    One pass reads the tokens through a table from token text to its
+    letter (simple, exponent) and atom-letter count, so each distinct token
+    is matched once, and sums the atom letters; one `normalize_word` call
+    then forms the element.  A malformed token or a zero exponent raises
+    where it is read; after the pass, a word over MAX_WORD_ATOMS atom
+    letters raises, then the first unknown generator, by position.
+    """
+    atoms = S.atom_by_name()
+    table: dict[str, tuple[tuple[Simple | None, int], int]] = {}
+    word = []
+    atom_letters = 0
+    unknown = None
     for position, token in enumerate(text.split(), start=1):
-        term = seen.get(token)
-        if term is None:
+        entry = table.get(token)
+        if entry is None:
             match = _TOKEN.match(token)
             if match is None:
                 raise WordParseError(f"malformed token {token!r} at position {position}")
@@ -58,38 +71,25 @@ def parse_tokens(text: str) -> tuple[tuple[str, int], ...]:
             exponent = int(exp) if exp is not None else 1
             if exponent == 0:
                 raise WordParseError(f"zero exponent in {token!r} at position {position}")
-            term = seen[token] = (match.group("name"), exponent)
-        terms.append(term)
-    return tuple(terms)
-
-
-def evaluate_word(S: GarsideStructure, terms: tuple[tuple[str, int], ...]) -> Element:
-    """The element of a token word, with one `normalize_word` call."""
-    # Distinct terms in the order they first occur, so the first unknown
-    # one is also the first by position.
-    counts = Counter(terms)
-    atom_letters = sum(abs(exponent) * k for (name, exponent), k in counts.items() if name != "D")
+            name = match.group("name")
+            if name == "D":
+                entry = (S.delta(), exponent), 0
+            elif name in atoms:
+                entry = (S.atom_simple(atoms[name].index), exponent), abs(exponent)
+            else:
+                entry = (None, exponent), abs(exponent)
+                unknown = unknown or f"unknown generator {name!r} at position {position}"
+            table[token] = entry
+        letter, letters = entry
+        word.append(letter)
+        atom_letters += letters
     if atom_letters > MAX_WORD_ATOMS:
         raise ResourceLimitError(
             f"word has {atom_letters} atom letters, above the bound of {MAX_WORD_ATOMS}"
         )
-    atoms = S.atom_by_name()
-    letters = {}
-    for term in counts:
-        name, exponent = term
-        if name == "D":
-            letters[term] = (S.delta(), exponent)
-        elif name in atoms:
-            letters[term] = (S.atom_simple(atoms[name].index), exponent)
-        else:
-            raise WordParseError(
-                f"unknown generator {name!r} at position {terms.index(term) + 1}")
-    return normalize_word(S, list(map(letters.__getitem__, terms)))
-
-
-def parse_word(S: GarsideStructure, text: str) -> Element:
-    """Parse a word over the structure's atoms into a normalized element."""
-    return evaluate_word(S, parse_tokens(text))
+    if unknown is not None:
+        raise WordParseError(unknown)
+    return normalize_word(S, word)
 
 
 # ----------------------------------------------------------------------
@@ -124,8 +124,8 @@ def _witness_text(w: Element) -> str:
 
 def _answer_json(answer: ProblemAnswer) -> dict:
     """The outcome, then every set field under its own name, in field order."""
-    out: dict = {"outcome": answer.outcome.value}
-    for f in dataclasses.fields(answer)[1:]:
+    out: dict = {"outcome": "solution" if answer.is_solution else "no_solution"}
+    for f in dataclasses.fields(answer):
         value = getattr(answer, f.name)
         if value is not None:
             out[f.name] = element_json(value) if isinstance(value, Element) else value
@@ -133,11 +133,9 @@ def _answer_json(answer: ProblemAnswer) -> dict:
 
 
 def _answer_text(answer: ProblemAnswer) -> str:
-    if answer.is_no_solution:
+    if not answer.is_solution:
         return "no solution"
-    parts = []
-    if answer.n is not None:
-        parts.append(f"n={answer.n}")
+    parts = [f"n={answer.n}"]
     if answer.m is not None:
         parts.append(f"m={answer.m}")
     if answer.root is not None:

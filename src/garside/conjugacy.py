@@ -45,7 +45,7 @@ multiplication; nothing is a trust-me boolean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -80,10 +80,10 @@ class SummitData:
     `conjugator_to(h)` summits h against these invariants and advances the
     walk only until h's representative is reached or the set ends, so a
     conjugate within `DEFAULT_SSS_CAP` elements of the representative is
-    found even in a larger set.  Once the walk has passed the cap, every
-    later query that needs it raises `ResourceLimitError` again, so a
-    capped walk never reads as a finished one.  The whole set is drained
-    by `super_summit_set`, not here.
+    found even in a larger set.  A query raises `ResourceLimitError`
+    whenever the walk holds more elements than the cap read at that call,
+    so a capped walk never reads as a finished one.  The whole set is
+    drained by `super_summit_set`, not here.
     """
 
     inf_s: int
@@ -91,8 +91,6 @@ class SummitData:
     representative: Element
     cycled: tuple[Simple, ...]
     decycled: tuple[Simple, ...]
-    # The message of the walk's cap failure, once it has failed.
-    _failure: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def witness(self) -> Element:
@@ -116,20 +114,21 @@ class SummitData:
     @cached_property
     def _walk(self) -> Iterator[Element]:
         """The walk that fills `_links`, kept between queries."""
-        return _sss_walk(self._links, DEFAULT_SSS_CAP)
+        return _sss_walk(self._links)
 
     def _reaches(self, h: Element) -> bool:
         """Whether h is in the super summit set, walking only until it is
-        inserted; raises for a walk past the cap."""
-        if self._failure is not None:
-            raise ResourceLimitError(self._failure)
-        if h in self._links:
-            return True
-        try:
-            return any(x == h for x in self._walk)
-        except ResourceLimitError as failure:
-            object.__setattr__(self, "_failure", str(failure))
-            raise
+        inserted; raises while the walk holds more than the cap, read here."""
+        cap = DEFAULT_SSS_CAP
+        reached = h in self._links
+        while len(self._links) <= cap:
+            if reached:
+                return True
+            x = next(self._walk, None)
+            if x is None:
+                return False
+            reached = x == h
+        raise ResourceLimitError(f"super summit set exceeds cap of {cap} elements")
 
     def conjugator_to(self, h: Element) -> Element | None:
         """With self = summit(g): w with w^{-1} · g · w = h, or None."""
@@ -291,7 +290,7 @@ def _conjugate(S: GarsideStructure, h: Element, c: Simple) -> Element:
     return Element(S, inf, tuple(factors))
 
 
-def _sss_walk(seen: Closure, cap: int) -> Iterator[Element]:
+def _sss_walk(seen: Closure) -> Iterator[Element]:
     """Walk the super summit set breadth first from the one key of `seen`.
 
     That key, rep, must lie in its super summit set, any two elements of
@@ -304,9 +303,9 @@ def _sss_walk(seen: Closure, cap: int) -> Iterator[Element]:
     canonical order, as in the closure under all simples.  Each new
     element is inserted into `seen` with the pair (h, c) it was first
     reached by, element = c^{-1} · h · c, and rep keeps its link None;
-    after each insert the size is tested against the cap, which raises
-    `ResourceLimitError`, and then the element is yielded, so a caller can
-    stop the walk at any element and resume it later.
+    then it is yielded, so a caller can stop the walk at any element,
+    resume it later, and read its size from `seen`, which is where a cap
+    is checked.
     """
     (rep,) = seen
     S = rep.structure
@@ -322,20 +321,18 @@ def _sss_walk(seen: Closure, cap: int) -> Iterator[Element]:
                     continue
                 seen[h2] = (h, c)
                 nxt.append(h2)
-                if len(seen) > cap:
-                    raise ResourceLimitError(
-                        f"super summit set exceeds cap of {cap} elements"
-                    )
                 yield h2
         frontier = nxt
 
 
 def _sss_closure(rep: Element, cap: int) -> Closure:
     """The super summit set as {element: parent link}, rooted at rep: the
-    whole of `_sss_walk`, the one place that drains it."""
+    whole of `_sss_walk`, the one place that drains it; raises once it
+    holds more than `cap` elements."""
     seen: Closure = {rep: None}
-    for _ in _sss_walk(seen, cap):
-        pass
+    for _ in _sss_walk(seen):
+        if len(seen) > cap:
+            raise ResourceLimitError(f"super summit set exceeds cap of {cap} elements")
     return seen
 
 

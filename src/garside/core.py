@@ -63,6 +63,11 @@ from typing import Any, Iterable, Iterator, Sequence
 # hundred MB; no structure with more is ever tabulated.
 MAX_SIMPLES = 1_000_000
 
+# A factor of a power is one 8-byte reference, and a multiply holds a few
+# lists of its operands' length, so a power of this many factors peaks at a
+# few hundred MB; a longer one is never formed.
+MAX_POWER_FACTORS = 10**7
+
 
 class StructureMismatchError(ValueError):
     """Raised when an operation mixes values owned by different structures."""
@@ -653,7 +658,11 @@ def invert(g: Element) -> Element:
 
 
 def power(g: Element, n: int) -> Element:
-    """Normal form of g^n by square and multiply; g^{-n} = (g^n)^{-1}."""
+    """Normal form of g^n by square and multiply; g^{-n} = (g^n)^{-1}.
+
+    Raises `ResourceLimitError` after the step at which the running result
+    or the squared base has more than MAX_POWER_FACTORS factors.
+    """
     if n < 0:
         return invert(power(g, -n))
     result = identity_element(g.structure)
@@ -664,6 +673,8 @@ def power(g: Element, n: int) -> Element:
         n >>= 1
         if n:
             base = multiply(base, base)
+        if max(len(result.factors), len(base.factors)) > MAX_POWER_FACTORS:
+            raise ResourceLimitError(f"power has more than {MAX_POWER_FACTORS} factors")
     return result
 
 

@@ -38,7 +38,6 @@ applies) that re-verifies by direct normal-form arithmetic.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from typing import Iterator
@@ -66,21 +65,16 @@ class UnsupportedStructureError(RuntimeError):
     """The structure lacks a certificate required by the requested solver."""
 
 
-class Outcome(enum.Enum):
-    SOLUTION = "solution"
-    NO_SOLUTION = "no_solution"
-
-
 @dataclass(frozen=True)
 class ProblemAnswer:
     """Solver outcome: a certified solution or a proven no.
 
-    Which payload fields are set depends on the problem; `witness` conjugates
-    the certified power onto the queried element (w^{-1} · certified · w =
-    target) and is None in plain-equality answers.
+    A solution sets `n` and the other fields its problem certifies; a
+    proven no is `ProblemAnswer()`, with no field set.  `witness`
+    conjugates the certified power onto the queried element
+    (w^{-1} · certified · w = target) and is None in plain-equality answers.
     """
 
-    outcome: Outcome
     n: int | None = None
     m: int | None = None
     root: Element | None = None
@@ -88,15 +82,7 @@ class ProblemAnswer:
 
     @property
     def is_solution(self) -> bool:
-        return self.outcome is Outcome.SOLUTION
-
-    @property
-    def is_no_solution(self) -> bool:
-        return self.outcome is Outcome.NO_SOLUTION
-
-    @staticmethod
-    def no_solution() -> "ProblemAnswer":
-        return ProblemAnswer(Outcome.NO_SOLUTION)
+        return self.n is not None
 
 
 def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> ProblemAnswer:
@@ -109,12 +95,12 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
     if g.structure is not h.structure:
         raise StructureMismatchError("power query across structures")
     if g.is_identity:
-        return ProblemAnswer(Outcome.SOLUTION, n=0, witness=identity_element(g.structure))
+        return ProblemAnswer(n=0, witness=identity_element(g.structure))
     if h.is_identity:
-        return ProblemAnswer.no_solution()
+        return ProblemAnswer()
     ratio = translation_number(g) / translation_number(h)
     if ratio.denominator != 1:
-        return ProblemAnswer.no_solution()
+        return ProblemAnswer()
     m = int(ratio)
     dg, dh = degree(g), degree(h)
     for n in (m, -m):
@@ -124,10 +110,10 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
         if up_to_conjugacy:
             witness = summit(hn).conjugator_to(g)
             if witness is not None:
-                return ProblemAnswer(Outcome.SOLUTION, n=n, witness=witness)
+                return ProblemAnswer(n=n, witness=witness)
         elif hn == g:
-            return ProblemAnswer(Outcome.SOLUTION, n=n)
-    return ProblemAnswer.no_solution()
+            return ProblemAnswer(n=n)
+    return ProblemAnswer()
 
 
 def _partitions(k: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
@@ -201,11 +187,11 @@ def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAn
     N = S.delta_norm()
     t_inf, t_sup = triple.t_inf / n, triple.t_sup / n
     if t_inf.denominator > N or t_sup.denominator > N:
-        return ProblemAnswer.no_solution()
+        return ProblemAnswer()
     degree_g, types = sd.invariant
     allowed = _root_cycle_types(degree_g, types, n)
     if allowed is None:
-        return ProblemAnswer.no_solution()
+        return ProblemAnswer()
     lo, hi = floor(t_inf), ceil(t_sup)
     rest = tuple(d // n - lo * e for d, e in zip(degree_g, S.degree(S.delta())))
     for scanned, factors in enumerate(factor_sequences(S, hi - lo, rest), start=1):
@@ -218,8 +204,8 @@ def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAn
         # those of g, so h^n shares sd.invariant: skip conjugator_to's check.
         w = sd._summit_conjugator(power(h, n))
         if w is not None:
-            return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
-    return ProblemAnswer.no_solution()
+            return ProblemAnswer(n=n, root=h, witness=invert(w))
+    return ProblemAnswer()
 
 
 def solve_root_conjugacy(g: Element, n: int) -> ProblemAnswer:
@@ -230,7 +216,7 @@ def solve_root_conjugacy(g: Element, n: int) -> ProblemAnswer:
     if n < 1:
         raise ValueError("root degree must be at least 1")
     if n == 1:
-        return ProblemAnswer(Outcome.SOLUTION, n=1, root=g, witness=identity_element(g.structure))
+        return ProblemAnswer(n=1, root=g, witness=identity_element(g.structure))
     return _root_search(translation_triple(g), summit(g), n)
 
 
@@ -241,7 +227,7 @@ def solve_root(g: Element, n: int) -> ProblemAnswer:
         return answer
     w = answer.witness
     exact = multiply(multiply(invert(w), answer.root), w)
-    return ProblemAnswer(Outcome.SOLUTION, n=n, root=exact)
+    return ProblemAnswer(n=n, root=exact)
 
 
 def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
@@ -257,7 +243,7 @@ def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
     """
     if g.is_identity:
         # Torsion-freeness leaves only the trivial h = 1, which is excluded.
-        return ProblemAnswer.no_solution()
+        return ProblemAnswer()
     N = g.structure.delta_norm()
     triple = translation_triple(g)
     sd = summit(g)
@@ -270,7 +256,7 @@ def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
         answer = _root_search(triple, sd, n)
         if answer.is_solution:
             return answer
-    return ProblemAnswer.no_solution()
+    return ProblemAnswer()
 
 
 def _divisors(m: int, bound: int) -> Iterator[int]:
@@ -309,7 +295,7 @@ def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = Fals
             f"{g.structure.descriptor()} declares no unique-root exponent"
         )
     if g.is_identity or h.is_identity:
-        return ProblemAnswer.no_solution()
+        return ProblemAnswer()
     ratio = translation_number(h) / translation_number(g)
     p, q = ratio.numerator, ratio.denominator
     dg, dh = degree(g), degree(h)
@@ -318,7 +304,7 @@ def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = Fals
         if tuple(p * d for d in dg) == tuple(sign * q * d for d in dh)
     ]
     if not signs:
-        return ProblemAnswer.no_solution()
+        return ProblemAnswer()
     gp = power(g, p * r)
     sd_gp = summit(gp) if up_to_conjugacy else None
     for sign in signs:
@@ -326,7 +312,7 @@ def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = Fals
         if up_to_conjugacy:
             witness = sd_gp.conjugator_to(hq)
             if witness is not None:
-                return ProblemAnswer(Outcome.SOLUTION, n=p * r, m=sign * q * r, witness=witness)
+                return ProblemAnswer(n=p * r, m=sign * q * r, witness=witness)
         elif gp == hq:
-            return ProblemAnswer(Outcome.SOLUTION, n=p * r, m=sign * q * r)
-    return ProblemAnswer.no_solution()
+            return ProblemAnswer(n=p * r, m=sign * q * r)
+    return ProblemAnswer()

@@ -37,7 +37,6 @@ from garside import (
     BraidStructure,
     Element,
     GarsideStructure,
-    Outcome,
     ProblemAnswer,
     ResourceLimitError,
     SummitData,
@@ -307,7 +306,7 @@ def unpruned_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> P
     N = S.delta_norm()
     t_inf, t_sup = triple.t_inf / n, triple.t_sup / n
     if t_inf.denominator > N or t_sup.denominator > N:
-        return ProblemAnswer.no_solution()
+        return ProblemAnswer()
     lo, hi = floor(t_inf), ceil(t_sup)
     for scanned, factors in enumerate(recursive_factor_sequences(S, hi - lo), start=1):
         if scanned > problems.DEFAULT_CANDIDATE_CAP:
@@ -315,8 +314,8 @@ def unpruned_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> P
         h = Element(S, lo, factors)
         w = invariant_free_conjugator(sd, power(h, n))
         if w is not None:
-            return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
-    return ProblemAnswer.no_solution()
+            return ProblemAnswer(n=n, root=h, witness=invert(w))
+    return ProblemAnswer()
 
 
 def windowed_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAnswer:
@@ -333,7 +332,7 @@ def windowed_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> P
     S = sd.representative.structure
     N = S.delta_norm()
     if (triple.t_D / n).denominator > N * N:
-        return ProblemAnswer.no_solution()
+        return ProblemAnswer()
     t_inf, t_sup = triple.t_inf / n, triple.t_sup / n
     infs = range(ceil(t_inf - 1), floor(t_inf) + 1)
     sups = range(ceil(t_sup), floor(t_sup + 1) + 1)
@@ -350,8 +349,8 @@ def windowed_root_search(triple: TranslationTriple, sd: SummitData, n: int) -> P
             h = Element(S, lo, factors)
             w = invariant_free_conjugator(sd, power(h, n))
             if w is not None:
-                return ProblemAnswer(Outcome.SOLUTION, n=n, root=h, witness=invert(w))
-    return ProblemAnswer.no_solution()
+                return ProblemAnswer(n=n, root=h, witness=invert(w))
+    return ProblemAnswer()
 
 
 def every_degree_proper_power(g: Element) -> ProblemAnswer:
@@ -361,13 +360,13 @@ def every_degree_proper_power(g: Element) -> ProblemAnswer:
     `problems._root_search` on one triple and one summit of g.
     """
     if g.is_identity:
-        return ProblemAnswer.no_solution()
+        return ProblemAnswer()
     triple, sd = translation_triple(g), summit(g)
     for n in range(2, floor(g.structure.delta_norm() * triple.t_D) + 1):
         answer = problems._root_search(triple, sd, n)
         if answer.is_solution:
             return answer
-    return ProblemAnswer.no_solution()
+    return ProblemAnswer()
 
 
 def enumerated_degree_bounds(S: GarsideStructure) -> tuple[tuple[int, ...], tuple[int, ...]]:

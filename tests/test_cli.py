@@ -7,6 +7,7 @@ import pytest
 from garside import (
     braid_structure,
     conjugacy,
+    core,
     delta_power_element,
     multiply,
     problems,
@@ -200,6 +201,33 @@ def test_cli_every_limit_answers_on_stdout(capsys, monkeypatch):
         '{"outcome": "resource_limit", "diagnostic": "root search exceeded 0 candidates"}\n', "")
     assert run_command(["root", "--group", "braid:3", "-n", "3", "D^2"]) == 1
     assert capsys.readouterr() == ("resource limit: root search exceeded 0 candidates\n", "")
+
+
+def test_cli_word_errors_come_in_a_fixed_order(capsys):
+    # A malformed token or a zero exponent comes first, by position; then a
+    # word over the atom bound (unknown generators count); then the first
+    # unknown generator, by position.
+    cases = [
+        ("a9 a1^x", 2, "", "error: malformed token 'a1^x' at position 2\n"),
+        ("a9 a1^0", 2, "", "error: zero exponent in 'a1^0' at position 2\n"),
+        ("a9 a1^100001", 1,
+         "resource limit: word has 100002 atom letters, above the bound of 100000\n", ""),
+        ("a1 a9 a8", 2, "", "error: unknown generator 'a9' at position 2\n"),
+    ]
+    for word, code, out, err in cases:
+        assert run_command(["nf", "--group", "braid:3", word]) == code
+        assert capsys.readouterr() == (out, err)
+
+
+def test_cli_refuses_a_power_of_too_many_factors(capsys, monkeypatch):
+    # The translation triple of a1 in braid:3 forms a1^(N^2) = a1^9, a power
+    # of 9 factors.
+    monkeypatch.setattr(core, "MAX_POWER_FACTORS", 8)
+    assert run_command(["tnum", "--group", "braid:3", "a1"]) == 1
+    assert capsys.readouterr() == ("resource limit: power has more than 8 factors\n", "")
+    monkeypatch.setattr(core, "MAX_POWER_FACTORS", 9)
+    assert run_command(["tnum", "--group", "braid:3", "a1"]) == 0
+    assert capsys.readouterr() == ("t_inf=0 t_sup=1 t_len=1 t_D=1 t_Dbar=1\n", "")
 
 
 def test_cli_sss_reads_the_cap_at_call_time(capsys, monkeypatch):

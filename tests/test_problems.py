@@ -35,7 +35,7 @@ T53 = torus_structure(5, 3)
 def test_solve_power_fixtures():
     assert solve_power(delta_power_element(B3, 2), delta_power_element(B3, 1)).n == 2
     assert solve_power(parse_word(B3, "a1^4"), parse_word(B3, "a1^2")).n == 2
-    assert solve_power(parse_word(B3, "a1"), parse_word(B3, "a2")).is_no_solution
+    assert not solve_power(parse_word(B3, "a1"), parse_word(B3, "a2")).is_solution
     answer = solve_power(parse_word(B3, "a1"), parse_word(B3, "a2"), up_to_conjugacy=True)
     assert answer.n == 1
     assert_conjugate_by(answer.witness, parse_word(B3, "a2"), parse_word(B3, "a1"))
@@ -46,7 +46,7 @@ def test_solve_power_identity_edges():
     h = parse_word(B3, "a1")
     assert solve_power(g, h).n == 0
     assert solve_power(g, g).n == 0
-    assert solve_power(h, g).is_no_solution
+    assert not solve_power(h, g).is_solution
 
 
 def test_solve_power_negative_exponent():
@@ -66,7 +66,7 @@ def test_solve_root_conjugacy_fixtures():
     assert power(answer.root, 3).is_identity is False
     assert_conjugate_by(answer.witness, power(answer.root, 3), delta_power_element(B3, 2))
 
-    assert solve_root_conjugacy(parse_word(B3, "a1"), 2).is_no_solution
+    assert not solve_root_conjugacy(parse_word(B3, "a1"), 2).is_solution
     assert solve_root_conjugacy(parse_word(B3, "a1"), 1).root == parse_word(B3, "a1")
     with pytest.raises(ValueError):
         solve_root_conjugacy(parse_word(B3, "a1"), 0)
@@ -90,8 +90,8 @@ def test_solve_proper_power_fixtures():
     answer = solve_proper_power_conjugacy(delta_power_element(B3, 2))
     assert (answer.root, answer.n) == (delta_power_element(B3, 1), 2)
 
-    assert solve_proper_power_conjugacy(parse_word(B3, "a1")).is_no_solution
-    assert solve_proper_power_conjugacy(identity_element(B3)).is_no_solution
+    assert not solve_proper_power_conjugacy(parse_word(B3, "a1")).is_solution
+    assert not solve_proper_power_conjugacy(identity_element(B3)).is_solution
 
     answer = solve_proper_power_conjugacy(parse_word(T53, "x^2"))
     assert (answer.root, answer.n) == (parse_word(T53, "x"), 2)
@@ -104,7 +104,7 @@ def test_solve_generalized_power_fixtures():
     assert (answer.n, answer.m) == (18, 12)
     assert power(g, 18) == power(h, 12)
 
-    assert solve_generalized_power(parse_word(B3, "a1"), parse_word(B3, "a2")).is_no_solution
+    assert not solve_generalized_power(parse_word(B3, "a1"), parse_word(B3, "a2")).is_solution
     answer = solve_generalized_power(parse_word(B3, "a1"), parse_word(B3, "a2"), up_to_conjugacy=True)
     assert (answer.n, answer.m) == (6, 6)
     assert_conjugate_by(answer.witness, power(parse_word(B3, "a1"), 6), power(parse_word(B3, "a2"), 6))
@@ -112,7 +112,7 @@ def test_solve_generalized_power_fixtures():
     answer = solve_generalized_power(delta_power_element(B3, 1), delta_power_element(B3, 3))
     assert (answer.n, answer.m) == (18, 6)
 
-    assert solve_generalized_power(identity_element(B3), parse_word(B3, "a1")).is_no_solution
+    assert not solve_generalized_power(identity_element(B3), parse_word(B3, "a1")).is_solution
 
 
 def test_generalized_power_unsupported_structure():
@@ -169,7 +169,7 @@ def test_power_no_solution_brute_cross_check():
         if g.is_identity or h.is_identity:
             continue
         answer = solve_power(g, h, up_to_conjugacy=True)
-        if not answer.is_no_solution:
+        if answer.is_solution:
             continue
         for n in range(-8, 9):
             assert are_conjugate(power(h, n), g) is None
@@ -217,13 +217,13 @@ def test_proper_power_search_computes_class_data_once(monkeypatch):
     monkeypatch.setattr(conjugacy.SummitData, "_reaches",
                         lambda sd, h: reached.append(h) or original(sd, h))
     g = parse_word(B3, "a1^5 a2^3")
-    assert solve_proper_power_conjugacy(g).is_no_solution
+    assert not solve_proper_power_conjugacy(g).is_solution
     assert calls["translation_triple"] == 1
     assert calls["_sss_walk"] <= 1
     # Six root candidates of this word reach its summit invariants, all on one walk.
     calls["translation_triple"] = 0
     g = parse_word(B3, "a2^3 a1^-2 a2")
-    assert solve_proper_power_conjugacy(g).is_no_solution
+    assert not solve_proper_power_conjugacy(g).is_solution
     assert calls["translation_triple"] == 1
     assert len(reached) == 6
     assert calls["_sss_walk"] == 1
@@ -233,7 +233,7 @@ def test_root_search_builds_super_summit_set_only_when_needed(monkeypatch):
     # Both elements have a two-element super summit set, above this cap.
     monkeypatch.setattr(conjugacy, "DEFAULT_SSS_CAP", 1)
     # No candidate square reaches the summit invariants of a1.
-    assert solve_root_conjugacy(parse_word(B3, "a1"), 2).is_no_solution
+    assert not solve_root_conjugacy(parse_word(B3, "a1"), 2).is_solution
     # The candidate a1 does reach those of a1^2, so the set is built and trips the cap.
     with pytest.raises(ResourceLimitError, match="cap of 1"):
         solve_root_conjugacy(parse_word(B3, "a1^2"), 2)

@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garside import (
-    Outcome,
     degree,
     delta_power_element,
     invert,
@@ -62,8 +61,8 @@ def test_one_window_search_matches_every_window_search(query):
     triple, sd = translation_triple(g), summit(g)
     answer = problems._root_search(triple, sd, n)
     reference = windowed_root_search(triple, sd, n)
-    assert (answer.outcome, answer.n, answer.root, answer.witness) == (
-        reference.outcome, reference.n, reference.root, reference.witness
+    assert (answer.is_solution, answer.n, answer.root, answer.witness) == (
+        reference.is_solution, reference.n, reference.root, reference.witness
     )
 
 
@@ -103,7 +102,7 @@ def test_degree_with_a_large_limit_denominator_scans_nothing(monkeypatch, desc, 
     assert (triple.t_inf / n).denominator > N
     assert (triple.t_D / n).denominator <= N * N
     lengths, yielded = counting_sequences(monkeypatch)
-    assert solve_root_conjugacy(g, n).is_no_solution
+    assert not solve_root_conjugacy(g, n).is_solution
     assert (lengths, yielded) == ([], [])
 
 
@@ -118,7 +117,7 @@ def test_indivisible_degree_scans_nothing(monkeypatch, desc, n, word):
     assert (translation_triple(g).t_inf / n).denominator == 1
     assert any(d % n for d in degree(g))
     lengths, yielded = counting_sequences(monkeypatch)
-    assert solve_root_conjugacy(g, n).is_no_solution
+    assert not solve_root_conjugacy(g, n).is_solution
     assert (lengths, yielded) == ([], [])
 
 
@@ -135,7 +134,7 @@ def test_integral_limit_enumerates_one_length(monkeypatch, desc, n, word, length
     assert (translation_triple(g).t_inf / n).denominator == 1
     assert not any(d % n for d in degree(g))
     lengths, yielded = counting_sequences(monkeypatch)
-    assert solve_root_conjugacy(g, n).is_no_solution
+    assert not solve_root_conjugacy(g, n).is_solution
     assert lengths == [length]
     assert yielded
 
@@ -159,8 +158,8 @@ def proper_power_queries_of(S):
 def test_proper_power_matches_every_degree_search(g):
     answer = solve_proper_power_conjugacy(g)
     reference = every_degree_proper_power(g)
-    assert (answer.outcome, answer.n, answer.root, answer.witness) == (
-        reference.outcome, reference.n, reference.root, reference.witness
+    assert (answer.is_solution, answer.n, answer.root, answer.witness) == (
+        reference.is_solution, reference.n, reference.root, reference.witness
     )
 
 
@@ -182,7 +181,7 @@ def test_proper_power_degrees_stop_at_the_t_len_bound(monkeypatch, word):
         return original(triple, sd, n)
 
     monkeypatch.setattr(problems, "_root_search", counting)
-    assert solve_proper_power_conjugacy(g).is_no_solution
+    assert not solve_proper_power_conjugacy(g).is_solution
     assert len(degrees) <= floor(N * N * triple.t_len) - 1
 
 
@@ -194,4 +193,4 @@ def test_proper_power_degree_above_n_times_t_len():
     N = S.delta_norm()
     assert N * translation_triple(g).t_len < 2
     answer = solve_proper_power_conjugacy(g)
-    assert (answer.outcome, answer.n) == (Outcome.SOLUTION, 2)
+    assert (answer.is_solution, answer.n) == (True, 2)

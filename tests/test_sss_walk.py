@@ -8,9 +8,11 @@ keys and parent links alike; `conjugator_to` gives the witness of
 `oracle.invariant_free_conjugator`, which looks the target up in the whole
 set and multiplies the witness out piece by piece; and under a small cap
 a target inside it answers, while a target beyond it raises, again on
-every later call on the same summit data.
+every later call on the same summit data while the cap stays, and the
+same query answers once the cap is raised.
 """
 
+import inspect
 import json
 
 import pytest
@@ -98,6 +100,21 @@ def test_cap_answers_inside_and_raises_beyond(monkeypatch, S):
     near = targets[0][1]
     with pytest.raises(ResourceLimitError):
         sd.conjugator_to(near)
+
+
+def test_a_capped_walk_is_read_from_its_table(monkeypatch):
+    # The walk only inserts and yields; each query compares the size of its
+    # table with the cap read at that call.
+    assert list(inspect.signature(conjugacy._sss_walk).parameters) == ["seen"]
+    g = parse_word(braid_structure(3), WIDE["braid:3"])
+    position, far = conjugates_by_position(summit(g))[-1]
+    assert position >= 1
+    sd = summit(g)
+    monkeypatch.setattr(conjugacy, "DEFAULT_SSS_CAP", position)
+    with pytest.raises(ResourceLimitError, match=f"cap of {position}"):
+        sd.conjugator_to(far)
+    monkeypatch.setattr(conjugacy, "DEFAULT_SSS_CAP", DEFAULT_SSS_CAP)
+    assert_conjugate_by(sd.conjugator_to(far), g, far)
 
 
 def test_conj_answers_a_target_inside_the_cap_of_a_larger_set(monkeypatch, capsys):
