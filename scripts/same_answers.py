@@ -26,7 +26,11 @@ JSON and the text output are checked.  The list is
   a: a malformed token ``a^x``, a zero exponent ``a^0``, an unknown
   generator ``az``, an unknown generator before a malformed token, and a
   word over the atom bound that holds an unknown generator, so that the
-  order of the reader's errors is compared on stderr and in exit codes.
+  order of the reader's errors is compared on stderr and in exit codes;
+* per family, ``root -n 2`` and ``properpower`` of the empty word, and
+  ``power``, ``genpower`` (each with and without ``--conjugacy``) and
+  ``conj`` of the empty word paired with itself, and with ``D`` and the
+  first atom in both orders, so that the identity's answers are compared.
 
 Prints the query count (text runs included) and every difference; exits 1
 on any difference.
@@ -120,6 +124,18 @@ def _invalid_queries(desc: str, atom: str) -> list[list[str]]:
     return [["nf", "--group", desc, "--json", word] for word in words]
 
 
+def _identity_queries(desc: str, atom: str) -> list[list[str]]:
+    """The solvers and ``conj`` on the empty word, alone or paired with
+    itself, ``D`` and one atom."""
+    base = ["--group", desc, "--json"]
+    pairs = [("", ""), ("", "D"), ("D", ""), ("", atom), (atom, "")]
+    queries = [["root", *base, "-n", "2", ""], ["properpower", *base, ""]]
+    for command in (["power"], ["power", "--conjugacy"], ["genpower"],
+                    ["genpower", "--conjugacy"], ["conj"]):
+        queries += [[*command, *base, x, y] for x, y in pairs]
+    return queries
+
+
 def _generate(src: str, seed: int, per_workload: int, per_command: int) -> list[list[str]]:
     _import_garside(src)
     sys.path.insert(0, str(BENCH))
@@ -139,7 +155,8 @@ def _generate(src: str, seed: int, per_workload: int, per_command: int) -> list[
         atoms = [atom.name for atom in structure_from_descriptor(desc).atoms()]
         queries += _command_queries(desc, atoms, rng, per_command)
     for desc in STRUCTURES:
-        queries += _invalid_queries(desc, structure_from_descriptor(desc).atoms()[0].name)
+        atom = structure_from_descriptor(desc).atoms()[0].name
+        queries += _invalid_queries(desc, atom) + _identity_queries(desc, atom)
     return queries + [[arg for arg in argv if arg != "--json"] for argv in queries]
 
 

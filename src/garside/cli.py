@@ -32,7 +32,7 @@ import sys
 from . import conjugacy, problems, translation
 from .core import Element, GarsideStructure, ResourceLimitError, Simple, normalize_word, word_length
 from .problems import ProblemAnswer, UnsupportedStructureError
-from .structures import DescriptorError, structure_from_descriptor
+from .structures import structure_from_descriptor
 
 # A word of k atom letters normalises through about k factors, so the atom
 # count is bounded before any arithmetic; Delta powers cost nothing and are
@@ -279,7 +279,7 @@ def run_command(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (WordParseError, DescriptorError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnsupportedStructureError as exc:

@@ -33,7 +33,12 @@ search finds.  The exponential worst case is accepted: a search that passes
 its cap raises `ResourceLimitError` rather than give a wrong answer.
 
 Every positive answer carries a certificate (a conjugating witness where it
-applies) that re-verifies by direct normal-form arithmetic.
+applies) that re-verifies by direct normal-form arithmetic.  The power and
+generalized-power solvers fix their exponents as above and then make one
+comparison, exact or up to conjugacy (`_certify`), per candidate, identity
+inputs included.  By torsion-freeness the identity answers n = 0 as a power
+of anything, is its own root of every degree, is no proper power, and
+solves the generalized-power problem, as (1, 1), only with itself.
 """
 
 from __future__ import annotations
@@ -85,34 +90,35 @@ class ProblemAnswer:
         return self.n is not None
 
 
+def _certify(x: Element, y: Element, up_to_conjugacy: bool, **found) -> ProblemAnswer:
+    """The solution `found` if x = y, or, up to conjugacy, if some w has
+    w^{-1} · x · w = y, with w as its witness; a proven no otherwise."""
+    if not up_to_conjugacy:
+        return ProblemAnswer(**found) if x == y else ProblemAnswer()
+    witness = summit(x).conjugator_to(y)
+    return ProblemAnswer() if witness is None else ProblemAnswer(**found, witness=witness)
+
+
 def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> ProblemAnswer:
     """Find n with h^n equal (or conjugate) to g.
 
-    For g, h != 1 the only candidate magnitude is m = t_D(g)/t_D(h); the
-    answer is +m or -m according to whether h^m matches g or g^{-1}, and
-    an exponent n is tried only when deg(g) = n·deg(h).
+    When g or h is 1, n = 0 is the one candidate: the group is torsion-free,
+    so h^n = 1 with h != 1 only for n = 0.  Otherwise the only candidate
+    magnitude is m = t_D(g)/t_D(h), tried only when it is an integer; the
+    answer is +m or -m according to whether h^m matches g or g^{-1}, and an
+    exponent n is tried only when deg(g) = n·deg(h).
     """
     if g.structure is not h.structure:
         raise StructureMismatchError("power query across structures")
-    if g.is_identity:
-        return ProblemAnswer(n=0, witness=identity_element(g.structure))
-    if h.is_identity:
-        return ProblemAnswer()
+    if g.is_identity or h.is_identity:
+        return _certify(identity_element(g.structure), g, up_to_conjugacy, n=0)
     ratio = translation_number(g) / translation_number(h)
-    if ratio.denominator != 1:
-        return ProblemAnswer()
-    m = int(ratio)
     dg, dh = degree(g), degree(h)
-    for n in (m, -m):
-        if dg != tuple(n * d for d in dh):
-            continue
-        hn = power(h, n)
-        if up_to_conjugacy:
-            witness = summit(hn).conjugator_to(g)
-            if witness is not None:
-                return ProblemAnswer(n=n, witness=witness)
-        elif hn == g:
-            return ProblemAnswer(n=n)
+    for n in (ratio.numerator, -ratio.numerator):
+        if ratio.denominator == 1 and dg == tuple(n * d for d in dh):
+            answer = _certify(power(h, n), g, up_to_conjugacy, n=n)
+            if answer.is_solution:
+                return answer
     return ProblemAnswer()
 
 
@@ -239,11 +245,10 @@ def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
     root problems, tried in increasing n on one triple and one summit of g;
     every degree beyond the t_len bound fails `_root_search`'s denominator
     test anyway.  Since n·deg(h) = deg(g), only the divisors of the gcd of
-    deg(g)'s coordinates are tried, or every n when deg(g) = 0.
+    deg(g)'s coordinates are tried, or every n when deg(g) = 0.  The
+    identity is no proper power: h = 1 is excluded, and t_D(1) = 0 leaves
+    no degree to try.
     """
-    if g.is_identity:
-        # Torsion-freeness leaves only the trivial h = 1, which is excluded.
-        return ProblemAnswer()
     N = g.structure.delta_norm()
     triple = translation_triple(g)
     sd = summit(g)
@@ -285,7 +290,8 @@ def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = Fals
     that every r-th power lies in a finite-index subgroup with unique roots.
     With p/q = t_D(h)/t_D(g) reduced, a solution exists if and only if
     g^{pr} matches h^{qr} or h^{-qr}, so the check is a single comparison,
-    made only for the signs with p·deg(g) = ±q·deg(h).
+    made only for the signs with p·deg(g) = ±q·deg(h).  When g or h is 1,
+    (1, 1) is the one candidate: g^n = 1 with n != 0 only for g = 1.
     """
     if g.structure is not h.structure:
         raise StructureMismatchError("generalized power query across structures")
@@ -295,24 +301,14 @@ def solve_generalized_power(g: Element, h: Element, up_to_conjugacy: bool = Fals
             f"{g.structure.descriptor()} declares no unique-root exponent"
         )
     if g.is_identity or h.is_identity:
-        return ProblemAnswer()
+        return _certify(g, h, up_to_conjugacy, n=1, m=1)
     ratio = translation_number(h) / translation_number(g)
     p, q = ratio.numerator, ratio.denominator
     dg, dh = degree(g), degree(h)
-    signs = [
-        sign for sign in (1, -1)
-        if tuple(p * d for d in dg) == tuple(sign * q * d for d in dh)
-    ]
-    if not signs:
-        return ProblemAnswer()
-    gp = power(g, p * r)
-    sd_gp = summit(gp) if up_to_conjugacy else None
-    for sign in signs:
-        hq = power(h, sign * q * r)
-        if up_to_conjugacy:
-            witness = sd_gp.conjugator_to(hq)
-            if witness is not None:
-                return ProblemAnswer(n=p * r, m=sign * q * r, witness=witness)
-        elif gp == hq:
-            return ProblemAnswer(n=p * r, m=sign * q * r)
+    for sign in (1, -1):
+        if tuple(p * d for d in dg) == tuple(sign * q * d for d in dh):
+            answer = _certify(power(g, p * r), power(h, sign * q * r), up_to_conjugacy,
+                              n=p * r, m=sign * q * r)
+            if answer.is_solution:
+                return answer
     return ProblemAnswer()

@@ -158,9 +158,9 @@ def test_cli_flags_do_not_carry_over_between_calls(capsys):
 def test_cli_exit_codes(capsys):
     # parse errors and usage errors exit 2
     assert run_command(["nf", "--group", "braid:3", "a5"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr() == ("", "error: unknown generator 'a5' at position 1\n")
     assert run_command(["nf", "--group", "wat:3", "a1"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr() == ("", "error: unknown structure descriptor 'wat:3'\n")
     deep = "product:(braid:2," * 3000 + "braid:2" + ")" * 3000
     assert run_command(["nf", "--group", deep, "D"]) == 2
     assert "nested deeper than 16" in capsys.readouterr().err

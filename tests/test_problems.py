@@ -47,6 +47,13 @@ def test_solve_power_identity_edges():
     assert solve_power(g, h).n == 0
     assert solve_power(g, g).n == 0
     assert not solve_power(h, g).is_solution
+    assert not solve_power(h, g, up_to_conjugacy=True).is_solution
+    # A plain-equality answer carries no witness; one up to conjugacy does.
+    for other in (g, h, delta_power_element(B3, 1)):
+        assert solve_power(g, other).witness is None
+        answer = solve_power(g, other, up_to_conjugacy=True)
+        assert answer.n == 0
+        assert_conjugate_by(answer.witness, power(other, 0), g)
 
 
 def test_solve_power_negative_exponent():
@@ -112,7 +119,17 @@ def test_solve_generalized_power_fixtures():
     answer = solve_generalized_power(delta_power_element(B3, 1), delta_power_element(B3, 3))
     assert (answer.n, answer.m) == (18, 6)
 
-    assert not solve_generalized_power(identity_element(B3), parse_word(B3, "a1")).is_solution
+    # g^n = 1 with n != 0 only for g = 1, so (1, 1) answers two identities
+    # and nothing answers one.
+    one, a1 = identity_element(B3), parse_word(B3, "a1")
+    answer = solve_generalized_power(one, one)
+    assert (answer.n, answer.m, answer.witness) == (1, 1, None)
+    answer = solve_generalized_power(one, one, up_to_conjugacy=True)
+    assert (answer.n, answer.m) == (1, 1)
+    assert answer.witness == one
+    for g, h in ((one, a1), (a1, one)):
+        for up_to_conjugacy in (False, True):
+            assert not solve_generalized_power(g, h, up_to_conjugacy).is_solution
 
 
 def test_generalized_power_unsupported_structure():
@@ -174,6 +191,70 @@ def test_power_no_solution_brute_cross_check():
         for n in range(-8, 9):
             assert are_conjugate(power(h, n), g) is None
         checked += 1
+
+
+def _edge_words(S):
+    """The identity, D, D^-1, D^2, then the atoms, their inverses, a_i a_j^-1
+    for i != j and a_i^2, as elements of S."""
+    atoms = [atom.name for atom in S.atoms()]
+    words = ["", "D", "D^-1", "D^2", *atoms, *(f"{a}^-1" for a in atoms),
+             *(f"{a} {b}^-1" for a in atoms for b in atoms if a != b),
+             *(f"{a}^2" for a in atoms)]
+    return [parse_word(S, w) for w in words]
+
+
+def _matches(x, y, up_to_conjugacy):
+    return are_conjugate(x, y) is not None if up_to_conjugacy else x == y
+
+
+@pytest.mark.parametrize("descriptor", ["braid:3", "product:(braid:2,braid:3)"])
+def test_power_solvers_brute_cross_check_on_edge_words(descriptor):
+    # Every pair of edge words, both solvers, both modes, against plain
+    # powers and `are_conjugate`: a brute solution over |n| <= 12 (power)
+    # or 1 <= n <= 6, 1 <= |m| <= 6 (generalized power) must be found, and
+    # every solution found must verify.
+    from garside import structure_from_descriptor
+
+    S = structure_from_descriptor(descriptor)
+    words = _edge_words(S)
+    powers = {(w, n): power(w, n) for w in words for n in range(-12, 13)}
+    for up_to_conjugacy in (False, True):
+        for g in words:
+            for h in words:
+                answer = solve_power(g, h, up_to_conjugacy)
+                brute = any(_matches(powers[h, n], g, up_to_conjugacy) for n in range(-12, 13))
+                assert answer.is_solution == brute, (g, h, up_to_conjugacy)
+                if brute:
+                    x = powers[h, answer.n]
+                    if up_to_conjugacy:
+                        assert_conjugate_by(answer.witness, x, g)
+                    else:
+                        assert answer.witness is None and x == g
+
+                answer = solve_generalized_power(g, h, up_to_conjugacy)
+                if answer.is_solution:
+                    x, y = power(g, answer.n), power(h, answer.m)
+                    if up_to_conjugacy:
+                        assert_conjugate_by(answer.witness, x, y)
+                    else:
+                        assert answer.witness is None and x == y
+                else:
+                    assert not any(_matches(powers[g, n], powers[h, m], up_to_conjugacy)
+                                   for n in range(1, 7) for m in range(-6, 7) if m)
+
+
+def test_no_power_is_formed_when_the_degree_rules_out_every_exponent(monkeypatch):
+    # deg(a1 a2^-1) = 0 and deg(a1) = 1, so neither sign passes either
+    # solver's degree test; t_D(a1 a2^-1) / t_D(a1) = 2 is an integer, so
+    # only the degree rejects in `solve_power`.
+    calls = []
+    monkeypatch.setattr(problems, "power", lambda *args: calls.append(args) or power(*args))
+    g, h = parse_word(B3, "a1 a2^-1"), parse_word(B3, "a1")
+    assert translation.translation_number(g) / translation.translation_number(h) == 2
+    for up_to_conjugacy in (False, True):
+        assert not solve_power(g, h, up_to_conjugacy).is_solution
+        assert not solve_generalized_power(g, h, up_to_conjugacy).is_solution
+    assert calls == []
 
 
 def test_generalized_power_on_product_of_braids():
