@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the hard inputs H1-H9 of ROADMAP.md, each in a fresh interpreter.
+"""Time the hard inputs H1-H11 of ROADMAP.md, each in a fresh interpreter.
 
     python3 scripts/hard_inputs.py [ID ...] [--src SRC] [--timeout 60]
 
@@ -57,6 +57,13 @@ The words are pinned here from the recipes of the ROADMAP table:
   ``a1^100000`` in ``braid:7`` (H9a), whose ``g^(N^2)`` has about
   4.4·10^7 factors, and ``genpower`` of ``a1`` and ``a1^100000`` in
   ``braid:7`` (H9b).  Both answer ``resource_limit`` within seconds.
+* H10: ``root -n 2`` on ``L.a1^2 R.a1^2`` in ``product:(braid:6,braid:6)``:
+  the root search makes and orders the table of 720^2 simples before its
+  first candidate; about 3 to 4 s and 200 MB.
+* H11: ``sss`` of query 12 of the hostile sweep with seed 7, a
+  ``product:(braid:4,torus:5:3)`` word whose super summit set is drained
+  to the cap of 100,000 elements and answers ``resource_limit`` after
+  14 to 19 s.
 """
 
 from __future__ import annotations
@@ -132,6 +139,10 @@ INPUTS: dict[str, tuple[str, object]] = {
     "H8e": ("cli", ["sss", "--group", "braid:7", "a6 a2^2 a3^-2"]),
     "H9a": ("cli", ["tnum", "--group", "braid:7", "a1^100000"]),
     "H9b": ("cli", ["genpower", "--group", "braid:7", "a1", "a1^100000"]),
+    "H10": ("cli", ["root", "-n", "2", "--group", "product:(braid:6,braid:6)", "L.a1^2 R.a1^2"]),
+    "H11": ("cli", ["sss", "--group", "product:(braid:4,torus:5:3)",
+                    "R.y^-2 L.a2 R.y R.y L.a1^-23 L.a1^2 L.a1^-1 L.a3^28 R.y R.x^-1 L.a2 "
+                    "R.x^2 R.x^2"]),
 }
 
 # Runs in the subprocess: argv[1] is the source tree, argv[2] the input as

@@ -15,10 +15,11 @@ The minimal simple of an atom a at x is the ≼-least simple above a that
 keeps x in its super summit set (Franco and González-Meneses, 2003); it is
 found by climbing joins of simples, so each element has at most one
 outgoing conjugator per atom instead of one per simple.  The walk of the
-set, `_sss_walk`, is a generator: it forms each conjugate c^{-1} h c on one
-list too, with a push at the front and one at the back, inserts it with
-the parent link (h, c) it was reached by, and yields it, so a caller can
-stop at any element and resume later.
+set, `_sss_walk`, is a generator over one breadth-first queue: it forms
+each conjugate c^{-1} h c on one list too, with a push at each end,
+inserts it with its parent link (h, c) and yields it.  `SummitData._reaches`
+is the one loop that advances a walk and checks its cap, for a query and
+for the drain of the whole set.
 
 `summit(g)` is the class data of g: the invariants, a representative and,
 each built on first use, its witness and the walk of its super summit set.
@@ -80,10 +81,10 @@ class SummitData:
     `conjugator_to(h)` summits h against these invariants and advances the
     walk only until h's representative is reached or the set ends, so a
     conjugate within `DEFAULT_SSS_CAP` elements of the representative is
-    found even in a larger set.  A query raises `ResourceLimitError`
-    whenever the walk holds more elements than the cap read at that call,
-    so a capped walk never reads as a finished one.  The whole set is
-    drained by `super_summit_set`, not here.
+    found even in a larger set.  `_reaches` is the one loop over the walk:
+    it raises `ResourceLimitError` whenever the walk holds more elements
+    than the cap of that call, so a capped walk never reads as a finished
+    one, and `_sss_closure` drains the whole set through it.
     """
 
     inf_s: int
@@ -116,10 +117,11 @@ class SummitData:
         """The walk that fills `_links`, kept between queries."""
         return _sss_walk(self._links)
 
-    def _reaches(self, h: Element) -> bool:
+    def _reaches(self, h: Element | None, cap: int | None = None) -> bool:
         """Whether h is in the super summit set, walking only until it is
-        inserted; raises while the walk holds more than the cap, read here."""
-        cap = DEFAULT_SSS_CAP
+        inserted, or to the end when h is None; the one cap check: raises while
+        the walk holds more than cap, DEFAULT_SSS_CAP as read here when None."""
+        cap = DEFAULT_SSS_CAP if cap is None else cap
         reached = h in self._links
         while len(self._links) <= cap:
             if reached:
@@ -303,37 +305,32 @@ def _sss_walk(seen: Closure) -> Iterator[Element]:
     canonical order, as in the closure under all simples.  Each new
     element is inserted into `seen` with the pair (h, c) it was first
     reached by, element = c^{-1} · h · c, and rep keeps its link None;
-    then it is yielded, so a caller can stop the walk at any element,
-    resume it later, and read its size from `seen`, which is where a cap
+    then it is queued and yielded, so a caller can stop the walk at any
+    element, resume it later, and read its size from `seen`, where a cap
     is checked.
     """
     (rep,) = seen
     S = rep.structure
     atoms = [S.atom_simple(i) for i in range(len(S.atoms()))]
-    frontier = [rep]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            h_inv = invert(h)
-            for c in sorted({_min_simple(h, h_inv, a) for a in atoms}):
-                h2 = _conjugate(S, h, c)
-                if h2 in seen:
-                    continue
-                seen[h2] = (h, c)
-                nxt.append(h2)
-                yield h2
-        frontier = nxt
+    queue = [rep]
+    for h in queue:
+        h_inv = invert(h)
+        for c in sorted({_min_simple(h, h_inv, a) for a in atoms}):
+            h2 = _conjugate(S, h, c)
+            if h2 in seen:
+                continue
+            seen[h2] = (h, c)
+            queue.append(h2)
+            yield h2
 
 
-def _sss_closure(rep: Element, cap: int) -> Closure:
+def _sss_closure(rep: Element, cap: int | None) -> Closure:
     """The super summit set as {element: parent link}, rooted at rep: the
-    whole of `_sss_walk`, the one place that drains it; raises once it
-    holds more than `cap` elements."""
-    seen: Closure = {rep: None}
-    for _ in _sss_walk(seen):
-        if len(seen) > cap:
-            raise ResourceLimitError(f"super summit set exceeds cap of {cap} elements")
-    return seen
+    walk of a `SummitData` on rep drained by `_reaches(None, cap)`, which
+    raises once it holds more than `cap` elements (None: DEFAULT_SSS_CAP)."""
+    sd = SummitData(rep.inf, rep.sup, rep, (), ())
+    sd._reaches(None, cap)
+    return sd._links
 
 
 def _link_path(closure: Closure, h: Element) -> list[Simple]:
@@ -350,7 +347,7 @@ def _link_path(closure: Closure, h: Element) -> list[Simple]:
 def super_summit_set(g: Element, cap: int | None = None) -> tuple[Element, ...]:
     """The full super summit set of g, in canonical order; the cap defaults
     to DEFAULT_SSS_CAP as read at call time."""
-    closure = _sss_closure(summit(g).representative, DEFAULT_SSS_CAP if cap is None else cap)
+    closure = _sss_closure(summit(g).representative, cap)
     return tuple(sorted(closure, key=Element.sort_key))
 
 

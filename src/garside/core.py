@@ -57,6 +57,7 @@ import dataclasses
 import functools
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 # A simple costs a few hundred bytes, so a table of this many is a few
@@ -193,7 +194,8 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
 
     @abc.abstractmethod
     def _all_payloads(self) -> Iterator[Any]:
-        """Every simple payload, identity and Delta included."""
+        """Every simple payload, identity and Delta included; those of one atom
+        norm in increasing order, so `enumerate_simples` sorts by norm alone."""
 
     @abc.abstractmethod
     def _atom_weights(self) -> tuple[tuple[int, ...], ...]:
@@ -257,7 +259,7 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         """
         if sum(1 for _ in islice(self._all_payloads(), MAX_SIMPLES + 1)) > MAX_SIMPLES:
             raise ResourceLimitError(f"{self.descriptor()} has more than {MAX_SIMPLES} simples")
-        return tuple(sorted(map(self.make_simple, self._all_payloads())))
+        return tuple(sorted(map(self.make_simple, self._all_payloads()), key=attrgetter("atom_norm")))
 
     @functools.cache
     def tau_order(self) -> int:

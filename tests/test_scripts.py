@@ -72,14 +72,14 @@ def test_hard_inputs_know_every_id():
     script = load_script("hard_inputs")
     expected = [*(f"H1{c}" for c in "abcd"), *(f"H2{c}" for c in "abcd"), "H3a", "H3b", "H3c",
                 "H4a", "H4b", "H5a", "H5b", "H5c", "H6a", "H6b", "H7",
-                *(f"H8{c}" for c in "abcde"), "H9a", "H9b"]
+                *(f"H8{c}" for c in "abcde"), "H9a", "H9b", "H10", "H11"]
     assert list(script.INPUTS) == expected
     # Every CLI input is a valid command on words that parse.
     for kind, argv in script.INPUTS.values():
         if kind == "cli":
             parse_cli_words(argv)
     with pytest.raises(SystemExit):
-        script.main(["H10"])
+        script.main(["H12"])
 
 
 def test_hard_inputs_report_a_timeout():

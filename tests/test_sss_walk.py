@@ -3,8 +3,10 @@
 `SummitData` walks the set breadth first from its representative and
 keeps the walk between queries: `conjugator_to(h)` advances it only until
 h's representative is inserted.  On the families of `test_repair_paths`:
-a partial walk holds a prefix of `_sss_closure`, the one drain of the set,
-keys and parent links alike; `conjugator_to` gives the witness of
+a partial walk holds a prefix of `oracle.eager_sss_closure`, which forms
+every conjugate by multiplication, in the same order, and resumes to the
+whole of it (`_sss_closure` drains the same walk, so it is no reference
+for its order); `conjugator_to` gives the witness of
 `oracle.invariant_free_conjugator`, which looks the target up in the whole
 set and multiplies the witness out piece by piece; and under a small cap
 a target inside it answers, while a target beyond it raises, again on
@@ -24,7 +26,7 @@ from garside.cli import parse_word, run_command
 from garside.conjugacy import DEFAULT_SSS_CAP, ResourceLimitError, _sss_closure
 
 from .conftest import assert_conjugate_by
-from .oracle import invariant_free_conjugator
+from .oracle import eager_sss_closure, invariant_free_conjugator
 from .test_lazy_summits import summit_pairs
 from .test_repair_paths import STRUCTURES, normal_forms_of
 
@@ -43,13 +45,13 @@ WIDE = {
 def test_partial_walk_is_a_prefix_of_the_closure(data):
     S = data.draw(st.sampled_from(STRUCTURES))
     sd = summit(data.draw(normal_forms_of(S)))
-    full = list(_sss_closure(sd.representative, DEFAULT_SSS_CAP).items())
+    full = list(eager_sss_closure(sd.representative, DEFAULT_SSS_CAP))
     k = data.draw(st.integers(0, len(full) - 1))
-    assert sd._reaches(full[k][0])
-    assert list(sd._links.items()) == full[:k + 1]
+    assert sd._reaches(full[k])
+    assert list(sd._links) == full[:k + 1]
     # The walk resumes where it stopped and reaches the whole closure.
-    assert sd._reaches(full[-1][0])
-    assert list(sd._links.items()) == full
+    assert sd._reaches(full[-1])
+    assert list(sd._links) == full
 
 
 @settings(max_examples=150, deadline=None)
@@ -67,7 +69,7 @@ def test_conjugator_matches_the_whole_set_oracle(pair):
 def conjugates_by_position(sd):
     """(position of h's summit representative in the walk, h) for a
     conjugate h of every element of the super summit set of sd."""
-    order = {h: i for i, h in enumerate(_sss_closure(sd.representative, DEFAULT_SSS_CAP))}
+    order = {h: i for i, h in enumerate(eager_sss_closure(sd.representative, DEFAULT_SSS_CAP))}
     out = []
     for element in order:
         h = summit(element).representative

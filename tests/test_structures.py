@@ -25,6 +25,7 @@ from garside.structures import MAX_TORUS_EXPONENT, DescriptorError
 
 from .conftest import random_word_element, simple_divisors
 from .oracle import reference_atom_word, reference_product
+from .test_repair_paths import STRUCTURES
 
 
 def test_braid_constants():
@@ -34,6 +35,16 @@ def test_braid_constants():
     assert len(braid_structure(2).enumerate_simples()) == 2
     assert braid_structure(4).delta_norm() == 6
     assert len(braid_structure(4).enumerate_simples()) == 24
+
+
+@pytest.mark.parametrize("S", [
+    *STRUCTURES,
+    *map(structure_from_descriptor, ("torus:3:5", "torus:4:4", "product:(braid:5,braid:5)")),
+], ids=lambda S: S.descriptor())
+def test_simples_sorted_by_norm_are_in_canonical_order(S):
+    # Payloads of one norm come in increasing order, so the stable sort by
+    # norm alone gives the order of `Simple`, by norm and then by payload.
+    assert S.enumerate_simples() == tuple(sorted(map(S.make_simple, S._all_payloads())))
 
 
 def test_simples_are_interned():
