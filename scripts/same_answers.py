@@ -21,7 +21,10 @@ JSON and the text output are checked.  The list is
   (last, so that the families before it keep their words), ``--per-command``
   short random words each, with ``D`` tokens anywhere and exponents in
   ±1..3, and with powers and conjugates of them as the second word so
-  that positive answers occur too;
+  that positive answers occur too, and ``conj`` of each word and its
+  token reversal, which share degree and cycle types, so that the walk of
+  the super summit set decides them (built from the drawn tokens, with no
+  further draw, so every other query keeps its words);
 * ``nf`` of five invalid words per family, built from its first atom name
   a: a malformed token ``a^x``, a zero exponent ``a^0``, an unknown
   generator ``az``, an unknown generator before a malformed token, and a
@@ -106,6 +109,7 @@ def _command_queries(desc: str, atoms: list[str], rng: random.Random, count: int
             ["summit", *base, word],
             ["sss", *base, word],
             ["conj", *base, word, rng.choice((conjugate, other))],
+            ["conj", *base, word, " ".join(reversed(w))],
             ["power", *base, nth_power, word],
             ["power", *base, "--conjugacy", rng.choice((conjugate, nth_power)), word],
             ["root", *base, "-n", str(n), rng.choice((nth_power, word))],

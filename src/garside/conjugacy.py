@@ -21,24 +21,22 @@ inserts it with its parent link (h, c) and yields it.  `SummitData._reaches`
 is the one loop that advances a walk and checks its cap, for a query and
 for the drain of the whole set.
 
-`summit(g)` is the class data of g: the invariants, a representative and,
-each built on first use, its witness and the walk of its super summit set.
-`summit(g).conjugator_to(h)` is the one place that compares conjugacy
-classes.  It first compares `class_invariant(h)`, the degree vector and
-the cycle types of the braid permutations, with the one cached for g:
-both come from homomorphisms to abelian or permutation groups, so
-conjugate elements agree on them, and a difference rejects h before any
-summit.  Agreement proves nothing, so it then summits h with summit(g) as
-the target and walks g's set only until h's representative is inserted,
-or to its end; the walk is kept, so later queries on the same class (the
-candidates of one root search) resume it.  The witness is one word of
-simples, normalized once: g's cycling conjugators, its decycled factors
-inverted, the link path to h's representative, and h's summit witness
-inverted.
-`summit(h, target=sd)` stops as soon as the invariants of h are known to
-differ from those of sd, because cycling never lowers inf and decycling
-never raises sup (Elrifai and Morton), so a search that only compares
-classes pays for no summit it rejects.
+`summit(g)` is the class data of g: a representative, which carries
+inf_s and sup_s, and one word of simples (g's cycling conjugators, then
+the factors its decyclings move, inverted), from which the witness and
+the walk of its super summit set are each built on first use.
+`summit(g).conjugator_to(h)` is the one comparison of classes: it summits
+h with summit(g) as the target, stopping as soon as the invariants of h
+are known to differ, because cycling never lowers inf and decycling never
+raises sup (Elrifai and Morton); it then walks g's set only until h's
+representative is inserted, or to its end, and keeps the walk for the
+next query on the class (the candidates of one root search).  The witness
+is one word normalized once: g's summit word, the link path to h's
+representative, and h's summit word inverted.  `are_conjugate(g, h)`
+first compares `class_invariant` of g and h, the degree vector and the
+braid cycle types: both come from homomorphisms to abelian or permutation
+groups, so conjugates agree on them, and a difference answers None before
+any summit; agreement proves nothing.
 
 Every positive answer carries a conjugating witness that verifies by direct
 multiplication; nothing is a trust-me boolean.
@@ -71,36 +69,35 @@ Closure = dict[Element, tuple[Element, Simple] | None]
 
 @dataclass(frozen=True)
 class SummitData:
-    """Summit invariants of a conjugacy class plus a realising conjugate.
+    """A class's summit representative and the word that reaches it.
 
-    The witness w satisfies w^{-1} · g · w = representative for the queried
-    element g; it is normalized from the recorded cycling conjugators
-    a_1 ... a_p and decycling factors s_1 ... s_q on first use.  The super
-    summit set is walked lazily, breadth first from the representative
-    with a parent link per element, and the walk is kept between queries:
-    `conjugator_to(h)` summits h against these invariants and advances the
-    walk only until h's representative is reached or the set ends, so a
-    conjugate within `DEFAULT_SSS_CAP` elements of the representative is
-    found even in a larger set.  `_reaches` is the one loop over the walk:
-    it raises `ResourceLimitError` whenever the walk holds more elements
-    than the cap of that call, so a capped walk never reads as a finished
-    one, and `_sss_closure` drains the whole set through it.
+    `word` holds (a, +1) per cycling conjugator and (s, -1) per factor a
+    decycling moves, so its normal form, the witness w, has
+    w^{-1} · g · w = representative for the queried g; inf_s and sup_s are
+    read off the representative.  The super summit set is walked lazily,
+    breadth first from the representative, and the walk is kept between
+    queries: `conjugator_to(h)` advances it only until h's representative
+    is reached or the set ends, so a conjugate within `DEFAULT_SSS_CAP`
+    elements of the representative is found even in a larger set.
+    `_reaches` is the one loop over the walk and its one cap check, and
+    `_sss_closure` drains the whole set through it.
     """
 
-    inf_s: int
-    sup_s: int
     representative: Element
-    cycled: tuple[Simple, ...]
-    decycled: tuple[Simple, ...]
+    word: tuple[tuple[Simple, int], ...]
+
+    @property
+    def inf_s(self) -> int:
+        return self.representative.inf
+
+    @property
+    def sup_s(self) -> int:
+        return self.representative.sup
 
     @cached_property
     def witness(self) -> Element:
-        """w = a_1 ... a_p · s_1^{-1} ... s_q^{-1} = a_1 ... a_p · (s_q ... s_1)^{-1}."""
-        return normalize_word(self.representative.structure, self._witness_word())
-
-    def _witness_word(self) -> list[tuple[Simple, int]]:
-        """The witness as a word of simples with exponents."""
-        return [(a, 1) for a in self.cycled] + [(s, -1) for s in self.decycled]
+        """w = a_1 ... a_p · s_1^{-1} ... s_q^{-1}, the normal form of `word`."""
+        return normalize_word(self.representative.structure, self.word)
 
     @cached_property
     def invariant(self) -> tuple:
@@ -133,23 +130,18 @@ class SummitData:
         raise ResourceLimitError(f"super summit set exceeds cap of {cap} elements")
 
     def conjugator_to(self, h: Element) -> Element | None:
-        """With self = summit(g): w with w^{-1} · g · w = h, or None."""
-        if class_invariant(h) != self.invariant:
-            return None
-        return self._summit_conjugator(h)
-
-    def _summit_conjugator(self, h: Element) -> Element | None:
-        """`conjugator_to(h)` for an h already known to share `self.invariant`.
+        """With self = summit(g): w with w^{-1} · g · w = h, or None.
 
         w = (witness of g) · (path to h's representative) · (witness of h)^{-1},
-        normalized as one word.
+        normalized as one word.  No class invariant is compared here; that
+        prefilter is `are_conjugate`'s.
         """
         other = summit(h, target=self)
         if other is None or not self._reaches(other.representative):
             return None
         path = [(c, 1) for c in _link_path(self._links, other.representative)]
-        inverse = [(s, -e) for s, e in reversed(other._witness_word())]
-        return normalize_word(h.structure, self._witness_word() + path + inverse)
+        inverse = [(s, -e) for s, e in reversed(other.word)]
+        return normalize_word(h.structure, [*self.word, *path, *inverse])
 
 
 def class_invariant(g: Element) -> tuple:
@@ -201,8 +193,9 @@ def summit(g: Element, target: SummitData | None = None) -> SummitData | None:
     summit(g) returns.  Cycling never lowers inf nor raises sup, and
     decycling never raises sup and keeps the summit inf, so g is rejected
     up front when its inf is above target.inf_s or its sup below
-    target.sup_s, and then as soon as a cycling lifts inf above target.inf_s,
-    the cycled inf misses it, or a decycling drops sup below target.sup_s.
+    target.sup_s, and then as soon as a cycling lifts inf above
+    target.inf_s, the inf after cycling misses it, or a decycling drops sup
+    below target.sup_s.
     """
     if target is not None and (g.inf > target.inf_s or g.sup < target.sup_s):
         return None
@@ -210,34 +203,32 @@ def summit(g: Element, target: SummitData | None = None) -> SummitData | None:
     window = S.delta_norm()
     inf, factors = g.inf, list(g.factors)
 
-    cycled = []
+    word = []
     fails = 0
     while fails < window and factors:
         inf2, a = _cycle(S, inf, factors)
         fails = 0 if inf2 > inf else fails + 1
-        cycled.append(a)
+        word.append((a, 1))
         inf = inf2
         if target is not None and inf > target.inf_s:
             return None
     if target is not None and inf != target.inf_s:
         return None
 
-    decycled = []
     fails = 0
     sup = inf + len(factors)
     while fails < window and factors:
         inf, s = _decycle(S, inf, factors)
         sup2 = inf + len(factors)
         fails = 0 if sup2 < sup else fails + 1
-        decycled.append(s)
+        word.append((s, -1))
         sup = sup2
         if target is not None and sup < target.sup_s:
             return None
     if target is not None and sup != target.sup_s:
         return None
 
-    h = Element(S, inf, tuple(factors))
-    return SummitData(inf, sup, h, tuple(cycled), tuple(decycled))
+    return SummitData(Element(S, inf, tuple(factors)), tuple(word))
 
 
 def _inf_closure(x: Element, c: Simple) -> Simple:
@@ -328,7 +319,7 @@ def _sss_closure(rep: Element, cap: int | None) -> Closure:
     """The super summit set as {element: parent link}, rooted at rep: the
     walk of a `SummitData` on rep drained by `_reaches(None, cap)`, which
     raises once it holds more than `cap` elements (None: DEFAULT_SSS_CAP)."""
-    sd = SummitData(rep.inf, rep.sup, rep, (), ())
+    sd = SummitData(rep, ())
     sd._reaches(None, cap)
     return sd._links
 
@@ -352,7 +343,14 @@ def super_summit_set(g: Element, cap: int | None = None) -> tuple[Element, ...]:
 
 
 def are_conjugate(g: Element, h: Element) -> Element | None:
-    """A conjugator w with w^{-1} · g · w = h if g and h are conjugate, None otherwise."""
+    """A conjugator w with w^{-1} · g · w = h if g and h are conjugate, None otherwise.
+
+    The one prefilter of a class comparison: a pair whose class invariants
+    differ answers None before any summit; any other pair is decided by
+    `summit(g).conjugator_to(h)`.
+    """
     if g.structure is not h.structure:
         raise StructureMismatchError("conjugacy query across structures")
+    if class_invariant(g) != class_invariant(h):
+        return None
     return summit(g).conjugator_to(h)

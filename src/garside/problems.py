@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Iterator
 from math import ceil, floor, gcd, lcm
 
-from .conjugacy import SummitData, summit
+from .conjugacy import SummitData, are_conjugate, summit
 from .core import (
     Element,
     ResourceLimitError,
@@ -91,11 +91,12 @@ class ProblemAnswer:
 
 
 def _certify(x: Element, y: Element, up_to_conjugacy: bool, **found) -> ProblemAnswer:
-    """The solution `found` if x = y, or, up to conjugacy, if some w has
-    w^{-1} · x · w = y, with w as its witness; a proven no otherwise."""
+    """The solution `found` if x = y, or, up to conjugacy, if
+    `are_conjugate(x, y)` finds w with w^{-1} · x · w = y, with w as its
+    witness; a proven no otherwise."""
     if not up_to_conjugacy:
         return ProblemAnswer(**found) if x == y else ProblemAnswer()
-    witness = summit(x).conjugator_to(y)
+    witness = are_conjugate(x, y)
     return ProblemAnswer() if witness is None else ProblemAnswer(**found, witness=witness)
 
 
@@ -186,7 +187,8 @@ def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAn
     inf = floor(t_inf(h)) and sup = ceil(t_sup(h)); the candidates are the
     normal forms of that one (inf, sup) window of degree deg(g)/n, and a
     candidate whose cycle types no root can have is dropped before its
-    power and summit.  The witness satisfies w^{-1} · h^n · w = g.
+    power and summit; so h^n shares g's class invariant and goes straight
+    to `sd.conjugator_to`.  The witness satisfies w^{-1} · h^n · w = g.
     Raises `ResourceLimitError` after `DEFAULT_CANDIDATE_CAP` candidates.
     """
     S = sd.representative.structure
@@ -206,9 +208,7 @@ def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAn
         h = Element(S, lo, factors)
         if not all(t is None or t in a for t, a in zip(cycle_types(h), allowed)):
             continue
-        # deg(h^n) = deg(g) by the enumeration and h's cycle types give h^n
-        # those of g, so h^n shares sd.invariant: skip conjugator_to's check.
-        w = sd._summit_conjugator(power(h, n))
+        w = sd.conjugator_to(power(h, n))
         if w is not None:
             return ProblemAnswer(n=n, root=h, witness=invert(w))
     return ProblemAnswer()

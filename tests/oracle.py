@@ -252,9 +252,14 @@ def scan_rational_in_interval(lo: Fraction, hi: Fraction, maxden: int) -> Fracti
 
 def piecewise_witness(sd: SummitData) -> Element:
     """The witness a_1 ... a_p · (s_q ... s_1)^{-1} of a summit from its
-    recorded conjugators, by two normalizations, an inverse and a product."""
+    word, whose cycling conjugators a_i (exponent 1) precede the factors
+    s_j that decycling moves (exponent -1), by two normalizations, an
+    inverse and a product."""
     S = sd.representative.structure
-    return multiply(normalize(S, 0, sd.cycled), invert(normalize(S, 0, sd.decycled[::-1])))
+    cycled = [a for a, e in sd.word if e == 1]
+    decycled = [s for s, e in sd.word if e == -1]
+    assert [e for _, e in sd.word] == [1] * len(cycled) + [-1] * len(decycled)
+    return multiply(normalize(S, 0, cycled), invert(normalize(S, 0, decycled[::-1])))
 
 
 def link_witness(closure: Closure, h: Element) -> Element:
@@ -280,10 +285,12 @@ def _whole_set(rep: Element, cap: int) -> Closure:
 def invariant_free_conjugator(sd: SummitData, h: Element) -> Element | None:
     """With sd = summit(g): w with w^{-1} · g · w = h, or None.
 
-    `SummitData.conjugator_to` without its degree and cycle-type test: h is
-    summited against sd, its representative looked up in the whole closure,
-    and the witness multiplied out piece by piece: g's summit witness, the
-    path to h's representative and the inverse of h's summit witness.
+    An independent reference for `SummitData.conjugator_to`, which compares
+    no class invariant either: h is summited against sd, its representative
+    looked up in the whole closure, drained at once rather than walked
+    lazily, and the witness multiplied out piece by piece: g's summit
+    witness, the path to h's representative and the inverse of h's summit
+    witness.
     """
     other = summit(h, target=sd)
     if other is None:

@@ -14,6 +14,13 @@ by multiplication: `solve_root_conjugacy(g, n)`,
 `are_conjugate(h^n, g)` and, on a structure with a unique-root exponent,
 `solve_generalized_power(g, h, True)`.  The product family has 11
 conjugators c; a seeded sample of 5 keeps the audit within a few seconds.
+
+The exact solvers are audited on the same h and n, and on the identity and
+Delta^k, k in -2..2, as edge words, with g = h^n and no conjugator:
+`solve_root(g, n)` must return a root r with r^n = g, `solve_power(g, h)`
+must answer n (0 when h is 1, the one exponent the identity is given) and,
+on a structure with a unique-root exponent, `solve_generalized_power(g, h)`
+must answer (n', m') with g^{n'} = h^{m'}.
 """
 
 import itertools
@@ -24,6 +31,7 @@ import pytest
 from garside import (
     Element,
     are_conjugate,
+    delta_power_element,
     invert,
     multiply,
     normalize,
@@ -31,6 +39,7 @@ from garside import (
     solve_generalized_power,
     solve_power,
     solve_proper_power_conjugacy,
+    solve_root,
     solve_root_conjugacy,
     structure_from_descriptor,
 )
@@ -92,3 +101,24 @@ def test_every_planted_root_is_found(descriptor):
                 assert answer.is_solution, (h, n, c)
                 assert_conjugate_by(answer.witness, power(g, answer.n), power(h, answer.m))
     assert cases == expected
+
+
+@pytest.mark.parametrize("descriptor", FAMILIES)
+def test_every_planted_exact_power_is_found(descriptor):
+    S = structure_from_descriptor(descriptor)
+    roots = [h for h in ball(S, 1, 2) if not h.is_identity]
+    edges = [delta_power_element(S, k) for k in range(-2, 3)]
+    roots += [e for e in edges if e not in roots]
+    for h, n in itertools.product(roots, (2, 3)):
+        g = power(h, n)
+
+        answer = solve_root(g, n)
+        assert answer.is_solution and power(answer.root, n) == g, (h, n)
+
+        answer = solve_power(g, h)
+        assert answer.n == (0 if h.is_identity else n), (h, n)
+
+        if S.unique_root_exponent is not None:
+            answer = solve_generalized_power(g, h)
+            assert answer.is_solution, (h, n)
+            assert power(g, answer.n) == power(h, answer.m), (h, n)

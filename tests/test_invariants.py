@@ -5,8 +5,8 @@
 homomorphisms against atom words read with weights and permutation
 arithmetic written here from scratch, and `class_invariant` as a
 conjugacy invariant.  The S_n root table is checked against a brute force
-over S_k.  Conjugacy and the root search, which reject on these invariants
-first, are checked against `oracle.invariant_free_conjugator` and
+over S_k.  `are_conjugate` and the root search, which reject on these
+invariants first, are checked against `oracle.invariant_free_conjugator` and
 `oracle.unpruned_root_search`, which never read them, and against
 `oracle.windowed_root_search`.  Every family of `test_repair_paths` is
 covered, plus `braid:2` and `braid:5`.
@@ -23,6 +23,7 @@ from garside import (
     BraidStructure,
     ProductStructure,
     TorusStructure,
+    are_conjugate,
     class_invariant,
     degree,
     delta_power_element,
@@ -202,8 +203,8 @@ def test_conjugator_matches_invariant_free_reference(pair):
     g, h = pair
     sd, other = summit(g), summit(h)
     assume((sd.inf_s, sd.sup_s) == (other.inf_s, other.sup_s))
-    w = sd.conjugator_to(h)
-    assert w == invariant_free_conjugator(sd, h)
+    w = are_conjugate(g, h)
+    assert w == sd.conjugator_to(h) == invariant_free_conjugator(sd, h)
     if w is not None:
         assert_conjugate_by(w, g, h)
 

@@ -1,18 +1,31 @@
 """Summits that pay only for what they decide.
 
-The witness of `summit(g)` is normalized as one word on first read, and
+The witness of `summit(g)` is normalized as one word on first read,
 `summit(x, target=sd)` stops as soon as the invariants of x are known to
-differ from those of sd.  Both are checked against the plain summit on the
-families of `test_repair_paths`, and by counting the normalizations the
-witness needs.
+differ from those of sd, and a class comparison whose class invariants
+differ makes no summit at all.  These are checked against the plain
+summit on the families of `test_repair_paths`, and by counting the
+normalizations and summits they need.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garside import GarsideStructure, braid_structure, conjugacy, invert, multiply, summit
+from garside import (
+    GarsideStructure,
+    are_conjugate,
+    braid_structure,
+    class_invariant,
+    conjugacy,
+    invert,
+    multiply,
+    problems,
+    solve_power,
+    summit,
+)
 from garside.cli import parse_word, run_command
 from garside.enumeration import factor_sequences, followers, proper_simples
+from garside.translation import translation_number
 
 from .conftest import assert_conjugate_by
 from .test_repair_paths import STRUCTURES, normal_forms_of
@@ -65,6 +78,77 @@ def test_target_summit_rejects_outside_invariants_without_cycling(monkeypatch):
     assert calls
 
 
+def test_target_summit_rejects_during_decycling(monkeypatch):
+    S = braid_structure(3)
+    target = summit(parse_word(S, "a2^3"))
+    h = parse_word(S, "a1^2 a2^2")
+    # Both normal forms are (0, 3), so h passes the up-front test and its
+    # cyclings keep inf 0; a decycling then drops its sup to 2.
+    assert (h.inf, h.sup) == (target.inf_s, target.sup_s) == (0, 3)
+    plain = summit(h)
+    assert (plain.inf_s, plain.sup_s) == (0, 2)
+    decyclings = counting(monkeypatch, "_decycle")
+    assert summit(h, target=target) is None
+    # It stops at that decycling, before the ones the plain summit goes on to make.
+    assert 0 < len(decyclings) < sum(e == -1 for _, e in plain.word)
+
+
+def counting_summits(monkeypatch):
+    """Record every `summit` call, from `conjugacy` and from `problems`,
+    which imports it by name."""
+    calls = []
+    original = conjugacy.summit
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (conjugacy, problems):
+        monkeypatch.setattr(module, "summit", wrapper)
+    return calls
+
+
+def test_are_conjugate_rejects_on_class_invariants_before_any_summit(monkeypatch):
+    calls = counting_summits(monkeypatch)
+    S = braid_structure(4)
+    # Degrees 1 and 2; then degree 2 on both, with cycle types (2, 2) and (1, 3).
+    for x, y in (("a1", "a1 a2"), ("a1 a3", "a1 a2")):
+        g, h = parse_word(S, x), parse_word(S, y)
+        assert class_invariant(g) != class_invariant(h)
+        assert are_conjugate(g, h) is None
+        assert are_conjugate(h, g) is None
+    assert calls == []
+    # The hook is live: a pair with equal invariants is summited.
+    assert are_conjugate(parse_word(S, "a1"), parse_word(S, "a2")) is not None
+    assert calls
+
+
+def test_power_up_to_conjugacy_rejects_on_cycle_types_before_any_summit(monkeypatch):
+    calls = counting_summits(monkeypatch)
+    S = braid_structure(3)
+    # Both have degree 0 and t_D(g) / t_D(h) = 2, so n = 2 and n = -2 pass
+    # the degree test; but perm(h)^{±2} is a 3-cycle and perm(g) the identity.
+    g, h = parse_word(S, "a1^2 a2^-2"), parse_word(S, "a1 a2^-1")
+    assert translation_number(g) / translation_number(h) == 2
+    assert class_invariant(g) != class_invariant(multiply(h, h))
+    assert not solve_power(g, h, up_to_conjugacy=True).is_solution
+    assert calls == []
+
+
+def test_walk_decides_a_word_and_its_reversal():
+    # A word and its reversal share degree and cycle types, and these two
+    # also inf_s and sup_s, so only the walk of g's super summit set tells
+    # them apart; `conjugator_to` compares no invariant and says no itself.
+    S = braid_structure(3)
+    tokens = ["a1^2", "a2^-1", "a1", "a2^-2"]
+    g, h = parse_word(S, " ".join(tokens)), parse_word(S, " ".join(reversed(tokens)))
+    assert class_invariant(g) == class_invariant(h)
+    sd = summit(g)
+    assert summit(h, target=sd) is not None
+    assert sd.conjugator_to(h) is None
+    assert are_conjugate(g, h) is None
+
+
 def counting(monkeypatch, name):
     calls = []
     original = getattr(conjugacy, name)
@@ -83,7 +167,7 @@ def test_witness_is_built_on_first_read(monkeypatch):
     # work on one list of factors, so the summit itself normalizes nothing.
     g = parse_word(braid_structure(4), "a1^-1 a2 a3^2 a2^-1 a1")
     sd = summit(g)
-    assert sd.cycled and sd.decycled
+    assert {e for _, e in sd.word} == {1, -1}
     assert words == []
     witness = sd.witness
     # One word: the cycling conjugators, then the decycled factors inverted.

@@ -6,6 +6,7 @@ import pytest
 
 from garside import (
     ResourceLimitError,
+    StructureMismatchError,
     UnsupportedStructureError,
     are_conjugate,
     braid_structure,
@@ -91,6 +92,17 @@ def test_solve_root_exact_wrapper():
     answer = solve_root(g, 3)
     assert answer.is_solution
     assert power(answer.root, 3) == g
+    # deg(a1) = 1 is odd, so a1 has no square root, not even up to conjugacy.
+    answer = solve_root(parse_word(B3, "a1"), 2)
+    assert not answer.is_solution
+    assert answer.root is None and answer.witness is None
+
+
+def test_pair_queries_reject_elements_of_two_structures():
+    g, h = parse_word(B3, "a1"), parse_word(B4, "a1")
+    for query in (solve_power, solve_generalized_power, are_conjugate):
+        with pytest.raises(StructureMismatchError):
+            query(g, h)
 
 
 def test_solve_proper_power_fixtures():

@@ -36,7 +36,7 @@ def test_same_answers_smoke():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.strip().endswith("684 queries, 0 differences")
+    assert result.stdout.strip().endswith("698 queries, 0 differences")
 
 
 def test_hard_inputs_smoke():
