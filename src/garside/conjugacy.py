@@ -6,20 +6,24 @@ any conjugate) and sup_s (the smallest sup); the conjugates realising both
 simultaneously form the finite, nonempty super summit set.  Iterated
 cycling raises inf, iterated decycling lowers sup, and conjugating by
 minimal simples walks the whole super summit set, which decides conjugacy.
-`summit` steps on one working list (inf, factors) that never holds Delta:
-a cycling moves the first factor to the back with `core._push`, a
-decycling moves the last one to the front with `core._push_front`, a
-Delta either push splits off is added to inf (one split off at the back
-twists the list), and one Element is built at the end.
+Each of these conjugations by a simple is one step, `_push_ends`, on one
+working list (inf, factors) that never holds Delta: it makes the list
+Delta^inf · front · factors · back with `core._push_front` and
+`core._push`, adds a Delta either push splits off to inf (one split off
+at the back twists the list), and pushes nothing for an identity end.
+A cycling pops the first factor and pushes its twist at the back, a
+decycling pops the last and pushes its twist at the front, and `summit`
+builds one Element at the end.
 The minimal simple of an atom a at x is the ≼-least simple above a that
 keeps x in its super summit set (Franco and González-Meneses, 2003); it is
 found by climbing joins of simples, so each element has at most one
 outgoing conjugator per atom instead of one per simple.  The walk of the
 set, `_sss_walk`, is a generator over one breadth-first queue: it forms
-each conjugate c^{-1} h c on one list too, with a push at each end,
-inserts it with its parent link (h, c) and yields it.  `SummitData._reaches`
-is the one loop that advances a walk and checks its cap, for a query and
-for the drain of the whole set.
+each conjugate c^{-1} h c with the same step, pushing c at the back and
+the twisted left complement of c at the front, inserts it with its
+parent link (h, c) and yields it.  `SummitData._reaches` is the one loop
+that advances a walk and checks its cap, for a query and for the drain
+of the whole set.
 
 `summit(g)` is the class data of g: a representative, which carries
 inf_s and sup_s, and one word of simples (g's cycling conjugators, then
@@ -154,31 +158,22 @@ def class_invariant(g: Element) -> tuple:
     return degree(g), cycle_types(g)
 
 
-def _cycle(S: GarsideStructure, inf: int, factors: list[Simple]) -> tuple[int, Simple]:
-    """Cycle the working list Delta^inf · factors in place; returns (inf, a).
+def _push_ends(
+    S: GarsideStructure, inf: int, factors: list[Simple], front: Simple, back: Simple
+) -> int:
+    """Make the working list Delta^inf · front · factors · back in place; returns its inf.
 
-    With a = tau^{-inf}(s_1), Delta^inf s_1 = a Delta^inf, so the conjugate
-    a^{-1} g a is Delta^inf s_2 ... s_k · a: the first factor is popped and
-    a is pushed at the back.  A Delta the push splits off is owed at the
-    back, and Delta^inf · factors · Delta = Delta^{inf+1} · tau(factors),
-    so the list is twisted at once, with one `map`.
+    The one conjugation step by simples at the ends: a Delta `_push_front`
+    splits off at the front is added to inf, and one `_push` splits off at
+    the back too, with Delta^inf · factors · Delta = Delta^{inf+1} ·
+    tau(factors), so the list is twisted at once, with one `map`.  An
+    identity at either end is no push at all.
     """
-    a = S.twist(-inf)[factors.pop(0)]
-    if _push(S, factors, a):
+    inf += _push_front(S, factors, front)
+    if _push(S, factors, back):
         factors[:] = map(S.twist(1).__getitem__, factors)
         inf += 1
-    return inf, a
-
-
-def _decycle(S: GarsideStructure, inf: int, factors: list[Simple]) -> tuple[int, Simple]:
-    """Decycle the working list Delta^inf · factors in place; returns (inf, s_k).
-
-    s_k · g · s_k^{-1} = Delta^inf tau^inf(s_k) s_1 ... s_{k-1}: the last
-    factor is popped and its twist is pushed at the front, where a Delta it
-    forms is split off and added to inf.
-    """
-    s = factors.pop()
-    return inf + _push_front(S, factors, S.twist(inf)[s]), s
+    return inf
 
 
 def summit(g: Element, target: SummitData | None = None) -> SummitData | None:
@@ -201,12 +196,16 @@ def summit(g: Element, target: SummitData | None = None) -> SummitData | None:
         return None
     S = g.structure
     window = S.delta_norm()
+    identity = S.identity_simple()
     inf, factors = g.inf, list(g.factors)
 
+    # Cycling: with a = tau^{-inf}(s_1), Delta^inf s_1 = a Delta^inf, so
+    # a^{-1} g a = Delta^inf s_2 ... s_k · a.
     word = []
     fails = 0
     while fails < window and factors:
-        inf2, a = _cycle(S, inf, factors)
+        a = S.twist(-inf)[factors.pop(0)]
+        inf2 = _push_ends(S, inf, factors, identity, a)
         fails = 0 if inf2 > inf else fails + 1
         word.append((a, 1))
         inf = inf2
@@ -215,10 +214,12 @@ def summit(g: Element, target: SummitData | None = None) -> SummitData | None:
     if target is not None and inf != target.inf_s:
         return None
 
+    # Decycling: s_k · g · s_k^{-1} = Delta^inf tau^inf(s_k) s_1 ... s_{k-1}.
     fails = 0
     sup = inf + len(factors)
     while fails < window and factors:
-        inf, s = _decycle(S, inf, factors)
+        s = factors.pop()
+        inf = _push_ends(S, inf, factors, S.twist(inf)[s], identity)
         sup2 = inf + len(factors)
         fails = 0 if sup2 < sup else fails + 1
         word.append((s, -1))
@@ -267,22 +268,6 @@ def _min_simple(x: Element, x_inv: Element, s: Simple) -> Simple:
             return c
 
 
-def _conjugate(S: GarsideStructure, h: Element, c: Simple) -> Element:
-    """c^{-1} · h · c for a simple c, on one working list.
-
-    With h = Delta^p · y and l the left complement of c, l · c = Delta gives
-    c^{-1} = Delta^{-1} · l, so c^{-1} h c = Delta^{p-1} · tau^p(l) · y · c:
-    tau^p(l) is pushed at the front of the factors of y (nothing, when c is
-    Delta) and c at the back.  A Delta split off at the front adds to the
-    power; one split off at the back adds to it too and twists the list.
-    """
-    factors = list(h.factors)
-    inf = h.inf - 1 + _push_front(S, factors, S.twist(h.inf)[S.left_complement(c)])
-    if _push(S, factors, c):
-        return Element(S, inf + 1, tuple(map(S.twist(1).__getitem__, factors)))
-    return Element(S, inf, tuple(factors))
-
-
 def _sss_walk(seen: Closure) -> Iterator[Element]:
     """Walk the super summit set breadth first from the one key of `seen`.
 
@@ -307,7 +292,11 @@ def _sss_walk(seen: Closure) -> Iterator[Element]:
     for h in queue:
         h_inv = invert(h)
         for c in sorted({_min_simple(h, h_inv, a) for a in atoms}):
-            h2 = _conjugate(S, h, c)
+            # With l · c = Delta, c^{-1} = Delta^{-1} · l, so for h = Delta^p · y,
+            # c^{-1} h c = Delta^{p-1} · tau^p(l) · y · c.
+            factors = list(h.factors)
+            inf = _push_ends(S, h.inf - 1, factors, S.twist(h.inf)[S.left_complement(c)], c)
+            h2 = Element(S, inf, tuple(factors))
             if h2 in seen:
                 continue
             seen[h2] = (h, c)

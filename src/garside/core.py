@@ -23,12 +23,13 @@ does more work than the slides it made.  `_push_front` prepends a simple
 with the mirror rightward pass, for left multiplication, and reports a
 Delta formed at the front.  The caller settles each reported Delta:
 `normalize` and `multiply` owe them at the back and twist the list once at
-the end; `conjugacy` cycles, decycles and conjugates with one push at
-either end, adds a Delta split off at the front to inf, and twists the
-list at once for one split off at the back.  Twists are table lookups
-(`GarsideStructure.twist`), so a run of factors is twisted with one
-`map`.  Inverses need no repair: their normal form is
-read off directly.
+the end; `conjugacy` makes every conjugation by simples (a cycling, a
+decycling, a step of the super summit walk) one call of `_push_ends`,
+which pushes at both ends, adds a Delta split off at the front to inf,
+and twists the list at once for one split off at the back.  Twists are
+table lookups (`GarsideStructure.twist`), so a run of factors is twisted
+with one `map`.  Inverses need no repair: their normal form is read off
+directly.
 
 Each slide is read from a row on its left simple: `a.slides` maps a right
 neighbour b to the left-weighted pair of (a, b).  Rows fill on first use
@@ -464,12 +465,14 @@ def _push(S: GarsideStructure, factors: list[Simple], s: Simple) -> int | None:
     popped.  A slide that forms Delta at p ends the pass: with P the factors
     before it and Q those after, P·Delta·Q = P·tau^{-1}(Q)·Delta, so Q is
     twisted and the Delta dropped; the caller owes it at the back.  Pushing
-    Delta itself only reports it.  Each slide is read from the row
-    `a.slides`, filled from `S.slide` on a miss.
+    Delta itself only reports it, and the identity returns at once.  Each
+    slide is read from the row `a.slides`, filled from `S.slide` on a miss.
 
     Returns the number of Deltas split off (0 or 1), or None when no pair
     changed, so that whatever follows s left-weighted can be appended as is.
     """
+    if s.atom_norm == 0:
+        return None
     delta = S.delta()
     if s is delta:
         return 1

@@ -97,6 +97,22 @@ def test_cli_conj_witness(capsys):
     assert out.startswith("conjugate, witness")
 
 
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        # Degrees 1 and 2: the class invariants reject.
+        ("a1", "a1^2"),
+        # A word and its reversal: equal invariants and summit bounds, so the walk rejects.
+        ("a1^2 a2^-1 a1 a2^-2", "a2^-2 a1 a2^-1 a1^2"),
+    ],
+)
+def test_cli_conj_negative(capsys, g, h):
+    assert run_command(["conj", "--group", "braid:3", g, h]) == 0
+    assert capsys.readouterr().out.strip() == "not conjugate"
+    assert run_command(["conj", "--group", "braid:3", g, h, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"conjugate": False}
+
+
 def test_cli_json_outputs(capsys):
     code = run_command(["tnum", "--group", "torus:5:3", "x", "--json"])
     blob = json.loads(capsys.readouterr().out)

@@ -23,11 +23,10 @@ from garside import (
     validate_element,
 )
 from garside.cli import parse_word
-from garside.conjugacy import _cycle, _decycle
 
 from .conftest import assert_conjugate_by, elements_of, random_word_element
 from .oracle import brute_summit_inf
-from .test_repair_paths import STRUCTURES, normal_forms_of, one_step
+from .test_repair_paths import STRUCTURES, cycling_step, decycling_step, normal_forms_of
 
 B3 = braid_structure(3)
 T53 = torus_structure(5, 3)
@@ -36,25 +35,25 @@ T43 = torus_structure(4, 3)
 
 def test_cycling_fixtures():
     g = parse_word(B3, "a1 a1 a2")
-    result, conj = one_step(_cycle, g)
+    result, conj = cycling_step(g)
     assert result == delta_power_element(B3, 1)
     assert conj == B3.atom_simple(0)
     # conjugator verifies: a^{-1} g a = result
     assert_conjugate_by(simple_element(conj), g, result)
 
     s = parse_word(B3, "a1")
-    assert one_step(_cycle, s) == (s, B3.atom_simple(0))
+    assert cycling_step(s) == (s, B3.atom_simple(0))
 
 
 def test_decycling_fixtures():
     g = parse_word(B3, "a1 a1 a2")
-    result, last = one_step(_decycle, g)
+    result, last = decycling_step(g)
     assert result == delta_power_element(B3, 1)
     # decycling conjugates by the inverse of the final factor
     assert_conjugate_by(invert(simple_element(last)), g, result)
 
     x2 = parse_word(T53, "x^2")
-    assert one_step(_decycle, x2) == (x2, T53.make_simple(("x", 2)))
+    assert decycling_step(x2) == (x2, T53.make_simple(("x", 2)))
 
 
 def test_summit_fixtures():
@@ -144,10 +143,10 @@ def test_summit_bounds_and_conjugates(g):
     assert sd.sup_s <= g.sup
     if not g.factors:
         return
-    result, conj = one_step(_cycle, g)
+    result, conj = cycling_step(g)
     assert_conjugate_by(simple_element(conj), g, result)
     validate_element(result)
-    result, last = one_step(_decycle, g)
+    result, last = decycling_step(g)
     assert_conjugate_by(invert(simple_element(last)), g, result)
     validate_element(result)
 

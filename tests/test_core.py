@@ -22,7 +22,7 @@ from garside import (
     validate_element,
     word_length,
 )
-from garside.core import GarsideStructure
+from garside.core import GarsideStructure, Simple
 from garside.enumeration import proper_simples
 
 from .conftest import elements_of, perm_mul, simple_divisors
@@ -238,6 +238,29 @@ def test_multiply_fixtures(b3, torus53):
 def test_multiply_structure_mismatch(b3, torus53):
     with pytest.raises(StructureMismatchError):
         multiply(identity_element(b3), identity_element(torus53))
+
+
+def test_normalize_rejects_a_simple_of_another_structure(b3, b4):
+    with pytest.raises(StructureMismatchError):
+        normalize(b3, 0, [b3.atom_simple(0), b4.atom_simple(0)])
+
+
+def test_validate_element_rejects_each_broken_invariant(b3, b4):
+    # Many tests lean on this validator, so each of its checks must fire.
+    a1, a2 = b3.atom_simple(0), b3.atom_simple(1)
+    validate_element(Element(b3, 0, (a1, a1)))
+    cases = [
+        ((b4.atom_simple(0),), "different structure"),
+        ((b3.identity_simple(),), "identity or Delta"),
+        ((a1, b3.delta()), "identity or Delta"),
+        # A Simple built directly, around the interning constructor.
+        ((Simple(b3, a1.payload, 2),), "stale atom norm"),
+        # a1 · a2 is simple, so the pair is not left-weighted.
+        ((a1, a2), "not left-weighted"),
+    ]
+    for factors, message in cases:
+        with pytest.raises(ValueError, match=message):
+            validate_element(Element(b3, 0, factors))
 
 
 def test_invert_fixtures(b3):

@@ -66,16 +66,14 @@ def test_target_summit_rejects_outside_invariants_without_cycling(monkeypatch):
     S = braid_structure(4)
     target = summit(parse_word(S, "a1 a2"))
     assert (target.inf_s, target.sup_s) == (0, 1)
-    calls = []
-    original = conjugacy._cycle
-    monkeypatch.setattr(conjugacy, "_cycle", lambda *args: calls.append(args) or original(*args))
+    steps = counting(monkeypatch, "_push_ends")
     # inf 1 is above inf_s, and sup 0 is below sup_s.
     assert summit(parse_word(S, "D a1 a3"), target=target) is None
     assert summit(parse_word(S, "a1^-1 a2^-1"), target=target) is None
-    assert calls == []
+    assert cyclings(steps) == []
     # The hook is live: a summit that passes the up-front test cycles.
     assert summit(parse_word(S, "a2 a1"), target=target) is not None
-    assert calls
+    assert cyclings(steps)
 
 
 def test_target_summit_rejects_during_decycling(monkeypatch):
@@ -87,10 +85,10 @@ def test_target_summit_rejects_during_decycling(monkeypatch):
     assert (h.inf, h.sup) == (target.inf_s, target.sup_s) == (0, 3)
     plain = summit(h)
     assert (plain.inf_s, plain.sup_s) == (0, 2)
-    decyclings = counting(monkeypatch, "_decycle")
+    steps = counting(monkeypatch, "_push_ends")
     assert summit(h, target=target) is None
     # It stops at that decycling, before the ones the plain summit goes on to make.
-    assert 0 < len(decyclings) < sum(e == -1 for _, e in plain.word)
+    assert 0 < len(decyclings(steps)) < sum(e == -1 for _, e in plain.word)
 
 
 def counting_summits(monkeypatch):
@@ -159,6 +157,17 @@ def counting(monkeypatch, name):
 
     monkeypatch.setattr(conjugacy, name, wrapper)
     return calls
+
+
+def cyclings(steps):
+    """The recorded `_push_ends(S, inf, factors, front, back)` calls that
+    cycle: a cycling pushes the identity at the front."""
+    return [args for args in steps if args[3].atom_norm == 0]
+
+
+def decyclings(steps):
+    """The recorded `_push_ends` calls that decycle: the identity at the back."""
+    return [args for args in steps if args[4].atom_norm == 0]
 
 
 def test_witness_is_built_on_first_read(monkeypatch):

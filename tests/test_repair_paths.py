@@ -5,18 +5,20 @@
 list one leftward slide pass at a time, and `_push_front` prepends one
 with a rightward pass.  `invert` reads its normal form off directly,
 `multiply` twists the left factors only when tau^{h.inf} is not the
-identity, `summit` cycles and decycles on one working list with one push
-at either end (`_cycle` and `_decycle`, each one step), and
-`core.normalize_word`, which `parse_word` calls, normalizes a whole word
-of simples with exponents once.  Each is checked against
+identity, `conjugacy._push_ends` makes every conjugation by simples one
+push at each end of one working list (a cycling or a decycling of
+`summit`, with the identity at the other end, and a step of the super
+summit walk), and `core.normalize_word`, which `parse_word` calls,
+normalizes a whole word of simples with exponents once.  Each is checked against
 `oracle.stack_normalize` of the whole raw factor sequence, with every
 adjacent pair marked dirty, or against the word evaluated one letter or
 token at a time.  The summit representative and witness, the witness
 normalized on first read from the recorded conjugators, are checked against a summit
 that renormalises the whole word at every step and grows the witness one
 step at a time, also on the long words g^(N^2) that `tnum` summits.
-`_conjugate`, which forms c^{-1} h c with one push at each end of one
-list, is checked against two `multiply` calls and an `invert`.  At scale,
+The step of the walk, c^{-1} h c, is checked against two `multiply` calls
+and an `invert`, and the step at its edges (an identity or Delta at
+either end) against `multiply`.  At scale,
 seeded raw lists of up to 300 simples and 2,000-letter words check that
 the pushes leave no Delta and no identity in a working list, and that the
 Deltas they report, settled by their callers, give the oracle's answer.
@@ -42,7 +44,7 @@ from garside import (
     validate_element,
 )
 from garside import cli, core
-from garside.conjugacy import _conjugate, _cycle, _decycle
+from garside.conjugacy import _push_ends
 
 from .oracle import stack_normalize, token_word_element
 
@@ -143,18 +145,40 @@ def test_invert_matches_full_renormalisation(g):
     assert inv == reference_invert(g)
 
 
-def one_step(step, g):
-    """One `_cycle` or `_decycle` step on g's factors: (result, conjugator)."""
-    factors = list(g.factors)
-    inf, conjugator = step(g.structure, g.inf, factors)
-    return Element(g.structure, inf, tuple(factors)), conjugator
+def push_ends(S, inf, factors, front, back):
+    """`_push_ends` on a copy of `factors`: the normal form of
+    Delta^inf · front · factors · back, as an Element."""
+    factors = list(factors)
+    inf = _push_ends(S, inf, factors, front, back)
+    return Element(S, inf, tuple(factors))
+
+
+def cycling_step(g):
+    """One cycling of g as `summit` makes it: (result, conjugator a)."""
+    S = g.structure
+    a = S.twist(-g.inf)[g.factors[0]]
+    return push_ends(S, g.inf, g.factors[1:], S.identity_simple(), a), a
+
+
+def decycling_step(g):
+    """One decycling of g as `summit` makes it: (result, last factor s)."""
+    S = g.structure
+    s = g.factors[-1]
+    return push_ends(S, g.inf, g.factors[:-1], S.twist(g.inf)[s], S.identity_simple()), s
+
+
+def conjugation_step(h, c):
+    """c^{-1} · h · c for a simple c as the super summit walk forms it."""
+    S = h.structure
+    return push_ends(S, h.inf - 1, h.factors, S.twist(h.inf)[S.left_complement(c)], c)
 
 
 @settings(max_examples=150, deadline=None)
 @given(g=elements.filter(lambda g: g.factors))
 def test_cycling_and_decycling_match_full_renormalisation(g):
-    for step, reference in ((_cycle, reference_cycling), (_decycle, reference_decycling)):
-        result, conjugator = one_step(step, g)
+    steps = ((cycling_step, reference_cycling), (decycling_step, reference_decycling))
+    for step, reference in steps:
+        result, conjugator = step(g)
         validate_element(result)
         assert (result, conjugator) == reference(g)
 
@@ -244,7 +268,7 @@ def test_conjugate_matches_multiplication(S, data):
             if not c.atom_norm:
                 continue
             c_elt = simple_element(c)
-            result = _conjugate(S, h, c)
+            result = conjugation_step(h, c)
             validate_element(result)
             assert result == multiply(multiply(invert(c_elt), h), c_elt)
 
@@ -419,14 +443,13 @@ def test_cycle_and_conjugate_that_split_off_a_delta_match_multiply(S):
     for _ in range(30):
         h = normalize(S, rng.randint(-2, 2), long_raw(S, rng, rng.randint(1, 12)))
         if h.factors:
-            factors = list(h.factors)
-            inf, a = _cycle(S, h.inf, factors)
-            assert_working_list(S, factors)
+            cycled, a = cycling_step(h)
+            assert_working_list(S, cycled.factors)
             a_elt = simple_element(a)
-            assert Element(S, inf, tuple(factors)) == multiply(multiply(invert(a_elt), h), a_elt)
-            cycle_splits += inf > h.inf
+            assert cycled == multiply(multiply(invert(a_elt), h), a_elt)
+            cycle_splits += cycled.inf > h.inf
         for c in rng.sample(simples, min(8, len(simples))):
-            result = _conjugate(S, h, c)
+            result = conjugation_step(h, c)
             validate_element(result)
             c_elt = simple_element(c)
             assert result == multiply(multiply(invert(c_elt), h), c_elt)
@@ -482,3 +505,23 @@ def test_push_edge_cases(S):
     factors = [a]
     assert core._push(S, factors, S.right_complement(a)) == 1
     assert factors == []
+
+
+@by_descriptor
+def test_push_ends_edge_cases(S):
+    delta, identity = S.delta(), S.identity_simple()
+    d = simple_element(delta)
+    rng = random.Random(f"ends {S.descriptor()}")
+    for _ in range(4):
+        h = normalize(S, rng.randint(-2, 2), long_raw(S, rng, rng.randint(0, 30)))
+        # The identity at both ends changes neither the list nor inf.
+        same = push_ends(S, h.inf, h.factors, identity, identity)
+        assert same == h == multiply(h, identity_element(S))
+        # A Delta in front adds 1 to inf and twists nothing: Delta^r · Delta · y.
+        front = push_ends(S, h.inf, h.factors, delta, identity)
+        assert (front.inf, front.factors) == (h.inf + 1, h.factors)
+        assert front == multiply(d, h)
+        # A Delta behind adds 1 to inf and twists the list by tau: y · Delta = Delta · tau(y).
+        back = push_ends(S, h.inf, h.factors, identity, delta)
+        assert (back.inf, back.factors) == (h.inf + 1, tuple(S.twist(1)[f] for f in h.factors))
+        assert back == multiply(h, d)
