@@ -9,7 +9,6 @@ are attained exactly.
 
 from garside import (
     braid_structure,
-    conjugate_straightness,
     product_structure,
     straightness,
     torus_structure,
@@ -22,12 +21,13 @@ from garside.cli import parse_word
 def show(S, word: str) -> None:
     g = parse_word(S, word)
     triple = translation_triple(g)
+    flags = straightness(g)
     print(
         f"  {S.descriptor():28s} {word or '(identity)':12s}"
         f" t_inf={str(triple.t_inf):5s} t_sup={str(triple.t_sup):5s}"
         f" t_len={str(triple.t_len):5s} t_D={str(translation_number(g)):5s}"
         f" t_Dbar={str(triple.t_len):5s}"
-        f" straight={straightness(g)} conj_straight={conjugate_straightness(g)}"
+        f" straight={flags[:2]} conj_straight={flags[2:]}"
     )
 
 

@@ -51,7 +51,6 @@ from .structures import (
 )
 from .translation import (
     TranslationTriple,
-    conjugate_straightness,
     straightness,
     translation_number,
     translation_triple,

@@ -178,8 +178,7 @@ def _tnum(args, g):
 
 
 def _straight(args, g):
-    inf_st, sup_st = translation.straightness(g)
-    conj_inf, conj_sup = translation.conjugate_straightness(g)
+    inf_st, sup_st, conj_inf, conj_sup = translation.straightness(g)
     return (
         {"inf_straight": inf_st, "sup_straight": sup_st,
          "conjugate_inf_straight": conj_inf, "conjugate_sup_straight": conj_sup},

@@ -16,8 +16,9 @@ decycling pops the last and pushes its twist at the front, and `summit`
 builds one Element at the end.
 The minimal simple of an atom a at x is the ≼-least simple above a that
 keeps x in its super summit set (Franco and González-Meneses, 2003); it is
-found by climbing joins of simples, so each element has at most one
-outgoing conjugator per atom instead of one per simple.  The walk of the
+found by one climb of joins that adds the residuals of the inf condition
+on x and on x^{-1} together, so each element has at most one outgoing
+conjugator per atom instead of one per simple.  The walk of the
 set, `_sss_walk`, is a generator over one breadth-first queue: it forms
 each conjugate c^{-1} h c with the same step, pushing c at the back and
 the twisted left complement of c at the front, inserts it with its
@@ -232,40 +233,30 @@ def summit(g: Element, target: SummitData | None = None) -> SummitData | None:
     return SummitData(Element(S, inf, tuple(factors)), tuple(word))
 
 
-def _inf_closure(x: Element, c: Simple) -> Simple:
-    r"""The least simple above c that conjugates x to an element of inf >= inf(x).
+def _min_simple(x: Element, x_inv: Element, s: Simple) -> Simple:
+    r"""The ≼-least simple c above s with c^{-1} x c at the (inf, sup) of x.
 
-    With x = Delta^p · y, the conjugate c^{-1} x c = Delta^p · tau^p(c)^{-1} y c
-    has inf >= p exactly when tau^p(c) ≼ y c, that is when y\tau^p(c) ≼ c,
-    where y\t = y^{-1} (y ∨ t) is taken one factor f of y at a time as
-    t <- f^{-1} (f ∨ t).  Both sides are monotone in c, so climbing
-    c <- c ∨ y\tau^p(c) stops at the least such simple.
+    For y = Delta^p · z, inf(c^{-1} y c) >= p exactly when the residual
+    r_y(c) = z\tau^p(c) ≼ c, where z\t = z^{-1} (z ∨ t) is taken one factor
+    f of z at a time as t <- f^{-1} (f ∨ t); and sup(c^{-1} x c) <= sup(x)
+    exactly when inf(c^{-1} x^{-1} c) >= inf(x^{-1}).  Both residuals are
+    monotone in c, so each c above s with r_x(c) ≼ c and r_{x^{-1}}(c) ≼ c
+    lies above every step of the one climb c <- c ∨ r_x(c) ∨ r_{x^{-1}}(c)
+    from s, which stops at the least.  For x in its super summit set this
+    is the minimal simple for s of Franco and González-Meneses.
     """
     S = x.structure
-    twist = S.twist(x.inf)
+    c = s
     while True:
-        t = twist[c]
-        for f in x.factors:
-            t = S.simple_left_divide(f, S.join(f, t))
-        grown = S.join(c, t)
+        grown = c
+        for y in (x, x_inv):
+            t = S.twist(y.inf)[c]
+            for f in y.factors:
+                t = S.simple_left_divide(f, S.join(f, t))
+            grown = S.join(grown, t)
         if grown == c:
             return c
         c = grown
-
-
-def _min_simple(x: Element, x_inv: Element, s: Simple) -> Simple:
-    """The ≼-least simple c above s with c^{-1} x c at the (inf, sup) of x.
-
-    sup(c^{-1} x c) <= sup(x) exactly when inf(c^{-1} x^{-1} c) >= inf(x^{-1}),
-    so alternating the inf closure on x and on x^{-1} reaches the least
-    simple meeting both conditions.  For x in its super summit set this is
-    the minimal simple for s of Franco and González-Meneses.
-    """
-    while True:
-        c = _inf_closure(x, s)
-        s = _inf_closure(x_inv, c)
-        if s == c:
-            return c
 
 
 def _sss_walk(seen: Closure) -> Iterator[Element]:

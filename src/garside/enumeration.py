@@ -36,11 +36,13 @@ def followers(s: Simple) -> tuple[Simple, ...]:
 
     The row is built on its first lookup, one meet per proper simple, so a
     search that visits a few rows of a large structure pays for no others.
+    Each meet is used once, so it is taken on payloads, past the cache of
+    `S.meet`, which the rows of braid:7 would grow to millions of entries.
     """
     S = s.structure
-    identity = S.identity_simple()
-    comp = S.right_complement(s)
-    return tuple(t for t in proper_simples(S) if S.meet(comp, t) is identity)
+    identity = S.identity_simple().payload
+    comp = S.right_complement(s).payload
+    return tuple(t for t in proper_simples(S) if S._meet(comp, t.payload) == identity)
 
 
 @functools.cache

@@ -27,6 +27,10 @@ t_sup, -t_inf and t_len.  It is at least 1/N for g != 1, and the
 translation number of the image of g in the central quotient
 G / <Delta^{m0}>, where m0 = S.tau_order() is the least central Delta
 power, equals t_len(g).
+
+Straightness is read at the single power N: g is inf-straight when
+inf(g^N) = N·inf(g), and conjugate to an inf-straight element when
+inf_s(g^N) = N·inf_s(g); likewise for sup, so one g^N gives all four flags.
 """
 
 from __future__ import annotations
@@ -76,17 +80,12 @@ def translation_number(g: Element) -> Fraction:
     return translation_triple(g).t_D
 
 
-def straightness(g: Element) -> tuple[bool, bool]:
-    """(inf-straight, sup-straight); each detectable at the single power N."""
+def straightness(g: Element) -> tuple[bool, bool, bool, bool]:
+    """(inf-straight, sup-straight, conjugate to an inf-straight element,
+    conjugate to a sup-straight element), from one power g^N and one summit
+    each of g and g^N."""
     N = g.structure.delta_norm()
     gN = power(g, N)
-    return (gN.inf == N * g.inf, gN.sup == N * g.sup)
-
-
-def conjugate_straightness(g: Element) -> tuple[bool, bool]:
-    """Whether g is conjugate to an inf-straight resp. sup-straight element."""
-    N = g.structure.delta_norm()
-    sd = summit(g)
-    sd_N = summit(power(g, N))
-    return (sd_N.inf_s == N * sd.inf_s, sd_N.sup_s == N * sd.sup_s)
-
+    sd, sd_N = summit(g), summit(gN)
+    return (gN.inf == N * g.inf, gN.sup == N * g.sup,
+            sd_N.inf_s == N * sd.inf_s, sd_N.sup_s == N * sd.sup_s)

@@ -195,11 +195,27 @@ def test_rejected_root_candidates_build_no_witness(monkeypatch, capsys):
     assert words == []
 
 
-def test_first_candidate_builds_one_follower_row():
+def test_first_candidate_builds_one_follower_row(monkeypatch):
+    # One row is one meet per proper simple, none of them left in the cache
+    # of `S.meet`; a second row fails at its first meet.  A first run builds
+    # Delta and the degree bounds, then the rows are dropped.
     S = braid_structure(7)
-    before = GarsideStructure.meet.cache_info().currsize
-    assert len(next(factor_sequences(S, 2, (2,)))) == 2
-    assert GarsideStructure.meet.cache_info().currsize - before < 2 * 5040
+    first = next(factor_sequences(S, 2, (2,)))
+    row = len(proper_simples(S))
+    meet, meets = type(S)._meet, []
+
+    def counted(self, a, b):
+        meets.append(None)
+        if len(meets) > row:
+            raise AssertionError("a second follower row was built")
+        return meet(self, a, b)
+
+    followers.cache_clear()
+    monkeypatch.setattr(type(S), "_meet", counted)
+    cached = GarsideStructure.meet.cache_info().currsize
+    assert next(factor_sequences(S, 2, (2,))) == first
+    assert len(meets) == row
+    assert GarsideStructure.meet.cache_info().currsize == cached
 
 
 def test_follower_rows_match_brute_force():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from garside import (
     braid_structure,
-    conjugate_straightness,
     delta_power_element,
     identity_element,
     invert,
@@ -83,18 +82,31 @@ def test_translation_number_fixtures():
 
 
 def test_straightness_fixtures():
-    assert straightness(delta_power_element(B3, 1)) == (True, True)
+    assert straightness(delta_power_element(B3, 1))[:2] == (True, True)
     x = parse_word(T53, "x")
-    assert straightness(x) == (False, False)
+    assert straightness(x)[:2] == (False, False)
     for k in range(1, 5):
         assert power(x, k).inf == 0
-    assert straightness(parse_word(B3, "a1")) == (True, True)
+    assert straightness(parse_word(B3, "a1"))[:2] == (True, True)
 
 
 def test_conjugate_straightness_fixtures():
-    assert conjugate_straightness(parse_word(T53, "x")) == (False, False)
-    assert conjugate_straightness(parse_word(B3, "a1 a1 a2")) == (True, True)
-    assert conjugate_straightness(parse_word(PROD, "L.x R.y")) == (False, False)
+    # The last two flags: conjugate to an inf-straight resp. sup-straight element.
+    assert straightness(parse_word(T53, "x"))[2:] == (False, False)
+    assert straightness(parse_word(B3, "a1 a1 a2"))[2:] == (True, True)
+    assert straightness(parse_word(PROD, "L.x R.y"))[2:] == (False, False)
+
+
+def test_straightness_forms_one_power(monkeypatch):
+    calls = []
+
+    def counted(g, n):
+        calls.append(n)
+        return power(g, n)
+
+    monkeypatch.setattr(translation, "power", counted)
+    assert straightness(parse_word(B3, "a1 a1 a2")) == (False, False, True, True)
+    assert calls == [B3.delta_norm()]
 
 
 def test_delta_central_exponent_fixtures():
@@ -266,4 +278,4 @@ def test_conjugate_straightness_matches_integral_limits(S, data):
     # t_inf is an integer; likewise for sup.
     g = data.draw(shifted_elements_of(S, -2, 2))
     t = translation_triple(g)
-    assert conjugate_straightness(g) == (t.t_inf.denominator == 1, t.t_sup.denominator == 1)
+    assert straightness(g)[2:] == (t.t_inf.denominator == 1, t.t_sup.denominator == 1)
