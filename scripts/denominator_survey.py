@@ -16,7 +16,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from garside import structure_from_descriptor, translation_number, translation_triple
+from garside import structure_from_descriptor, translation_triple
 from garside.enumeration import sample_element
 
 
@@ -40,7 +40,7 @@ def main() -> None:
     for _ in range(args.samples):
         g = sample_element(S, rng, max_inf=args.max_inf, max_len=args.max_len)
         triple = translation_triple(g)
-        td = translation_number(g)
+        td = triple.t_D
         limit_dens[triple.t_inf.denominator] += 1
         limit_dens[triple.t_sup.denominator] += 1
         td_dens[td.denominator] += 1

@@ -8,11 +8,10 @@ are attained exactly.
 """
 
 from garside import (
-    braid_structure,
-    product_structure,
+    BraidStructure,
+    ProductStructure,
+    TorusStructure,
     straightness,
-    torus_structure,
-    translation_number,
     translation_triple,
 )
 from garside.cli import parse_word
@@ -25,17 +24,17 @@ def show(S, word: str) -> None:
     print(
         f"  {S.descriptor():28s} {word or '(identity)':12s}"
         f" t_inf={str(triple.t_inf):5s} t_sup={str(triple.t_sup):5s}"
-        f" t_len={str(triple.t_len):5s} t_D={str(translation_number(g)):5s}"
+        f" t_len={str(triple.t_len):5s} t_D={str(triple.t_D):5s}"
         f" t_Dbar={str(triple.t_len):5s}"
         f" straight={flags[:2]} conj_straight={flags[2:]}"
     )
 
 
 def main() -> None:
-    B3 = braid_structure(3)
-    T53 = torus_structure(5, 3)
-    H = torus_structure(2, 3)
-    PROD = product_structure(H, H)
+    B3 = BraidStructure(3)
+    T53 = TorusStructure(5, 3)
+    H = TorusStructure(2, 3)
+    PROD = ProductStructure(H, H)
 
     print("braid:3 (N = 3, central Delta power m0 =", B3.tau_order(), ")")
     for word in ("a1", "a1 a2", "a1 a1 a2", "a1^-1 a2"):

@@ -20,8 +20,6 @@ from .core import (
     Simple,
     StructureMismatchError,
     degree,
-    delta_power_element,
-    identity_element,
     invert,
     multiply,
     normalize,
@@ -44,10 +42,7 @@ from .structures import (
     BraidStructure,
     ProductStructure,
     TorusStructure,
-    braid_structure,
-    product_structure,
     structure_from_descriptor,
-    torus_structure,
 )
 from .translation import (
     TranslationTriple,

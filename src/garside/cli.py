@@ -39,7 +39,7 @@ from .structures import structure_from_descriptor
 # not counted.
 MAX_WORD_ATOMS = 100_000
 
-_TOKEN = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9.]*)(\^(?P<exp>-?\d+))?$")
+_TOKEN = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9.]*)(\^(?P<exp>-?[0-9]+))?$")
 
 
 class WordParseError(ValueError):
@@ -52,9 +52,10 @@ def parse_word(S: GarsideStructure, text: str) -> Element:
     One pass reads the tokens through a table from token text to its
     letter (simple, exponent) and atom-letter count, so each distinct token
     is matched once, and sums the atom letters; one `normalize_word` call
-    then forms the element.  A malformed token or a zero exponent raises
-    where it is read; after the pass, a word over MAX_WORD_ATOMS atom
-    letters raises, then the first unknown generator, by position.
+    then forms the element.  A malformed token, an exponent too long for
+    `int` or a zero exponent raises where it is read; after the pass, a
+    word over MAX_WORD_ATOMS atom letters raises, then the first unknown
+    generator, by position.
     """
     atoms = S.atom_by_name()
     table: dict[str, tuple[tuple[Simple | None, int], int]] = {}
@@ -68,7 +69,10 @@ def parse_word(S: GarsideStructure, text: str) -> Element:
             if match is None:
                 raise WordParseError(f"malformed token {token!r} at position {position}")
             exp = match.group("exp")
-            exponent = int(exp) if exp is not None else 1
+            try:
+                exponent = int(exp) if exp is not None else 1
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise WordParseError(f"exponent too long at position {position}") from None
             if exponent == 0:
                 raise WordParseError(f"zero exponent in {token!r} at position {position}")
             name = match.group("name")

@@ -595,14 +595,6 @@ def normalize_word(structure: GarsideStructure, word: Sequence[tuple[Simple, int
     return normalize(S, d, reversed(raw))
 
 
-def identity_element(structure: GarsideStructure) -> Element:
-    return Element(structure, 0, ())
-
-
-def delta_power_element(structure: GarsideStructure, k: int) -> Element:
-    return Element(structure, k, ())
-
-
 def simple_element(s: Simple) -> Element:
     """The element represented by a single simple (identity and Delta allowed)."""
     S = s.structure
@@ -670,7 +662,7 @@ def power(g: Element, n: int) -> Element:
     """
     if n < 0:
         return invert(power(g, -n))
-    result = identity_element(g.structure)
+    result = Element(g.structure, 0, ())
     base = g
     while n:
         if n & 1:

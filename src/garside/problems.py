@@ -55,7 +55,6 @@ from .core import (
     StructureMismatchError,
     cycle_types,
     degree,
-    identity_element,
     invert,
     multiply,
     power,
@@ -112,7 +111,7 @@ def solve_power(g: Element, h: Element, up_to_conjugacy: bool = False) -> Proble
     if g.structure is not h.structure:
         raise StructureMismatchError("power query across structures")
     if g.is_identity or h.is_identity:
-        return _certify(identity_element(g.structure), g, up_to_conjugacy, n=0)
+        return _certify(Element(g.structure, 0, ()), g, up_to_conjugacy, n=0)
     ratio = translation_number(g) / translation_number(h)
     dg, dh = degree(g), degree(h)
     for n in (ratio.numerator, -ratio.numerator):
@@ -222,7 +221,7 @@ def solve_root_conjugacy(g: Element, n: int) -> ProblemAnswer:
     if n < 1:
         raise ValueError("root degree must be at least 1")
     if n == 1:
-        return ProblemAnswer(n=1, root=g, witness=identity_element(g.structure))
+        return ProblemAnswer(n=1, root=g, witness=Element(g.structure, 0, ()))
     return _root_search(translation_triple(g), summit(g), n)
 
 

@@ -32,8 +32,8 @@ Every structure is interned by value (`core._Interned`): constructors and
 parsed descriptors of one group return one object, which compares and
 hashes by identity.  Each class checks its own caps (MAX_STRANDS,
 MAX_TORUS_EXPONENT) in `__post_init__`, before the value is interned, so
-every construction path is bounded; `braid_structure`, `torus_structure`
-and `product_structure` are the classes themselves.
+the classes and `structure_from_descriptor` are bounded alike.  A
+descriptor integer is a run of ASCII digits and nothing else.
 """
 
 from __future__ import annotations
@@ -296,14 +296,8 @@ class ProductStructure(GarsideStructure):
 
 
 # ----------------------------------------------------------------------
-# factories and descriptor parsing
+# descriptor parsing
 # ----------------------------------------------------------------------
-
-
-# The factory names; each class checks its own caps.
-braid_structure = BraidStructure
-torus_structure = TorusStructure
-product_structure = ProductStructure
 
 
 class DescriptorError(ValueError):
@@ -318,12 +312,12 @@ def structure_from_descriptor(text: str) -> GarsideStructure:
     """Parse ``braid:<n>``, ``torus:<N>:<M>`` or ``product:(<desc>,<desc>)``."""
     text = text.strip()
     if text.startswith("braid:"):
-        return braid_structure(_parse_int(text[len("braid:"):], text))
+        return BraidStructure(_parse_int(text[len("braid:"):], text))
     if text.startswith("torus:"):
         parts = text[len("torus:"):].split(":")
         if len(parts) != 2:
             raise DescriptorError(f"expected torus:<N>:<M>, got {text!r}")
-        return torus_structure(_parse_int(parts[0], text), _parse_int(parts[1], text))
+        return TorusStructure(_parse_int(parts[0], text), _parse_int(parts[1], text))
     if text.startswith("product:"):
         body = text[len("product:"):]
         if not (body.startswith("(") and body.endswith(")")):
@@ -331,13 +325,15 @@ def structure_from_descriptor(text: str) -> GarsideStructure:
         if _nesting(body) > MAX_PRODUCT_NESTING:
             raise DescriptorError(f"products nested deeper than {MAX_PRODUCT_NESTING} levels")
         left, right = _split_product(body[1:-1], text)
-        return product_structure(structure_from_descriptor(left), structure_from_descriptor(right))
+        return ProductStructure(structure_from_descriptor(left), structure_from_descriptor(right))
     raise DescriptorError(f"unknown structure descriptor {text!r}")
 
 
 def _parse_int(chunk: str, full: str) -> int:
     try:
-        return int(chunk)
+        if not (chunk.isascii() and chunk.isdigit()):
+            raise ValueError(chunk)
+        return int(chunk)  # raises past sys.get_int_max_str_digits()
     except ValueError:
         raise DescriptorError(f"bad integer {chunk!r} in descriptor {full!r}") from None
 

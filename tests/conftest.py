@@ -9,16 +9,15 @@ import pytest
 from hypothesis import strategies as st
 
 from garside import (
+    BraidStructure,
     Element,
     GarsideStructure,
+    ProductStructure,
     Simple,
-    braid_structure,
-    delta_power_element,
+    TorusStructure,
     multiply,
     power,
-    product_structure,
     simple_element,
-    torus_structure,
 )
 
 # ----------------------------------------------------------------------
@@ -74,23 +73,23 @@ def simple_divisors(S: GarsideStructure, s: Simple) -> frozenset[Simple]:
 
 @pytest.fixture(scope="session")
 def b3():
-    return braid_structure(3)
+    return BraidStructure(3)
 
 
 @pytest.fixture(scope="session")
 def b4():
-    return braid_structure(4)
+    return BraidStructure(4)
 
 
 @pytest.fixture(scope="session")
 def torus53():
-    return torus_structure(5, 3)
+    return TorusStructure(5, 3)
 
 
 @pytest.fixture(scope="session")
 def torus23_sq():
-    H = torus_structure(2, 3)
-    return product_structure(H, H)
+    H = TorusStructure(2, 3)
+    return ProductStructure(H, H)
 
 
 def atom_elements(S: GarsideStructure) -> list[Element]:
@@ -100,7 +99,7 @@ def atom_elements(S: GarsideStructure) -> list[Element]:
 def element_from_letters(S: GarsideStructure, letters, inf_shift: int = 0) -> Element:
     """Build an element from signed atom letters plus a Delta shift."""
     atoms = atom_elements(S)
-    g = delta_power_element(S, inf_shift)
+    g = Element(S, inf_shift, ())
     for index, sign in letters:
         g = multiply(g, power(atoms[index], sign))
     return g

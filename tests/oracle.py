@@ -43,8 +43,6 @@ from garside import (
     Simple,
     TorusStructure,
     TranslationTriple,
-    delta_power_element,
-    identity_element,
     invert,
     multiply,
     normalize,
@@ -97,7 +95,7 @@ def bfs_word_length(g: Element, cap: int = 8) -> int | None:
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    start = identity_element(g.structure)
+    start = Element(g.structure, 0, ())
     if g == start:
         return 0
     gens = _generators(g.structure)
@@ -158,7 +156,7 @@ def brute_sss_closure(rep: Element) -> dict[Element, Element]:
         for s in S.enumerate_simples()
         if s.atom_norm > 0
     ]
-    seen: dict[Element, Element] = {rep: identity_element(S)}
+    seen: dict[Element, Element] = {rep: Element(S, 0, ())}
     frontier = [rep]
     while frontier:
         nxt = []
@@ -183,7 +181,7 @@ def eager_sss_closure(rep: Element, cap: int) -> dict[Element, Element]:
     """
     S = rep.structure
     atoms = [S.atom_simple(i) for i in range(len(S.atoms()))]
-    seen: dict[Element, Element] = {rep: identity_element(S)}
+    seen: dict[Element, Element] = {rep: Element(S, 0, ())}
     frontier = [rep]
     while frontier:
         nxt = []
@@ -266,7 +264,7 @@ def link_witness(closure: Closure, h: Element) -> Element:
     """The w with w^{-1} · rep · w = h, for h a key of a closure rooted at
     rep: the conjugators on the parent links from h back to rep, multiplied
     out one simple at a time."""
-    w = identity_element(h.structure)
+    w = Element(h.structure, 0, ())
     link = closure[h]
     while link is not None:
         h, c = link
@@ -448,10 +446,10 @@ def stack_normalize(S: GarsideStructure, delta_power: int, raw_factors) -> Eleme
 
 def token_word_element(S: GarsideStructure, terms: tuple[tuple[str, int], ...]) -> Element:
     """The element of (generator, exponent) tokens, one power and one product per token."""
-    result = identity_element(S)
+    result = Element(S, 0, ())
     for name, exponent in terms:
         if name == "D":
-            term = delta_power_element(S, exponent)
+            term = Element(S, exponent, ())
         else:
             atom = S.atom_by_name()[name]
             term = power(simple_element(S.atom_simple(atom.index)), exponent)

@@ -12,18 +12,18 @@ from fractions import Fraction
 import pytest
 
 from garside import (
-    braid_structure,
+    BraidStructure,
+    ProductStructure,
+    TorusStructure,
     invert,
     multiply,
     power,
-    product_structure,
     solve_generalized_power,
     solve_power,
     solve_proper_power_conjugacy,
     solve_root_conjugacy,
     straightness,
     summit,
-    torus_structure,
     translation_number,
     translation_triple,
     word_length,
@@ -35,11 +35,11 @@ from garside.enumeration import sample_element
 from .conftest import assert_conjugate_by
 from .oracle import bfs_word_length, brute_summit_inf, recursive_factor_sequences
 
-B3 = braid_structure(3)
-B4 = braid_structure(4)
-T53 = torus_structure(5, 3)
-T43 = torus_structure(4, 3)
-PROD = product_structure(torus_structure(2, 3), torus_structure(2, 3))
+B3 = BraidStructure(3)
+B4 = BraidStructure(4)
+T53 = TorusStructure(5, 3)
+T43 = TorusStructure(4, 3)
+PROD = ProductStructure(TorusStructure(2, 3), TorusStructure(2, 3))
 
 
 @pytest.fixture(scope="module")

@@ -5,18 +5,18 @@ import json
 import pytest
 
 from garside import (
-    braid_structure,
+    BraidStructure,
+    Element,
+    TorusStructure,
     conjugacy,
     core,
-    delta_power_element,
     multiply,
     problems,
-    torus_structure,
 )
 from garside.cli import WordParseError, element_json, parse_word, render_word, run_command
 
-B3 = braid_structure(3)
-T53 = torus_structure(5, 3)
+B3 = BraidStructure(3)
+T53 = TorusStructure(5, 3)
 
 
 def test_parse_word_fixtures():
@@ -28,8 +28,8 @@ def test_parse_word_fixtures():
     assert h.inf == 0
     assert [s.payload for s in h.factors] == [("x", 2)]
 
-    assert parse_word(B3, "") == delta_power_element(B3, 0)
-    assert parse_word(B3, "D^3") == delta_power_element(B3, 3)
+    assert parse_word(B3, "") == Element(B3, 0, ())
+    assert parse_word(B3, "D^3") == Element(B3, 3, ())
 
 
 def test_parse_word_errors_carry_position():
@@ -70,7 +70,7 @@ def test_element_json_round_trip():
         g = parse_word(S, text)
         blob = element_json(g)
         assert blob["group"] == desc
-        rebuilt = delta_power_element(S, blob["inf"])
+        rebuilt = Element(S, blob["inf"], ())
         for factor_word in blob["factors"]:
             rebuilt = multiply(rebuilt, parse_word(S, " ".join(factor_word)))
         assert rebuilt == g
@@ -177,6 +177,8 @@ def test_cli_exit_codes(capsys):
     assert capsys.readouterr() == ("", "error: unknown generator 'a5' at position 1\n")
     assert run_command(["nf", "--group", "wat:3", "a1"]) == 2
     assert capsys.readouterr() == ("", "error: unknown structure descriptor 'wat:3'\n")
+    assert run_command(["nf", "--group", "braid:0_3", "a1"]) == 2
+    assert capsys.readouterr() == ("", "error: bad integer '0_3' in descriptor 'braid:0_3'\n")
     deep = "product:(braid:2," * 3000 + "braid:2" + ")" * 3000
     assert run_command(["nf", "--group", deep, "D"]) == 2
     assert "nested deeper than 16" in capsys.readouterr().err
@@ -220,11 +222,16 @@ def test_cli_every_limit_answers_on_stdout(capsys, monkeypatch):
 
 
 def test_cli_word_errors_come_in_a_fixed_order(capsys):
-    # A malformed token or a zero exponent comes first, by position; then a
-    # word over the atom bound (unknown generators count); then the first
-    # unknown generator, by position.
+    # A malformed token, an exponent past int()'s digit limit or a zero
+    # exponent comes first, by position; then a word over the atom bound
+    # (unknown generators count); then the first unknown generator, by
+    # position.
+    nines = "9" * 5000
     cases = [
         ("a9 a1^x", 2, "", "error: malformed token 'a1^x' at position 2\n"),
+        ("a9 a1^\u0663", 2, "", "error: malformed token 'a1^\u0663' at position 2\n"),
+        (f"a9 D^{nines}", 2, "", "error: exponent too long at position 2\n"),
+        (f"a1^{nines} zz", 2, "", "error: exponent too long at position 1\n"),
         ("a9 a1^0", 2, "", "error: zero exponent in 'a1^0' at position 2\n"),
         ("a9 a1^100001", 1,
          "resource limit: word has 100002 atom letters, above the bound of 100000\n", ""),

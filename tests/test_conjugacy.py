@@ -7,19 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garside import (
+    BraidStructure,
     Element,
+    ProductStructure,
     ResourceLimitError,
+    TorusStructure,
     are_conjugate,
-    braid_structure,
-    delta_power_element,
     invert,
     multiply,
     power,
-    product_structure,
     simple_element,
     summit,
     super_summit_set,
-    torus_structure,
     validate_element,
 )
 from garside.cli import parse_word
@@ -28,15 +27,15 @@ from .conftest import assert_conjugate_by, elements_of, random_word_element
 from .oracle import brute_summit_inf
 from .test_repair_paths import STRUCTURES, cycling_step, decycling_step, normal_forms_of
 
-B3 = braid_structure(3)
-T53 = torus_structure(5, 3)
-T43 = torus_structure(4, 3)
+B3 = BraidStructure(3)
+T53 = TorusStructure(5, 3)
+T43 = TorusStructure(4, 3)
 
 
 def test_cycling_fixtures():
     g = parse_word(B3, "a1 a1 a2")
     result, conj = cycling_step(g)
-    assert result == delta_power_element(B3, 1)
+    assert result == Element(B3, 1, ())
     assert conj == B3.atom_simple(0)
     # conjugator verifies: a^{-1} g a = result
     assert_conjugate_by(simple_element(conj), g, result)
@@ -48,7 +47,7 @@ def test_cycling_fixtures():
 def test_decycling_fixtures():
     g = parse_word(B3, "a1 a1 a2")
     result, last = decycling_step(g)
-    assert result == delta_power_element(B3, 1)
+    assert result == Element(B3, 1, ())
     # decycling conjugates by the inverse of the final factor
     assert_conjugate_by(invert(simple_element(last)), g, result)
 
@@ -59,12 +58,12 @@ def test_decycling_fixtures():
 def test_summit_fixtures():
     sd = summit(parse_word(B3, "a1 a1 a2"))
     assert (sd.inf_s, sd.sup_s) == (1, 1)
-    assert sd.representative == delta_power_element(B3, 1)
+    assert sd.representative == Element(B3, 1, ())
 
     for k in (-3, 0, 2):
-        sd = summit(delta_power_element(B3, k))
+        sd = summit(Element(B3, k, ()))
         assert (sd.inf_s, sd.sup_s) == (k, k)
-        assert sd.representative == delta_power_element(B3, k)
+        assert sd.representative == Element(B3, k, ())
 
     sd = summit(parse_word(T53, "x"))
     assert (sd.inf_s, sd.sup_s) == (0, 1)
@@ -82,10 +81,10 @@ def test_summit_witness_verifies():
 
 
 def test_super_summit_set_fixtures():
-    assert super_summit_set(delta_power_element(B3, 1)) == (delta_power_element(B3, 1),)
+    assert super_summit_set(Element(B3, 1, ())) == (Element(B3, 1, ()),)
     sss = super_summit_set(parse_word(B3, "a1"))
     assert set(sss) == {parse_word(B3, "a1"), parse_word(B3, "a2")}
-    assert super_summit_set(parse_word(B3, "a1 a1 a2")) == (delta_power_element(B3, 1),)
+    assert super_summit_set(parse_word(B3, "a1 a1 a2")) == (Element(B3, 1, ()),)
 
 
 def test_super_summit_set_deterministic_order():
@@ -115,9 +114,9 @@ def test_are_conjugate_fixtures():
 
     assert are_conjugate(parse_word(B3, "a1"), parse_word(B3, "a1^2")) is None
 
-    w = are_conjugate(parse_word(B3, "a1 a1 a2"), delta_power_element(B3, 1))
+    w = are_conjugate(parse_word(B3, "a1 a1 a2"), Element(B3, 1, ()))
     assert w is not None
-    assert_conjugate_by(w, parse_word(B3, "a1 a1 a2"), delta_power_element(B3, 1))
+    assert_conjugate_by(w, parse_word(B3, "a1 a1 a2"), Element(B3, 1, ()))
 
 
 def test_summit_inequalities():
@@ -156,8 +155,8 @@ def test_summit_matches_brute_force_oracle():
     # and a product; the larger generating sets of the last two get shorter
     # conjugator caps, which keep the test to about two seconds.
     rng = random.Random(23)
-    T46 = torus_structure(4, 6)
-    B3xT23 = product_structure(B3, torus_structure(2, 3))
+    T46 = TorusStructure(4, 6)
+    B3xT23 = ProductStructure(B3, TorusStructure(2, 3))
     for S, cap in ((B3, 6), (T43, 6), (T46, 5), (B3xT23, 3)):
         for _ in range(25):
             g = random_word_element(S, rng, max_letters=4, max_inf=1)
@@ -180,7 +179,7 @@ def test_summit_oracle_agreement_b4():
     # The stopping window is wider in B4 (N = 6); audit it against brute
     # force on a handful of small elements.
     rng = random.Random(123)
-    B4 = braid_structure(4)
+    B4 = BraidStructure(4)
     from garside.enumeration import sample_element
 
     for _ in range(6):

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 
 from garside import (
+    BraidStructure,
     Element,
     StructureMismatchError,
-    braid_structure,
-    identity_element,
-    delta_power_element,
+    TorusStructure,
     invert,
     multiply,
     normalize,
     power,
     simple_element,
     structure_from_descriptor,
-    torus_structure,
     validate_element,
     word_length,
 )
@@ -196,7 +194,7 @@ def test_derived_operations_match_slides(descriptor):
 
 @pytest.mark.parametrize(
     "S",
-    [*STRUCTURES, braid_structure(5), structure_from_descriptor("torus:4:6")],
+    [*STRUCTURES, BraidStructure(5), structure_from_descriptor("torus:4:6")],
     ids=lambda S: S.descriptor(),
 )
 def test_tau_tables_apply_tau_k_mod_order_times(S):
@@ -216,8 +214,8 @@ def test_normalize_fixtures(b3, torus53):
     assert [s.payload for s in g.factors] == [(1, 0, 2), (2, 0, 1)]
     assert b3.meet(b3.right_complement(g.factors[0]), g.factors[1]) == b3.identity_simple()
 
-    assert normalize(b3, 0, (a1, a2, a1)) == delta_power_element(b3, 1)
-    assert normalize(b3, 0, ()) == identity_element(b3)
+    assert normalize(b3, 0, (a1, a2, a1)) == Element(b3, 1, ())
+    assert normalize(b3, 0, ()) == Element(b3, 0, ())
 
     x = torus53.atom_simple(0)
     g = normalize(torus53, 0, (x,) * 7)
@@ -227,9 +225,9 @@ def test_normalize_fixtures(b3, torus53):
 def test_multiply_fixtures(b3, torus53):
     a1 = simple_element(b3.atom_simple(0))
     s21 = simple_element(simple_by_perm(b3, (1, 2, 0)))
-    assert multiply(a1, s21) == delta_power_element(b3, 1)
+    assert multiply(a1, s21) == Element(b3, 1, ())
     g = multiply(a1, a1)
-    assert multiply(g, identity_element(b3)) == g
+    assert multiply(g, Element(b3, 0, ())) == g
     x = simple_element(torus53.atom_simple(0))
     assert multiply(power(x, 3), power(x, 4)) == power(x, 7)
     assert power(x, 7).inf == 1
@@ -237,7 +235,7 @@ def test_multiply_fixtures(b3, torus53):
 
 def test_multiply_structure_mismatch(b3, torus53):
     with pytest.raises(StructureMismatchError):
-        multiply(identity_element(b3), identity_element(torus53))
+        multiply(Element(b3, 0, ()), Element(torus53, 0, ()))
 
 
 def test_normalize_rejects_a_simple_of_another_structure(b3, b4):
@@ -268,17 +266,17 @@ def test_invert_fixtures(b3):
     inv = invert(a1)
     assert inv.inf == -1
     assert [s.payload for s in inv.factors] == [(2, 0, 1)]  # a1 a2
-    assert invert(delta_power_element(b3, 1)) == delta_power_element(b3, -1)
-    assert invert(identity_element(b3)) == identity_element(b3)
+    assert invert(Element(b3, 1, ())) == Element(b3, -1, ())
+    assert invert(Element(b3, 0, ())) == Element(b3, 0, ())
 
 
 def test_power_fixtures(b3, torus53):
     a1, a2 = simple_element(b3.atom_simple(0)), simple_element(b3.atom_simple(1))
-    assert power(multiply(a1, a2), 3) == delta_power_element(b3, 2)
+    assert power(multiply(a1, a2), 3) == Element(b3, 2, ())
     g = multiply(a1, a1)
     assert power(g, 1) == g
     x = simple_element(torus53.atom_simple(0))
-    assert power(x, 25) == delta_power_element(torus53, 5)
+    assert power(x, 25) == Element(torus53, 5, ())
     assert power(x, 25).sup == 5
 
 
@@ -305,17 +303,17 @@ def lmax(g):
 def tau_conjugate(g):
     """Delta^{-1} · g · Delta."""
     S = g.structure
-    return multiply(multiply(delta_power_element(S, -1), g), delta_power_element(S, 1))
+    return multiply(multiply(Element(S, -1, ()), g), Element(S, 1, ()))
 
 
 def test_lmax_fixtures(b3, torus53):
     a1, a2 = simple_element(b3.atom_simple(0)), simple_element(b3.atom_simple(1))
     g = multiply(multiply(a1, a1), a2)
     assert lmax(g) == b3.atom_simple(0)
-    assert lmax(multiply(delta_power_element(b3, 1), a1)) == b3.delta()
+    assert lmax(multiply(Element(b3, 1, ()), a1)) == b3.delta()
     x3 = normalize(torus53, 0, (torus53.make_simple(("x", 3)),))
     assert lmax(x3) == torus53.make_simple(("x", 3))
-    assert lmax(identity_element(b3)) == b3.identity_simple()
+    assert lmax(Element(b3, 0, ())) == b3.identity_simple()
     with pytest.raises(ValueError):
         lmax(invert(a1))
 
@@ -348,7 +346,7 @@ def torus_model(N, M, letters):
 def test_torus_words_match_independent_model():
     import random
 
-    T = torus_structure(5, 3)
+    T = TorusStructure(5, 3)
     x, y = simple_element(T.atom_simple(0)), simple_element(T.atom_simple(1))
     rng = random.Random(13)
     for _ in range(200):
@@ -356,7 +354,7 @@ def test_torus_words_match_independent_model():
             (rng.choice("xy"), rng.choice((-2, -1, 1, 2, 3)))
             for _ in range(rng.randint(0, 8))
         ]
-        g = identity_element(T)
+        g = Element(T, 0, ())
         for chain, e in letters:
             g = multiply(g, power(x if chain == "x" else y, e))
         engine_word = tuple(s.payload for s in g.factors)
@@ -374,7 +372,7 @@ def test_one_shot_normalize_matches_incremental_products(b4):
         shift = rng.randint(-2, 2)
         raws = [rng.choice(simples) for _ in range(rng.randint(0, 8))]
         one_shot = normalize(b4, shift, raws)
-        incremental = delta_power_element(b4, shift)
+        incremental = Element(b4, shift, ())
         for s in raws:
             incremental = multiply(incremental, simple_element(s))
         assert one_shot == incremental
@@ -385,9 +383,9 @@ def test_one_shot_normalize_matches_incremental_products(b4):
 # properties
 # ----------------------------------------------------------------------
 
-B3 = braid_structure(3)
-B4 = braid_structure(4)
-T53 = torus_structure(5, 3)
+B3 = BraidStructure(3)
+B4 = BraidStructure(4)
+T53 = TorusStructure(5, 3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,7 +18,7 @@ from itertools import islice
 
 import pytest
 
-from garside import braid_structure, invert, multiply, power, structure_from_descriptor
+from garside import BraidStructure, invert, multiply, power, structure_from_descriptor
 from garside.cli import parse_word, run_command
 from garside.enumeration import _degree_bounds, factor_sequences
 
@@ -35,7 +35,7 @@ EVERY_DEGREE = 6_000
 
 @pytest.mark.parametrize(
     "S",
-    [*STRUCTURES, braid_structure(5), braid_structure(6), structure_from_descriptor("torus:7:4"),
+    [*STRUCTURES, BraidStructure(5), BraidStructure(6), structure_from_descriptor("torus:7:4"),
      structure_from_descriptor("product:(braid:4,torus:3:2)")],
     ids=lambda S: S.descriptor(),
 )
@@ -76,7 +76,7 @@ def test_stack_walk_matches_recursive_walk(S, length):
 def test_long_window_planted_square_answers(capsys):
     # H5c: (a1^600 a2^-600)^2, a 1,200-factor window; recursion would
     # need a frame per factor.
-    S = braid_structure(3)
+    S = BraidStructure(3)
     word = "a1^600 a2^-600 a1^600 a2^-600"
     assert run_command(["root", "--group", "braid:3", "-n", "2", "--json", word]) == 0
     answer = json.loads(capsys.readouterr().out)

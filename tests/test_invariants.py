@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 
 from garside import (
     BraidStructure,
+    Element,
     ProductStructure,
     TorusStructure,
     are_conjugate,
     class_invariant,
     degree,
-    delta_power_element,
     invert,
     multiply,
     permutations,
@@ -135,10 +135,10 @@ def test_degree_and_permutations_are_homomorphisms(pair):
 
 @pytest.mark.parametrize("S", FAMILIES, ids=lambda S: S.descriptor())
 def test_invariants_of_delta(S):
-    delta = delta_power_element(S, 1)
+    delta = Element(S, 1, ())
     assert degree(delta) == S.degree(S.delta()) == expected_invariants(S, [], 1)[0]
     assert permutations(delta) == expected_invariants(S, [], 1)[1]
-    assert degree(delta_power_element(S, -2)) == expected_invariants(S, [], -2)[0]
+    assert degree(Element(S, -2, ())) == expected_invariants(S, [], -2)[0]
     for i in range(len(S.atoms())):
         assert S.degree(S.atom_simple(i)) == expected_invariants(S, [(i, 1)], 0)[0]
 
@@ -246,7 +246,7 @@ def test_proper_power_tries_only_divisors_of_the_degree(monkeypatch):
 
     monkeypatch.setattr(problems, "_root_search", counting)
     answer = solve_proper_power_conjugacy(g)
-    assert (answer.n, answer.root) == (300007, delta_power_element(S, 1))
+    assert (answer.n, answer.root) == (300007, Element(S, 1, ()))
     assert degrees == [3, 300007]
 
 

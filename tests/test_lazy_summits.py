@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garside import (
+    BraidStructure,
     GarsideStructure,
     are_conjugate,
-    braid_structure,
     class_invariant,
     conjugacy,
     invert,
@@ -63,7 +63,7 @@ def test_target_summit_is_none_exactly_when_invariants_differ(pair):
 
 
 def test_target_summit_rejects_outside_invariants_without_cycling(monkeypatch):
-    S = braid_structure(4)
+    S = BraidStructure(4)
     target = summit(parse_word(S, "a1 a2"))
     assert (target.inf_s, target.sup_s) == (0, 1)
     steps = counting(monkeypatch, "_push_ends")
@@ -77,7 +77,7 @@ def test_target_summit_rejects_outside_invariants_without_cycling(monkeypatch):
 
 
 def test_target_summit_rejects_during_decycling(monkeypatch):
-    S = braid_structure(3)
+    S = BraidStructure(3)
     target = summit(parse_word(S, "a2^3"))
     h = parse_word(S, "a1^2 a2^2")
     # Both normal forms are (0, 3), so h passes the up-front test and its
@@ -108,7 +108,7 @@ def counting_summits(monkeypatch):
 
 def test_are_conjugate_rejects_on_class_invariants_before_any_summit(monkeypatch):
     calls = counting_summits(monkeypatch)
-    S = braid_structure(4)
+    S = BraidStructure(4)
     # Degrees 1 and 2; then degree 2 on both, with cycle types (2, 2) and (1, 3).
     for x, y in (("a1", "a1 a2"), ("a1 a3", "a1 a2")):
         g, h = parse_word(S, x), parse_word(S, y)
@@ -123,7 +123,7 @@ def test_are_conjugate_rejects_on_class_invariants_before_any_summit(monkeypatch
 
 def test_power_up_to_conjugacy_rejects_on_cycle_types_before_any_summit(monkeypatch):
     calls = counting_summits(monkeypatch)
-    S = braid_structure(3)
+    S = BraidStructure(3)
     # Both have degree 0 and t_D(g) / t_D(h) = 2, so n = 2 and n = -2 pass
     # the degree test; but perm(h)^{±2} is a 3-cycle and perm(g) the identity.
     g, h = parse_word(S, "a1^2 a2^-2"), parse_word(S, "a1 a2^-1")
@@ -137,7 +137,7 @@ def test_walk_decides_a_word_and_its_reversal():
     # A word and its reversal share degree and cycle types, and these two
     # also inf_s and sup_s, so only the walk of g's super summit set tells
     # them apart; `conjugator_to` compares no invariant and says no itself.
-    S = braid_structure(3)
+    S = BraidStructure(3)
     tokens = ["a1^2", "a2^-1", "a1", "a2^-2"]
     g, h = parse_word(S, " ".join(tokens)), parse_word(S, " ".join(reversed(tokens)))
     assert class_invariant(g) == class_invariant(h)
@@ -174,7 +174,7 @@ def test_witness_is_built_on_first_read(monkeypatch):
     words = counting(monkeypatch, "normalize_word")
     # Both cycling and decycling record conjugators for this word.  The steps
     # work on one list of factors, so the summit itself normalizes nothing.
-    g = parse_word(braid_structure(4), "a1^-1 a2 a3^2 a2^-1 a1")
+    g = parse_word(BraidStructure(4), "a1^-1 a2 a3^2 a2^-1 a1")
     sd = summit(g)
     assert {e for _, e in sd.word} == {1, -1}
     assert words == []
@@ -199,7 +199,7 @@ def test_first_candidate_builds_one_follower_row(monkeypatch):
     # One row is one meet per proper simple, none of them left in the cache
     # of `S.meet`; a second row fails at its first meet.  A first run builds
     # Delta and the degree bounds, then the rows are dropped.
-    S = braid_structure(7)
+    S = BraidStructure(7)
     first = next(factor_sequences(S, 2, (2,)))
     row = len(proper_simples(S))
     meet, meets = type(S)._meet, []
@@ -219,7 +219,7 @@ def test_first_candidate_builds_one_follower_row(monkeypatch):
 
 
 def test_follower_rows_match_brute_force():
-    for S in [*STRUCTURES, braid_structure(2), braid_structure(5)]:
+    for S in [*STRUCTURES, BraidStructure(2), BraidStructure(5)]:
         identity = S.identity_simple()
         simples = proper_simples(S)
         for s in simples:

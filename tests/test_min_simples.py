@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garside import (
-    braid_structure,
+    BraidStructure,
     invert,
     multiply,
     simple_element,
@@ -144,7 +144,7 @@ def test_sss_closure_matches_eager_closure(S, data):
 
 
 def test_braid7_super_summit_set():
-    B7 = braid_structure(7)
+    B7 = BraidStructure(7)
     g = parse_word(B7, "a1 a2 a3 a4 a5 a6 a6 a5 a4 a3 a2 a1")
     sd = summit(g)
     sss = super_summit_set(g)

@@ -4,13 +4,11 @@ import random
 from fractions import Fraction
 
 from garside import (
+    BraidStructure,
     Element,
-    braid_structure,
-    delta_power_element,
-    identity_element,
-    product_structure,
+    ProductStructure,
+    TorusStructure,
     summit,
-    torus_structure,
     translation_triple,
     word_length,
 )
@@ -25,16 +23,16 @@ from .oracle import (
     recursive_factor_sequences,
 )
 
-B3 = braid_structure(3)
-T53 = torus_structure(5, 3)
-T43 = torus_structure(4, 3)
+B3 = BraidStructure(3)
+T53 = TorusStructure(5, 3)
+T43 = TorusStructure(4, 3)
 
 
 def test_bfs_word_length_fixtures():
     assert bfs_word_length(parse_word(B3, "a1 a2")) == 1
-    assert bfs_word_length(parse_word(torus_structure(3, 2), "x y")) == 2
-    assert bfs_word_length(identity_element(B3)) == 0
-    assert bfs_word_length(delta_power_element(B3, 5), cap=3) is None
+    assert bfs_word_length(parse_word(TorusStructure(3, 2), "x y")) == 2
+    assert bfs_word_length(Element(B3, 0, ())) == 0
+    assert bfs_word_length(Element(B3, 5, ()), cap=3) is None
 
 
 def test_bfs_matches_case_formula_exhaustive_b3():
@@ -56,7 +54,7 @@ def test_bfs_matches_case_formula_exhaustive_torus43():
 def test_brute_summit_inf_fixtures():
     assert brute_summit_inf(parse_word(B3, "a1 a1 a2"), 6) == 1
     for k in (-2, 0, 3):
-        assert brute_summit_inf(delta_power_element(B3, k), 1) == k
+        assert brute_summit_inf(Element(B3, k, ()), 1) == k
     assert brute_summit_inf(parse_word(T53, "x"), 6) == 0
 
 
@@ -73,10 +71,10 @@ def test_estimate_translation_fixtures():
     br = estimate_translation(parse_word(T53, "x"), 25)
     assert (br.lo, br.hi) == (Fraction(1, 5), Fraction(6, 25))
 
-    br = estimate_translation(delta_power_element(B3, 1), 7)
+    br = estimate_translation(Element(B3, 1, ()), 7)
     assert (br.lo, br.hi) == (Fraction(1), Fraction(8, 7))
 
-    prod = product_structure(torus_structure(2, 3), torus_structure(2, 3))
+    prod = ProductStructure(TorusStructure(2, 3), TorusStructure(2, 3))
     br = estimate_translation(parse_word(prod, "L.x R.y"), 36)
     assert (br.lo, br.hi) == (Fraction(1, 3), Fraction(13, 36))
     assert Fraction(1, 3) in br

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from garside import (
+    BraidStructure,
+    Element,
     ResourceLimitError,
     StructureMismatchError,
+    TorusStructure,
     UnsupportedStructureError,
     are_conjugate,
-    braid_structure,
-    delta_power_element,
-    identity_element,
     invert,
     multiply,
     power,
@@ -20,7 +20,6 @@ from garside import (
     solve_proper_power_conjugacy,
     solve_root,
     solve_root_conjugacy,
-    torus_structure,
 )
 from garside import conjugacy, problems, translation
 from garside.cli import parse_word
@@ -28,13 +27,13 @@ from garside.problems import _divisors
 
 from .conftest import assert_conjugate_by, random_word_element
 
-B3 = braid_structure(3)
-B4 = braid_structure(4)
-T53 = torus_structure(5, 3)
+B3 = BraidStructure(3)
+B4 = BraidStructure(4)
+T53 = TorusStructure(5, 3)
 
 
 def test_solve_power_fixtures():
-    assert solve_power(delta_power_element(B3, 2), delta_power_element(B3, 1)).n == 2
+    assert solve_power(Element(B3, 2, ()), Element(B3, 1, ())).n == 2
     assert solve_power(parse_word(B3, "a1^4"), parse_word(B3, "a1^2")).n == 2
     assert not solve_power(parse_word(B3, "a1"), parse_word(B3, "a2")).is_solution
     answer = solve_power(parse_word(B3, "a1"), parse_word(B3, "a2"), up_to_conjugacy=True)
@@ -43,14 +42,14 @@ def test_solve_power_fixtures():
 
 
 def test_solve_power_identity_edges():
-    g = identity_element(B3)
+    g = Element(B3, 0, ())
     h = parse_word(B3, "a1")
     assert solve_power(g, h).n == 0
     assert solve_power(g, g).n == 0
     assert not solve_power(h, g).is_solution
     assert not solve_power(h, g, up_to_conjugacy=True).is_solution
     # A plain-equality answer carries no witness; one up to conjugacy does.
-    for other in (g, h, delta_power_element(B3, 1)):
+    for other in (g, h, Element(B3, 1, ())):
         assert solve_power(g, other).witness is None
         answer = solve_power(g, other, up_to_conjugacy=True)
         assert answer.n == 0
@@ -65,14 +64,14 @@ def test_solve_power_negative_exponent():
 
 
 def test_solve_root_conjugacy_fixtures():
-    answer = solve_root_conjugacy(delta_power_element(B3, 2), 2)
-    assert answer.root == delta_power_element(B3, 1)
-    assert_conjugate_by(answer.witness, power(answer.root, 2), delta_power_element(B3, 2))
+    answer = solve_root_conjugacy(Element(B3, 2, ()), 2)
+    assert answer.root == Element(B3, 1, ())
+    assert_conjugate_by(answer.witness, power(answer.root, 2), Element(B3, 2, ()))
 
-    answer = solve_root_conjugacy(delta_power_element(B3, 2), 3)
+    answer = solve_root_conjugacy(Element(B3, 2, ()), 3)
     assert answer.is_solution
     assert power(answer.root, 3).is_identity is False
-    assert_conjugate_by(answer.witness, power(answer.root, 3), delta_power_element(B3, 2))
+    assert_conjugate_by(answer.witness, power(answer.root, 3), Element(B3, 2, ()))
 
     assert not solve_root_conjugacy(parse_word(B3, "a1"), 2).is_solution
     assert solve_root_conjugacy(parse_word(B3, "a1"), 1).root == parse_word(B3, "a1")
@@ -82,9 +81,9 @@ def test_solve_root_conjugacy_fixtures():
 
 def test_solve_root_of_identity():
     # Torsion-freeness makes the identity its own unique n-th root.
-    answer = solve_root_conjugacy(identity_element(B3), 2)
+    answer = solve_root_conjugacy(Element(B3, 0, ()), 2)
     assert answer.is_solution
-    assert answer.root == identity_element(B3)
+    assert answer.root == Element(B3, 0, ())
 
 
 def test_solve_root_exact_wrapper():
@@ -106,11 +105,11 @@ def test_pair_queries_reject_elements_of_two_structures():
 
 
 def test_solve_proper_power_fixtures():
-    answer = solve_proper_power_conjugacy(delta_power_element(B3, 2))
-    assert (answer.root, answer.n) == (delta_power_element(B3, 1), 2)
+    answer = solve_proper_power_conjugacy(Element(B3, 2, ()))
+    assert (answer.root, answer.n) == (Element(B3, 1, ()), 2)
 
     assert not solve_proper_power_conjugacy(parse_word(B3, "a1")).is_solution
-    assert not solve_proper_power_conjugacy(identity_element(B3)).is_solution
+    assert not solve_proper_power_conjugacy(Element(B3, 0, ())).is_solution
 
     answer = solve_proper_power_conjugacy(parse_word(T53, "x^2"))
     assert (answer.root, answer.n) == (parse_word(T53, "x"), 2)
@@ -128,12 +127,12 @@ def test_solve_generalized_power_fixtures():
     assert (answer.n, answer.m) == (6, 6)
     assert_conjugate_by(answer.witness, power(parse_word(B3, "a1"), 6), power(parse_word(B3, "a2"), 6))
 
-    answer = solve_generalized_power(delta_power_element(B3, 1), delta_power_element(B3, 3))
+    answer = solve_generalized_power(Element(B3, 1, ()), Element(B3, 3, ()))
     assert (answer.n, answer.m) == (18, 6)
 
     # g^n = 1 with n != 0 only for g = 1, so (1, 1) answers two identities
     # and nothing answers one.
-    one, a1 = identity_element(B3), parse_word(B3, "a1")
+    one, a1 = Element(B3, 0, ()), parse_word(B3, "a1")
     answer = solve_generalized_power(one, one)
     assert (answer.n, answer.m, answer.witness) == (1, 1, None)
     answer = solve_generalized_power(one, one, up_to_conjugacy=True)
@@ -271,9 +270,9 @@ def test_no_power_is_formed_when_the_degree_rules_out_every_exponent(monkeypatch
 
 def test_generalized_power_on_product_of_braids():
     # The only other shipped family with a unique-root certificate.
-    from garside import product_structure
+    from garside import ProductStructure
 
-    P = product_structure(B3, B3)
+    P = ProductStructure(B3, B3)
     assert P.unique_root_exponent == 6
     w = parse_word(P, "L.a1 R.a2")
     answer = solve_generalized_power(power(w, 2), power(w, 3))
@@ -284,7 +283,7 @@ def test_generalized_power_on_product_of_braids():
 def test_root_search_resource_limit_is_distinct(monkeypatch):
     monkeypatch.setattr(problems, "DEFAULT_CANDIDATE_CAP", 0)
     with pytest.raises(ResourceLimitError, match="exceeded 0 candidates"):
-        solve_root_conjugacy(delta_power_element(B3, 2), 3)
+        solve_root_conjugacy(Element(B3, 2, ()), 3)
 
 
 def test_proper_power_search_computes_class_data_once(monkeypatch):

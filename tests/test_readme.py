@@ -5,7 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
-from garside import braid_structure
+from garside import BraidStructure
 from garside.cli import element_json, parse_word, run_command
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -40,4 +40,4 @@ def test_command_line_examples(capsys):
 
 def test_json_element_example():
     shown = json.loads(fenced_block("### JSON output", "json"))
-    assert shown == element_json(parse_word(braid_structure(3), "a1 a1 a2"))
+    assert shown == element_json(parse_word(BraidStructure(3), "a1 a1 a2"))

@@ -24,8 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garside import (
+    Element,
     degree,
-    delta_power_element,
     invert,
     multiply,
     power,
@@ -148,7 +148,7 @@ def proper_power_queries_of(S):
     """
     k = st.integers(1, 12).flatmap(lambda k: st.sampled_from((k, -k)))
     max_raw = 2 if len(S.enumerate_simples()) < 100 else 1
-    g = st.builds(multiply, st.builds(delta_power_element, st.just(S), k),
+    g = st.builds(multiply, st.builds(lambda k: Element(S, k, ()), k),
                   normal_forms_of(S, max_raw=max_raw, max_inf=0))
     return st.one_of(g, g, st.builds(power, g, st.sampled_from((2, 3))))
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garside import braid_structure, conjugacy, invert, multiply, summit
+from garside import BraidStructure, conjugacy, invert, multiply, summit
 from garside.cli import parse_word, run_command
 from garside.conjugacy import DEFAULT_SSS_CAP, ResourceLimitError, _sss_closure
 
@@ -108,7 +108,7 @@ def test_a_capped_walk_is_read_from_its_table(monkeypatch):
     # The walk only inserts and yields; each query compares the size of its
     # table with the cap read at that call.
     assert list(inspect.signature(conjugacy._sss_walk).parameters) == ["seen"]
-    g = parse_word(braid_structure(3), WIDE["braid:3"])
+    g = parse_word(BraidStructure(3), WIDE["braid:3"])
     position, far = conjugates_by_position(summit(g))[-1]
     assert position >= 1
     sd = summit(g)
@@ -122,7 +122,7 @@ def test_a_capped_walk_is_read_from_its_table(monkeypatch):
 def test_conj_answers_a_target_inside_the_cap_of_a_larger_set(monkeypatch, capsys):
     # The super summit set of a1 a2^-1 in braid:3 has more elements than
     # this cap, but the rotated word's representative is reached within it.
-    S = braid_structure(3)
+    S = BraidStructure(3)
     sd = summit(parse_word(S, "a1 a2^-1"))
     assert len(_sss_closure(sd.representative, DEFAULT_SSS_CAP)) > 2
     monkeypatch.setattr(conjugacy, "DEFAULT_SSS_CAP", 2)
@@ -137,7 +137,7 @@ def test_conjugator_is_one_word(monkeypatch):
     original = conjugacy.normalize_word
     monkeypatch.setattr(conjugacy, "normalize_word",
                         lambda S, word: words.append(word) or original(S, word))
-    S = braid_structure(4)
+    S = BraidStructure(4)
     g = parse_word(S, "a1^-1 a2 a3^2 a2^-1 a1")
     c = parse_word(S, "a3 a2^-1 a1")
     h = multiply(multiply(invert(c), g), c)

@@ -9,14 +9,11 @@ from garside import (
     BraidStructure,
     ProductStructure,
     TorusStructure,
-    braid_structure,
     invert,
     multiply,
     power,
-    product_structure,
     simple_element,
     structure_from_descriptor,
-    torus_structure,
 )
 from garside.cli import parse_word
 from garside import core
@@ -29,12 +26,12 @@ from .test_repair_paths import STRUCTURES
 
 
 def test_braid_constants():
-    assert braid_structure(3).delta_norm() == 3
-    assert len(braid_structure(3).enumerate_simples()) == 6
-    assert braid_structure(2).delta_norm() == 1
-    assert len(braid_structure(2).enumerate_simples()) == 2
-    assert braid_structure(4).delta_norm() == 6
-    assert len(braid_structure(4).enumerate_simples()) == 24
+    assert BraidStructure(3).delta_norm() == 3
+    assert len(BraidStructure(3).enumerate_simples()) == 6
+    assert BraidStructure(2).delta_norm() == 1
+    assert len(BraidStructure(2).enumerate_simples()) == 2
+    assert BraidStructure(4).delta_norm() == 6
+    assert len(BraidStructure(4).enumerate_simples()) == 24
 
 
 @pytest.mark.parametrize("S", [
@@ -51,7 +48,7 @@ def test_simples_are_interned():
     # Simples hash and compare by identity, so equal simples must be one
     # object however their structure was built.
     for p in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:
-        assert BraidStructure(3).make_simple(p) is braid_structure(3).make_simple(p)
+        assert BraidStructure(3).make_simple(p) is BraidStructure(3).make_simple(p)
     built = ProductStructure(BraidStructure(3), TorusStructure(2, 3))
     parsed = [structure_from_descriptor("product:(braid:3,torus:2:3)") for _ in range(2)]
     for a, b, c in zip(built.enumerate_simples(), *(S.enumerate_simples() for S in parsed)):
@@ -66,14 +63,13 @@ NESTED = "product:(product:(braid:3,torus:2:3),braid:3)"
 
 
 def test_structures_are_interned_by_value():
-    # Factories, direct constructors,
-    # descriptors with surrounding whitespace and products of parsed
-    # components all give one object per value, hashed by identity.
+    # Positional and keyword constructors, descriptors with surrounding
+    # whitespace and products of parsed components all give one object per
+    # value, hashed by identity.
     routes = {
         "braid:3": (
             "a1 a2^-1 D a1",
             [
-                braid_structure(3),
                 BraidStructure(3),
                 BraidStructure(n=3),
                 structure_from_descriptor("braid:3"),
@@ -83,7 +79,6 @@ def test_structures_are_interned_by_value():
         "torus:2:3": (
             "x y^-1 D x",
             [
-                torus_structure(2, 3),
                 TorusStructure(2, 3),
                 TorusStructure(exp_x=2, exp_y=3),
                 structure_from_descriptor(" torus:2:3 "),
@@ -94,17 +89,17 @@ def test_structures_are_interned_by_value():
             [
                 structure_from_descriptor(NESTED),
                 structure_from_descriptor(" product:( product:(braid:3, torus:2:3 ), braid:3 ) "),
-                product_structure(
-                    product_structure(braid_structure(3), torus_structure(2, 3)),
+                ProductStructure(
+                    ProductStructure(BraidStructure(3), TorusStructure(2, 3)),
                     BraidStructure(3),
                 ),
                 ProductStructure(
                     ProductStructure(BraidStructure(3), TorusStructure(2, 3)),
                     structure_from_descriptor("braid:3"),
                 ),
-                product_structure(
+                ProductStructure(
                     structure_from_descriptor("product:(braid:3,torus:2:3)"),
-                    braid_structure(3),
+                    BraidStructure(3),
                 ),
             ],
         ),
@@ -123,30 +118,27 @@ def test_structures_are_interned_by_value():
             assert multiply(g, invert(h)).is_identity
     for cls in (BraidStructure, TorusStructure, ProductStructure):
         assert cls.__hash__ is object.__hash__
-    assert braid_structure(4) is not braid_structure(3)
-    assert torus_structure(3, 2) is not torus_structure(2, 3)
+    assert BraidStructure(4) is not BraidStructure(3)
+    assert TorusStructure(3, 2) is not TorusStructure(2, 3)
 
 
 def test_braid_unique_root_exponent():
-    assert braid_structure(3).unique_root_exponent == 6
-    assert braid_structure(4).unique_root_exponent == 12
-    assert braid_structure(2).unique_root_exponent == 2
+    assert BraidStructure(3).unique_root_exponent == 6
+    assert BraidStructure(4).unique_root_exponent == 12
+    assert BraidStructure(2).unique_root_exponent == 2
 
 
 def test_braid_range_errors():
     with pytest.raises(ValueError):
-        braid_structure(1)
+        BraidStructure(1)
     with pytest.raises(ValueError):
-        braid_structure(9)
-    braid_structure(8)
+        BraidStructure(9)
+    BraidStructure(8)
 
 
 def test_constructors_check_their_caps():
     # The classes check the caps themselves, before interning, so a direct
-    # construction is bounded like a factory call or a parsed descriptor.
-    assert braid_structure is BraidStructure
-    assert torus_structure is TorusStructure
-    assert product_structure is ProductStructure
+    # construction is bounded like a parsed descriptor.
     interned = len(core._STRUCTURES)
     for make, message in (
         (lambda: BraidStructure(9), "strand count must satisfy 2 <= n <= 8, got 9"),
@@ -162,11 +154,11 @@ def test_constructors_check_their_caps():
 def test_delta_is_the_join_of_the_atoms():
     # No presentation declares Delta; the base class takes the join of the atoms.
     for n in range(2, 9):
-        S = braid_structure(n)
+        S = BraidStructure(n)
         assert S.delta().payload == tuple(range(n - 1, -1, -1))
         assert S.identity_simple().payload == tuple(range(n))
     for exps in ((5, 3), (3, 5), (4, 6)):
-        S = torus_structure(*exps)
+        S = TorusStructure(*exps)
         assert S.delta().payload == ("D", 0)
         assert S.identity_simple().payload == ("e", 0)
     S = structure_from_descriptor(NESTED)
@@ -176,20 +168,20 @@ def test_delta_is_the_join_of_the_atoms():
 
 
 def test_torus_constants():
-    assert torus_structure(5, 3).delta_norm() == 5
-    T22 = torus_structure(2, 2)
+    assert TorusStructure(5, 3).delta_norm() == 5
+    T22 = TorusStructure(2, 2)
     assert T22.delta_norm() == 2
     payloads = {s.payload for s in T22.enumerate_simples()}
     assert payloads == {("e", 0), ("x", 1), ("y", 1), ("D", 0)}
-    assert torus_structure(2, 3).delta_norm() == 3
-    assert torus_structure(MAX_TORUS_EXPONENT, MAX_TORUS_EXPONENT - 1).delta_norm() == MAX_TORUS_EXPONENT
+    assert TorusStructure(2, 3).delta_norm() == 3
+    assert TorusStructure(MAX_TORUS_EXPONENT, MAX_TORUS_EXPONENT - 1).delta_norm() == MAX_TORUS_EXPONENT
     for bad in ((1, 3), (MAX_TORUS_EXPONENT + 1, 3), (3, MAX_TORUS_EXPONENT + 1)):
         with pytest.raises(ValueError):
-            torus_structure(*bad)
+            TorusStructure(*bad)
 
 
 def test_torus_complement_formulas():
-    T = torus_structure(5, 3)
+    T = TorusStructure(5, 3)
     for i in range(1, 5):
         assert T.right_complement(T.make_simple(("x", i))).payload in {("x", 5 - i), ("D", 0)}
         assert T.right_complement(T.make_simple(("x", i))) == T.left_complement(T.make_simple(("x", i)))
@@ -199,7 +191,7 @@ def test_torus_complement_formulas():
 
 
 def test_torus_tau_is_identity():
-    T = torus_structure(5, 3)
+    T = TorusStructure(5, 3)
     for s in T.enumerate_simples():
         assert T.tau_simple(s) == s
     assert T.tau_order() == 1
@@ -207,19 +199,19 @@ def test_torus_tau_is_identity():
 
 
 def test_product_constants():
-    H = torus_structure(2, 3)
-    G = product_structure(H, H)
+    H = TorusStructure(2, 3)
+    G = ProductStructure(H, H)
     assert G.delta_norm() == 6
-    B2 = braid_structure(2)
-    assert product_structure(B2, B2).delta_norm() == 2
+    B2 = BraidStructure(2)
+    assert ProductStructure(B2, B2).delta_norm() == 2
     assert G.unique_root_exponent is None
-    PB = product_structure(braid_structure(3), braid_structure(2))
+    PB = ProductStructure(BraidStructure(3), BraidStructure(2))
     assert PB.unique_root_exponent == 6
 
 
 def test_product_example_power():
-    H = torus_structure(2, 3)
-    G = product_structure(H, H)
+    H = TorusStructure(2, 3)
+    G = ProductStructure(H, H)
     names = {a.name for a in G.atoms()}
     assert names == {"L.x", "L.y", "R.x", "R.y"}
     x = simple_element(G.atom_simple(0))   # L.x
@@ -233,11 +225,11 @@ def test_product_example_power():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: braid_structure(3),
-        lambda: braid_structure(4),
-        lambda: torus_structure(5, 3),
-        lambda: torus_structure(2, 2),
-        lambda: product_structure(torus_structure(2, 3), braid_structure(2)),
+        lambda: BraidStructure(3),
+        lambda: BraidStructure(4),
+        lambda: TorusStructure(5, 3),
+        lambda: TorusStructure(2, 2),
+        lambda: ProductStructure(TorusStructure(2, 3), BraidStructure(2)),
     ],
     ids=["b3", "b4", "torus53", "torus22", "t23xb2"],
 )
@@ -263,7 +255,7 @@ def test_primitive_laws_exhaustive(make):
 
 
 def test_meet_dominates_common_divisors_b4():
-    S = braid_structure(4)
+    S = BraidStructure(4)
     rng = random.Random(1)
     simples = S.enumerate_simples()
     for _ in range(80):
@@ -276,7 +268,7 @@ def test_meet_dominates_common_divisors_b4():
 
 def test_torus_floor_ceil_law():
     for N, M in ((5, 3), (3, 5), (2, 2), (4, 3)):
-        T = torus_structure(N, M)
+        T = TorusStructure(N, M)
         x = simple_element(T.atom_simple(0))
         y = simple_element(T.atom_simple(1))
         for k in range(1, 4 * max(N, M) + 1):
@@ -287,7 +279,7 @@ def test_torus_floor_ceil_law():
 
 
 def test_product_inf_sup_law():
-    G = product_structure(torus_structure(2, 3), braid_structure(3))
+    G = ProductStructure(TorusStructure(2, 3), BraidStructure(3))
     rng = random.Random(5)
     for _ in range(40):
         a = random_word_element(G.left, rng, max_letters=5)
@@ -314,10 +306,10 @@ def _pair_element(G, a, b):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: braid_structure(3),
-        lambda: braid_structure(4),
-        lambda: torus_structure(5, 3),
-        lambda: product_structure(torus_structure(2, 3), torus_structure(2, 3)),
+        lambda: BraidStructure(3),
+        lambda: BraidStructure(4),
+        lambda: TorusStructure(5, 3),
+        lambda: ProductStructure(TorusStructure(2, 3), TorusStructure(2, 3)),
     ],
     ids=["b3", "b4", "torus53", "t23sq"],
 )
@@ -340,6 +332,12 @@ def test_descriptor_errors():
     deep = "product:(braid:2," * 3000 + "braid:2" + ")" * 3000
     for bad in ("braid:x", "torus:5", "product:braid:2", "product:(braid:2)", "wat:3", deep):
         with pytest.raises(DescriptorError):
+            structure_from_descriptor(bad)
+    # A descriptor integer is a run of ASCII digits, not whatever int() reads.
+    too_long = "9" * 5000  # past int()'s default digit limit
+    for bad in ("braid:0_3", "braid:3_0", "braid:+3", "braid: 3", "braid:\u0663", "torus:2: 3",
+                f"braid:{too_long}", f"torus:3:{too_long}"):
+        with pytest.raises(DescriptorError, match="bad integer"):
             structure_from_descriptor(bad)
     with pytest.raises(ValueError, match="torus exponents"):
         structure_from_descriptor(f"torus:{MAX_TORUS_EXPONENT + 1}:{MAX_TORUS_EXPONENT}")

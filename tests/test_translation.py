@@ -10,18 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garside import (
-    braid_structure,
-    delta_power_element,
-    identity_element,
+    BraidStructure,
+    Element,
+    ProductStructure,
+    TorusStructure,
     invert,
     multiply,
     normalize,
     power,
-    product_structure,
     straightness,
     structure_from_descriptor,
     summit,
-    torus_structure,
     translation_number,
     translation_triple,
 )
@@ -31,10 +30,10 @@ from garside.cli import parse_word
 from .conftest import elements_of, random_word_element
 from .oracle import scan_rational_in_interval, two_summit_triple
 
-B3 = braid_structure(3)
-B4 = braid_structure(4)
-T53 = torus_structure(5, 3)
-PROD = product_structure(torus_structure(2, 3), torus_structure(2, 3))
+B3 = BraidStructure(3)
+B4 = BraidStructure(4)
+T53 = TorusStructure(5, 3)
+PROD = ProductStructure(TorusStructure(2, 3), TorusStructure(2, 3))
 
 # braid:2 is the infinite-cyclic case N = 1, bracketed at n = 2; the two
 # products are those of test_repair_paths.
@@ -56,7 +55,7 @@ def shifted_elements_of(S, lo, hi):
     raw = st.lists(st.sampled_from(S.enumerate_simples()), max_size=6)
     g = st.builds(normalize, st.just(S), st.just(0), raw)
     return st.builds(
-        lambda g, inf: multiply(delta_power_element(S, inf - g.inf), g),
+        lambda g, inf: multiply(Element(S, inf - g.inf, ()), g),
         g,
         st.integers(lo, hi),
     )
@@ -70,7 +69,7 @@ def test_translation_triple_fixtures():
     assert (t.t_inf, t.t_sup, t.t_len) == (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))
 
     for k in (-2, 0, 3):
-        t = translation_triple(delta_power_element(B3, k))
+        t = translation_triple(Element(B3, k, ()))
         assert (t.t_inf, t.t_sup, t.t_len) == (k, k, 0)
 
 
@@ -78,11 +77,11 @@ def test_translation_number_fixtures():
     assert translation_number(parse_word(T53, "x")) == Fraction(1, 5)
     assert translation_number(parse_word(PROD, "L.x^-1 R.y")) == Fraction(5, 6)
     assert translation_number(parse_word(B3, "a1 a1 a2")) == 1
-    assert translation_number(identity_element(B3)) == 0
+    assert translation_number(Element(B3, 0, ())) == 0
 
 
 def test_straightness_fixtures():
-    assert straightness(delta_power_element(B3, 1))[:2] == (True, True)
+    assert straightness(Element(B3, 1, ()))[:2] == (True, True)
     x = parse_word(T53, "x")
     assert straightness(x)[:2] == (False, False)
     for k in range(1, 5):
@@ -113,14 +112,14 @@ def test_delta_central_exponent_fixtures():
     assert B3.tau_order() == 2
     assert T53.tau_order() == 1
     assert PROD.tau_order() == 1
-    assert braid_structure(4).tau_order() == 2
-    assert braid_structure(2).tau_order() == 1
+    assert BraidStructure(4).tau_order() == 2
+    assert BraidStructure(2).tau_order() == 1
 
 
 def test_quotient_translation_fixtures():
     # The quotient value is t_len.
     assert translation_triple(parse_word(B3, "a1")).t_len == 1
-    assert translation_triple(delta_power_element(B3, 1)).t_len == 0
+    assert translation_triple(Element(B3, 1, ())).t_len == 0
     assert translation_triple(parse_word(PROD, "L.x R.y")).t_len == Fraction(1, 6)
 
 
@@ -208,7 +207,7 @@ def test_translation_number_matches_case_split():
 
 
 def test_infinite_cyclic_edge_case():
-    B2 = braid_structure(2)
+    B2 = BraidStructure(2)
     g = parse_word(B2, "a1^3")
     t = translation_triple(g)
     assert (t.t_inf, t.t_sup, t.t_len) == (3, 3, 0)
@@ -255,7 +254,7 @@ def bounded_rationals(N):
 def test_read_out_recovers_every_bounded_limit(data, N):
     # Every admissible pair t_inf <= t_sup at every N from 1 (braid:2) to 30
     # (torus:N:2), fed to the read-out as the summit of g^n it implies.
-    S = braid_structure(2) if N == 1 else torus_structure(N, 2)
+    S = BraidStructure(2) if N == 1 else TorusStructure(N, 2)
     assert S.delta_norm() == N
     t_inf, t_sup = sorted(data.draw(st.tuples(bounded_rationals(N), bounded_rationals(N))))
     n = max(N * N, 2)
@@ -263,7 +262,7 @@ def test_read_out_recovers_every_bounded_limit(data, N):
     fake = SimpleNamespace(inf_s=inf_s, sup_s=sup_s)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(translation, "summit", lambda x: fake)
-        t = translation_triple(identity_element(S))
+        t = translation_triple(Element(S, 0, ()))
     assert (t.t_inf, t.t_sup) == (t_inf, t_sup)
     assert scan_rational_in_interval(Fraction(inf_s, n), Fraction(inf_s + 1, n), N) == t_inf
     assert scan_rational_in_interval(Fraction(sup_s - 1, n), Fraction(sup_s, n), N) == t_sup
