@@ -5,13 +5,15 @@
 
 Every input runs in its own subprocess, which imports ``garside`` from SRC
 (``src/`` of this checkout by default), times the one call in process and
-prints its time and answer, and the CLI exit code when it is not 0 (1 for
-``resource_limit``, 2 for an error); a subprocess that outlives
-``--timeout`` seconds is stopped and reported as a timeout, and one that
-asks for more than MEMORY_MB of address space fails with a MemoryError
-(the ``sss`` of H3 needs about 1.5 GB).  With no IDs every input runs, in
-table order.  ``scripts/hostile_sweep.py`` runs its queries through the
-same ``run_child``.
+prints its time, its peak resident set size (``ru_maxrss``, in MB: Linux
+starts it at the launching process's own peak, about 15 MB for this script
+and 18 MB for ``hostile_sweep.py``) and its answer, and the CLI exit code
+when it is not 0 (1 for ``resource_limit``, 2 for an error); a subprocess
+that outlives ``--timeout`` seconds is stopped and reported as a timeout,
+and one that asks for more than MEMORY_MB of address space fails with a
+MemoryError (the ``sss`` of H3 needs about 1.5 GB).  With no IDs every
+input runs, in table order.  ``scripts/hostile_sweep.py`` runs its queries
+through the same ``run_child``.
 
 The words are pinned here from the recipes of the ROADMAP table:
 
@@ -172,15 +174,17 @@ else:
     g = cli.parse_word(S, word)
     seconds = time.perf_counter() - start
     answer = f"inf {g.inf}, canonical length {g.canonical_length}"
-print(json.dumps({"seconds": seconds, "exit": code, "answer": answer}))
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"seconds": seconds, "rss_mb": rss_mb, "exit": code, "answer": answer}))
 """
 
 
 def run_child(spec, src: str, timeout: float) -> dict:
     """Run one input, ("cli", argv) or ("parse", ...), in a fresh interpreter.
 
-    The report holds ``seconds``, ``exit`` (the CLI exit code, 0 for a
-    parse) and ``answer`` (stdout and stderr of the command); or ``timeout``
+    The report holds ``seconds``, ``rss_mb`` (the child's peak resident
+    set size, import included), ``exit`` (the CLI exit code, 0 for a parse)
+    and ``answer`` (stdout and stderr of the command); or ``timeout``
     for a child stopped after ``timeout`` seconds; or ``failed``, the last
     stderr line of a child that died.
     """
@@ -211,7 +215,7 @@ def run_one(key: str, src: str, timeout: float) -> str:
         return f"{key}  timeout after {timeout:g} s"
     if "failed" in report:
         return f"{key}  failed: {report['failed']}"
-    return f"{key}  {report['seconds']:.3f} s  {describe(report)}"
+    return f"{key}  {report['seconds']:.3f} s  {report['rss_mb']:.1f} MB  {describe(report)}"
 
 
 def main(argv=None) -> int:

@@ -20,10 +20,10 @@ The queries run one at a time through ``hard_inputs.run_child``: this
 checkout's ``src/``, a fresh interpreter per query, an address-space cap
 of ``hard_inputs.MEMORY_MB`` and a ``--timeout`` in seconds.  One line is
 printed per query, with its outcome (``answer``, ``resource_limit``,
-``unsupported``, ``error``, ``timeout`` or ``crashed``), its time and the
-command, and a summary at the end.  The north star is that no query times
-out or crashes; each one that does is a slow input to pin in
-``hard_inputs.py``.
+``unsupported``, ``error``, ``timeout`` or ``crashed``), its time, its peak
+resident set size and the command, and a summary at the end.  The north
+star is that no query times out or crashes; each one that does is a slow
+input to pin in ``hard_inputs.py``.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ def run_query(argv: list[str], timeout: float) -> tuple[str, str]:
         outcome = "resource_limit" if report["answer"].startswith("resource limit") else "unsupported"
     else:
         outcome = "error"
-    return outcome, f"{outcome:<15} {report['seconds']:.3f} s  {command}  ->  {describe(report)}"
+    usage = f"{report['seconds']:.3f} s  {report['rss_mb']:.1f} MB"
+    return outcome, f"{outcome:<15} {usage}  {command}  ->  {describe(report)}"
 
 
 def main(argv=None) -> int:

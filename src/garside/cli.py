@@ -163,6 +163,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _degree(text: str) -> int:
+    """`root -n`, read in ASCII digits as word exponents and descriptors are."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid root degree {text!r}")
+    return int(text)  # raises past sys.get_int_max_str_digits()
+
+
 def _nf(args, g):
     return (
         {"element": element_json(g), "inf": g.inf, "sup": g.sup, "len": g.canonical_length,
@@ -232,7 +239,7 @@ _COMMANDS = {
     "power": (("word1", "word2"), "solve h^n = g for n (g first)", _CONJUGACY,
               lambda args, g, h: problems.solve_power(g, h, up_to_conjugacy=args.conjugacy)),
     "root": (("word",), "solve h^n conjugate to g",
-             ("-n", {"type": int, "required": True, "help": "root degree"}),
+             ("-n", {"type": _degree, "required": True, "help": "root degree"}),
              lambda args, g: problems.solve_root_conjugacy(g, args.n)),
     "properpower": (("word",), "find (h, n >= 2) with h^n conjugate to g", None,
                     lambda args, g: problems.solve_proper_power_conjugacy(g)),

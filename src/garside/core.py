@@ -44,11 +44,11 @@ keyed on simples hashes addresses only, never a structure or a payload.
 
 A `GarsideStructure` supplies the presentation-specific primitives on simple
 elements (meet, right complement, left division, word reversal) at the
-payload level; this module wraps them with interning, caching and
-validation, derives the join, Delta (the join of the atoms), the identity,
-tau, the left complement, the product of two simples and an atom word of
-each simple from them, and implements all element-level arithmetic on top.
-Concrete structures live in `structures`.
+payload level; this module wraps them with interning, validation and one
+store per pairwise fact, derives the join, Delta (the join of the atoms),
+the identity, tau, the left complement, the product of two simples and an
+atom word of each simple from them, and implements all element-level
+arithmetic on top.  Concrete structures live in `structures`.
 """
 
 from __future__ import annotations
@@ -152,9 +152,9 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
     minimal Garside element, the identity is ∂(Delta), tau is ∂∘∂, the
     left complement is tau^{-1}∘∂, the product a·c is the left complement
     of c^{-1}·∂(a), and an atom word peels the lowest-index atom that
-    left-divides what is left.  The public simple-level operations
-    are cached, so after warm-up the normal-form machinery runs on table
-    lookups.
+    left-divides what is left.  A slide and the product it forms are kept
+    only in the row `a.slides`, tau only in `twist`; a slide, `join` and
+    `simple_left_divide` meet on payloads, so a meet read once is not kept.
     """
 
     # Optional certificates a presentation may provide.
@@ -304,7 +304,7 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         """The simple t with t·s = Delta: Delta·s^{-1} = tau^{-1}(right_complement(s))."""
         return self.twist(-1)[self.right_complement(s)]
 
-    @functools.cache
+    @functools.lru_cache(maxsize=0)
     def simple_product(self, a: Simple, c: Simple) -> Simple:
         """a·c for simples with c dividing the right complement of a.
 
@@ -318,11 +318,11 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         """c^{-1}·b for simples with c a left divisor of b."""
         self._check(c)
         self._check(b)
-        if self.meet(c, b) != c:
+        if self._meet(c.payload, b.payload) != c.payload:
             raise ValueError("left divisor expected")
         return self.make_simple(self._left_divide(c.payload, b.payload))
 
-    @functools.cache
+    @functools.lru_cache(maxsize=0)
     def tau_simple(self, s: Simple) -> Simple:
         """Delta^{-1}·s·Delta = ∂(∂(s)), since s·∂(s) = Delta = ∂(s)·∂(∂(s))."""
         return self.right_complement(self.right_complement(s))
@@ -340,9 +340,9 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
         the greatest common right divisor of the two complements, which
         word reversal turns into a meet.
         """
-        rev = self.reverse
-        suffix = rev(self.meet(rev(self.right_complement(a)), rev(self.right_complement(b))))
-        return self.left_complement(suffix)
+        rev, rc = self._reverse, self.right_complement
+        suffix = rev(self._meet(rev(rc(a).payload), rev(rc(b).payload)))
+        return self.left_complement(self.make_simple(suffix))
 
     def twist(self, k: int) -> "_Twist":
         """tau^k as a dict on simples, the only store of tau^k: `S.twist(k)[s]`
@@ -360,7 +360,8 @@ class GarsideStructure(abc.ABC, metaclass=_Interned):
     @functools.lru_cache(maxsize=0)
     def slide(self, a: Simple, b: Simple) -> tuple[Simple, Simple]:
         """Left-weight the pair (a, b), preserving the product a·b."""
-        c = self.meet(self.right_complement(a), b)
+        self._check(b)
+        c = self.make_simple(self._meet(self.right_complement(a).payload, b.payload))
         if c.atom_norm == 0:
             return (a, b)
         return (self.simple_product(a, c), self.simple_left_divide(c, b))

@@ -201,6 +201,19 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_cli_root_degree_is_read_in_ascii_digits(capsys):
+    # `-n` follows the rule of word exponents and descriptor integers:
+    # ASCII digits only, with no sign, underscore or surrounding space.
+    for degree in ("٣", "+3", "0_3", " 3", "3 ", "-1", ""):
+        assert run_command(["root", "--group", "braid:3", "-n", degree, "D^2"]) == 2
+        assert capsys.readouterr() == (
+            "", f"usage error: argument -n: invalid root degree {degree!r}\n")
+    assert run_command(["root", "--group", "braid:3", "-n", "0", "D^2"]) == 2
+    assert capsys.readouterr() == ("", "error: root degree must be at least 1\n")
+    assert run_command(["root", "--group", "braid:3", "-n", "3", "D^2"]) == 0
+    assert capsys.readouterr().out.startswith("solution n=3 ")
+
+
 def test_cli_every_limit_answers_on_stdout(capsys, monkeypatch):
     # a1 and a2 share a two-element super summit set, above this cap.
     monkeypatch.setattr(conjugacy, "DEFAULT_SSS_CAP", 1)

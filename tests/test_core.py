@@ -17,9 +17,11 @@ from garside import (
     power,
     simple_element,
     structure_from_descriptor,
+    super_summit_set,
     validate_element,
     word_length,
 )
+from garside.cli import parse_word
 from garside.core import GarsideStructure, Simple
 from garside.enumeration import proper_simples
 
@@ -164,8 +166,21 @@ def test_slide_rows_match_payload_slides(descriptor):
         expected = payload_slide(S, a.payload, b.payload)
         assert tuple(s.payload for s in row) == expected
         assert all(s is S.make_simple(p) for s, p in zip(row, expected))
-    # The rows are the only slide store.
-    assert GarsideStructure.slide.cache_info().currsize == 0
+    # The rows are the only slide store, and with the twist tables they
+    # hold every product and tau a slide forms.
+    for op in (GarsideStructure.slide, GarsideStructure.simple_product,
+               GarsideStructure.tau_simple):
+        assert op.cache_info().currsize == 0
+
+
+def test_super_summit_walk_adds_no_meet_entries():
+    # Slides, joins and left divisions take their inner meets on payloads:
+    # each is read once, by a composite whose result is itself stored.
+    S = BraidStructure(5)
+    g = parse_word(S, "a1 a2^-1 a3 a4^-2 a2 a1^-1 a3^2")
+    before = GarsideStructure.meet.cache_info().currsize
+    assert len(super_summit_set(g)) == 420
+    assert GarsideStructure.meet.cache_info().currsize == before
 
 
 @pytest.mark.parametrize(

@@ -45,9 +45,9 @@ def test_hard_inputs_smoke():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    key, seconds, unit, answer = result.stdout.strip().split(maxsplit=3)
-    assert (key, unit, answer) == ("H2c", "s", "no solution")
-    assert float(seconds) >= 0
+    key, seconds, unit, rss, rss_unit, answer = result.stdout.strip().split(maxsplit=5)
+    assert (key, unit, rss_unit, answer) == ("H2c", "s", "MB", "no solution")
+    assert float(seconds) >= 0 and float(rss) > 0
 
 
 def load_script(name):
@@ -108,6 +108,8 @@ def test_hostile_sweep_runs_one_query_per_line():
     sweep = load_script("hostile_sweep")
     outcome, line = sweep.run_query(["tnum", "--group", "braid:3", "a1 a2"], timeout=120)
     assert outcome == "answer"
+    _, seconds, unit, rss, rss_unit = line.split()[:5]
+    assert (unit, rss_unit) == ("s", "MB") and float(seconds) >= 0 and float(rss) > 0
     assert line.endswith("garside tnum --group braid:3 'a1 a2'  ->  "
                          "t_inf=2/3 t_sup=2/3 t_len=0 t_D=2/3 t_Dbar=0")
     outcome, line = sweep.run_query(["nf", "--group", "braid:9", "a1"], timeout=120)

@@ -16,6 +16,9 @@ same query answers once the cap is raised.
 
 import inspect
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -144,3 +147,50 @@ def test_conjugator_is_one_word(monkeypatch):
     witness = summit(g).conjugator_to(h)
     assert len(words) == 1
     assert_conjugate_by(witness, g, h)
+
+
+
+# Run in a fresh interpreter with the source tree and scripts/ first on the
+# path: under hard_inputs.py's address-space cap, drain the walk of the H3b
+# word (``sss`` of a 10-letter braid:8 word) to a cap of 3,000 elements and
+# print the answer and the growth of the peak resident set after import, in
+# MB.  The peak is read as VmHWM: Linux starts a child's ru_maxrss at its
+# parent's peak, which under a test runner can exceed the whole walk's.
+_CAPPED_WALK = r"""
+import resource, sys
+sys.path[:0] = sys.argv[1:3]
+from hard_inputs import H3_SSS, MEMORY_MB
+limit = MEMORY_MB * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from garside import BraidStructure, ResourceLimitError, conjugacy
+from garside.cli import parse_word
+
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
+start = peak_kb()
+conjugacy.DEFAULT_SSS_CAP = 3000
+try:
+    conjugacy.super_summit_set(parse_word(BraidStructure(8), H3_SSS))
+    print("answer")
+except ResourceLimitError:
+    print("resource_limit", (peak_kb() - start) / 1024)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_capped_walk_keeps_one_store_per_fact():
+    # About 26 MB on CPython 3.11; a walk whose slides, joins and left
+    # divisions also keep every inner meet in `S.meet` grows by about 41 MB.
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", _CAPPED_WALK, str(root / "src"), str(root / "scripts")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    answer, growth_mb = result.stdout.split()
+    assert answer == "resource_limit"
+    assert float(growth_mb) < 34
