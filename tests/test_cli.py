@@ -186,6 +186,13 @@ def test_cli_exit_codes(capsys):
     assert "torus exponents" in capsys.readouterr().err
     assert run_command(["nf", "--group", "braid:9", "a1"]) == 2
     assert capsys.readouterr().err == "error: strand count must satisfy 2 <= n <= 8, got 9\n"
+    # `root -n` is read in ASCII digits, as word exponents and descriptors are.
+    for degree in ("٣", "+3", "0_3", " 3", "3 ", "-1", ""):
+        assert run_command(["root", "--group", "braid:3", "-n", degree, "D^2"]) == 2
+        assert capsys.readouterr() == (
+            "", f"usage error: argument -n: invalid root degree {degree!r}\n")
+    assert run_command(["root", "--group", "braid:3", "-n", "0", "D^2"]) == 2
+    assert capsys.readouterr() == ("", "error: root degree must be at least 1\n")
     assert run_command(["bogus"]) == 2
     capsys.readouterr()
     assert run_command(["nf"]) == 2
@@ -199,19 +206,6 @@ def test_cli_exit_codes(capsys):
     # answered questions exit 0 even when the answer is "no solution"
     assert run_command(["root", "--group", "braid:3", "-n", "2", "a1"]) == 0
     capsys.readouterr()
-
-
-def test_cli_root_degree_is_read_in_ascii_digits(capsys):
-    # `-n` follows the rule of word exponents and descriptor integers:
-    # ASCII digits only, with no sign, underscore or surrounding space.
-    for degree in ("٣", "+3", "0_3", " 3", "3 ", "-1", ""):
-        assert run_command(["root", "--group", "braid:3", "-n", degree, "D^2"]) == 2
-        assert capsys.readouterr() == (
-            "", f"usage error: argument -n: invalid root degree {degree!r}\n")
-    assert run_command(["root", "--group", "braid:3", "-n", "0", "D^2"]) == 2
-    assert capsys.readouterr() == ("", "error: root degree must be at least 1\n")
-    assert run_command(["root", "--group", "braid:3", "-n", "3", "D^2"]) == 0
-    assert capsys.readouterr().out.startswith("solution n=3 ")
 
 
 def test_cli_every_limit_answers_on_stdout(capsys, monkeypatch):
