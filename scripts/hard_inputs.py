@@ -54,11 +54,13 @@ The words are pinned here from the recipes of the ROADMAP table:
   word (H8d) and ``sss`` of the 3-letter ``braid:7`` word
   ``a6 a2^2 a3^-2``, whose super summit set runs towards the cap (H8e).
   Each takes from several seconds to more than 90.
-* H9: two-token words whose translation triple or generalized power needs
-  a power of more than ``core.MAX_POWER_FACTORS`` factors: ``tnum`` of
-  ``a1^100000`` in ``braid:7`` (H9a), whose ``g^(N^2)`` has about
-  4.4·10^7 factors, and ``genpower`` of ``a1`` and ``a1^100000`` in
-  ``braid:7`` (H9b).  Both answer ``resource_limit`` within seconds.
+* H9: words whose ``g^(N^2)`` or generalized power would have more than
+  ``core.MAX_POWER_FACTORS`` factors: ``tnum`` of ``a1^100000`` in
+  ``braid:7`` (H9a), whose ``g^(N^2)`` would have about 4.4·10^7 factors
+  but whose summit is rigid, so its triple is read off with no power and
+  it answers in well under a second; and ``genpower`` of ``a1`` and
+  ``a1^100000`` in ``braid:7`` (H9b), which answers ``resource_limit``
+  within seconds.
 * H10: ``root -n 2`` on ``L.a1^2 R.a1^2`` in ``product:(braid:6,braid:6)``:
   the root search makes and orders the table of 720^2 simples before its
   first candidate; about 3 to 4 s and 200 MB.

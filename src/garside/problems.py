@@ -60,7 +60,7 @@ from .core import (
     power,
 )
 from .enumeration import factor_sequences
-from .translation import TranslationTriple, translation_number, translation_triple
+from .translation import TranslationTriple, _summit_triple, translation_number
 
 DEFAULT_CANDIDATE_CAP = 1_000_000
 
@@ -216,13 +216,15 @@ def _root_search(triple: TranslationTriple, sd: SummitData, n: int) -> ProblemAn
 def solve_root_conjugacy(g: Element, n: int) -> ProblemAnswer:
     """Find h with h^n conjugate to g, or prove there is none.
 
-    The witness satisfies w^{-1} · h^n · w = g.
+    The witness satisfies w^{-1} · h^n · w = g.  The translation triple is
+    read from the one summit of g that the search also walks from.
     """
     if n < 1:
         raise ValueError("root degree must be at least 1")
     if n == 1:
         return ProblemAnswer(n=1, root=g, witness=Element(g.structure, 0, ()))
-    return _root_search(translation_triple(g), summit(g), n)
+    sd = summit(g)
+    return _root_search(_summit_triple(sd), sd, n)
 
 
 def solve_root(g: Element, n: int) -> ProblemAnswer:
@@ -249,8 +251,8 @@ def solve_proper_power_conjugacy(g: Element) -> ProblemAnswer:
     no degree to try.
     """
     N = g.structure.delta_norm()
-    triple = translation_triple(g)
     sd = summit(g)
+    triple = _summit_triple(sd)
     bound = N * triple.t_D
     if triple.t_len > 0:
         bound = min(bound, N * N * triple.t_len)

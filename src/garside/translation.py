@@ -18,6 +18,23 @@ rational within 1/(2n) of its bracket's midpoint, the best approximation of
 the midpoint with denominator <= N, which `Fraction.limit_denominator(N)`
 finds by continued fractions: the computation is finite.
 
+When the summit representative x = Delta^p · x_1 ... x_r of g is rigid,
+that is when the wrap pair (x_r, tau^{-p}(x_1)) is left-weighted, no power
+is needed (Birman, Gebhardt and González-Meneses, "Conjugacy in Garside
+groups I: cyclings, powers and rigidity", Groups Geom. Dyn. 1, 2007).
+Moving the Deltas of x^m to the front writes it as Delta^{mp} followed by
+the m blocks tau^{(m-1)p}(x_1 ... x_r), ..., tau^p(x_1 ... x_r),
+x_1 ... x_r.  Each pair inside a block is a tau-image of a pair of x, and
+each junction of two blocks is a tau-image of the wrap pair; tau is an
+automorphism of the lattice of simples, so it keeps pairs left-weighted,
+and x^m is in normal form as written.  So inf(x^m) = mp and
+sup(x^m) = m(p + r) for every m, and t_inf = p, t_sup = p + r exactly; a
+representative with no factors is rigid.  The limits are conjugacy
+invariants, so otherwise the bracket is read from a summit of x^n, and x
+is no longer than g.  `_summit_triple` computes the triple from the
+summit data of g, and the solvers in `problems`, which hold that summit
+already, call it directly.
+
 The limits round to the summit values of g itself: inf_s(g) =
 floor(t_inf(g)) and sup_s(g) = ceil(t_sup(g)).  `TranslationTriple.t_D` and
 the one-window root search in `problems` rest on this.
@@ -38,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conjugacy import summit
+from .conjugacy import SummitData, summit
 from .core import Element, power
 
 
@@ -61,18 +78,45 @@ class TranslationTriple:
         return max(self.t_sup, -self.t_inf, self.t_len)
 
 
-def translation_triple(g: Element) -> TranslationTriple:
-    """Exact (t_inf, t_sup, t_len) for g, from one summit of g^n."""
-    N = g.structure.delta_norm()
+def _read_out(inf_s: int, sup_s: int, n: int, N: int) -> TranslationTriple:
+    """The limits of g bracketed by the summit invariants (inf_s, sup_s) of
+    a conjugate of g^n, n = max(N^2, 2): the best approximation of each
+    bracket's midpoint with denominator <= N, checked to lie in its bracket."""
+    t_inf = Fraction(2 * inf_s + 1, 2 * n).limit_denominator(N)
+    t_sup = Fraction(2 * sup_s - 1, 2 * n).limit_denominator(N)
+    if not (inf_s <= n * t_inf <= inf_s + 1 and sup_s - 1 <= n * t_sup <= sup_s):
+        raise AssertionError("a translation limit fell outside its bracket")
+    return TranslationTriple(t_inf, t_sup)
+
+
+def _summit_triple(sd: SummitData) -> TranslationTriple:
+    """Exact (t_inf, t_sup, t_len) for the class of sd = summit(g): read off
+    a rigid representative, else from one summit of its n-th power."""
+    x = sd.representative
+    S = x.structure
+    p, factors = x.inf, x.factors
+    if not factors:
+        return TranslationTriple(Fraction(p), Fraction(p))
+    # The wrap pair is left-weighted exactly when its slide leaves it as is.
+    a, b = factors[-1], S.twist(-p)[factors[0]]
+    pair = a.slides.get(b)
+    if pair is None:
+        pair = a.slides[b] = S.slide(a, b)
+    if pair[0] is a:
+        return TranslationTriple(Fraction(p), Fraction(p + len(factors)))
+    N = S.delta_norm()
     # n = 2 covers the infinite-cyclic case N = 1, where the integers are
     # exactly 1 apart and would both lie in a closed bracket of width 1.
     n = max(N * N, 2)
-    sd = summit(power(g, n))
-    t_inf = Fraction(2 * sd.inf_s + 1, 2 * n).limit_denominator(N)
-    t_sup = Fraction(2 * sd.sup_s - 1, 2 * n).limit_denominator(N)
-    if not (sd.inf_s <= n * t_inf <= sd.inf_s + 1 and sd.sup_s - 1 <= n * t_sup <= sd.sup_s):
-        raise AssertionError("a translation limit fell outside its bracket")
-    return TranslationTriple(t_inf, t_sup)
+    sd_n = summit(power(x, n))
+    return _read_out(sd_n.inf_s, sd_n.sup_s, n, N)
+
+
+def translation_triple(g: Element) -> TranslationTriple:
+    """Exact (t_inf, t_sup, t_len) for g, from one summit of g and, when
+    its representative is not rigid, one summit of that representative's
+    n-th power."""
+    return _summit_triple(summit(g))
 
 
 def translation_number(g: Element) -> Fraction:

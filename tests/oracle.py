@@ -10,7 +10,8 @@ simples with every conjugate and witness multiplied out, the witness of a
 closure's parent links multiplied out one simple at a time,
 translation estimates from the one-power bracket that must contain the exact
 value for every n >= 1, the exact translation triple from two summits, one
-of g^n and one of g^{-n}, bounded-denominator rationals in an interval by a
+of g^n and one of g^{-n}, and from the two brackets of one summit of g^n,
+with no rigid read-off, bounded-denominator rationals in an interval by a
 scan in rational arithmetic, conjugacy by summits and the whole super
 summit set alone with no class-invariant prefilter and the witness
 multiplied out piece by piece, root searches over every
@@ -226,6 +227,20 @@ def two_summit_triple(g: Element) -> TranslationTriple:
         return scan_rational_in_interval(bracket.lo, bracket.hi, N)
 
     return TranslationTriple(t_inf(g), -t_inf(invert(g)))
+
+
+def power_summit_triple(g: Element) -> TranslationTriple:
+    """The exact translation triple from the one summit of g^n, n = max(N^2, 2),
+    for every g, rigid or not: t_inf is the one rational with denominator
+    <= N in [inf_s/n, (inf_s + 1)/n] and t_sup the one in
+    [(sup_s - 1)/n, sup_s/n], each found by scan."""
+    N = g.structure.delta_norm()
+    n = max(N * N, 2)
+    sd = summit(power(g, n))
+    return TranslationTriple(
+        scan_rational_in_interval(Fraction(sd.inf_s, n), Fraction(sd.inf_s + 1, n), N),
+        scan_rational_in_interval(Fraction(sd.sup_s - 1, n), Fraction(sd.sup_s, n), N),
+    )
 
 
 def scan_rational_in_interval(lo: Fraction, hi: Fraction, maxden: int) -> Fraction | None:

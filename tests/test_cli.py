@@ -250,14 +250,29 @@ def test_cli_word_errors_come_in_a_fixed_order(capsys):
 
 
 def test_cli_refuses_a_power_of_too_many_factors(capsys, monkeypatch):
-    # The translation triple of a1 in braid:3 forms a1^(N^2) = a1^9, a power
-    # of 9 factors.
-    monkeypatch.setattr(core, "MAX_POWER_FACTORS", 8)
-    assert run_command(["tnum", "--group", "braid:3", "a1"]) == 1
-    assert capsys.readouterr() == ("resource limit: power has more than 8 factors\n", "")
-    monkeypatch.setattr(core, "MAX_POWER_FACTORS", 9)
-    assert run_command(["tnum", "--group", "braid:3", "a1"]) == 0
-    assert capsys.readouterr() == ("t_inf=0 t_sup=1 t_len=1 t_D=1 t_Dbar=1\n", "")
+    # The summit representative Delta^-1 · a1a2a1a3a2 · a3 · a3 of this word
+    # is not rigid, so its triple forms the representative's power
+    # (N^2 = 36), whose squared base x^32 peaks at 108 factors.
+    word = "a3 a3 a1^-1"
+    monkeypatch.setattr(core, "MAX_POWER_FACTORS", 107)
+    assert run_command(["tnum", "--group", "braid:4", word]) == 1
+    assert capsys.readouterr() == ("resource limit: power has more than 107 factors\n", "")
+    monkeypatch.setattr(core, "MAX_POWER_FACTORS", 108)
+    assert run_command(["tnum", "--group", "braid:4", word]) == 0
+    assert capsys.readouterr() == ("t_inf=-1 t_sup=2 t_len=3 t_D=3 t_Dbar=3\n", "")
+
+
+def test_cli_reads_a_rigid_triple_without_a_power(capsys):
+    # a1^100000 is its own rigid summit representative: its triple is read
+    # off it, where g^(N^2) would have 4.41·10^7 factors...
+    argv = ["tnum", "--group", "braid:7", "a1^100000"]
+    assert run_command(argv) == 0
+    assert capsys.readouterr() == (
+        "t_inf=0 t_sup=100000 t_len=100000 t_D=100000 t_Dbar=100000\n", "")
+    # ...while the generalized power of a1 and a1^100000 still forms such a power.
+    assert run_command(["genpower", "--group", "braid:7", "a1", "a1^100000"]) == 1
+    assert capsys.readouterr() == (
+        f"resource limit: power has more than {core.MAX_POWER_FACTORS} factors\n", "")
 
 
 def test_cli_sss_reads_the_cap_at_call_time(capsys, monkeypatch):

@@ -17,7 +17,9 @@ Delta^k, k in -2..2, as edge words, with g = h^n and no conjugator:
 `solve_root(g, n)` must return a root r with r^n = g, `solve_power(g, h)`
 must answer n (0 when h is 1, the one exponent the identity is given) and,
 on a structure with a unique-root exponent, `solve_generalized_power(g, h)`
-must answer (n', m') with g^{n'} = h^{m'}.
+must answer (n', m') with g^{n'} = h^{m'}.  On every element of each
+ball, and of `braid:4`'s, the translation triple must equal the oracle's
+from the one summit of h^(N^2).
 """
 
 import itertools
@@ -31,8 +33,10 @@ from garside import (
     solve_power,
     solve_root,
     structure_from_descriptor,
+    translation_triple,
 )
 
+from .oracle import power_summit_triple
 from .test_scripts import load_script
 
 audit = load_script("completeness_audit")
@@ -87,3 +91,12 @@ def test_every_planted_exact_power_is_found(descriptor):
             answer = solve_generalized_power(g, h)
             assert answer.is_solution, (h, n)
             assert power(g, answer.n) == power(h, answer.m), (h, n)
+
+
+@pytest.mark.parametrize("descriptor", [*FAMILIES, "braid:4"])
+def test_triple_on_the_ball_matches_the_power_summit_oracle(descriptor):
+    # The rigid read-off and the power of a non-rigid representative, on
+    # every element of the ball the audit plants its roots from.
+    S = structure_from_descriptor(descriptor)
+    for h in audit.ball(S, 1, 2):
+        assert translation_triple(h) == power_summit_triple(h), h

@@ -289,8 +289,9 @@ def test_root_search_resource_limit_is_distinct(monkeypatch):
 def test_proper_power_search_computes_class_data_once(monkeypatch):
     # Walks of the super summit set started, not `_sss_closure` calls: a
     # root candidate advances the one walk of g's summit data, and only as
-    # far as it needs.
-    calls = {"translation_triple": 0, "_sss_walk": 0}
+    # far as it needs.  The triple is read from that same summit of g.
+    calls = {"_summit_triple": 0, "_sss_walk": 0}
+    summits = []
 
     def counting(name, fn):
         def wrapper(*args):
@@ -299,24 +300,33 @@ def test_proper_power_search_computes_class_data_once(monkeypatch):
 
         return wrapper
 
-    for name, fn in (("translation_triple", translation.translation_triple),
+    def recording(g, target=None):
+        summits.append(g)
+        return conjugacy.summit(g, target)
+
+    for name, fn in (("_summit_triple", translation._summit_triple),
                      ("_sss_walk", conjugacy._sss_walk)):
         for module in (translation, conjugacy, problems):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
+    for module in (translation, problems):
+        monkeypatch.setattr(module, "summit", recording)
     reached = []
     original = conjugacy.SummitData._reaches
     monkeypatch.setattr(conjugacy.SummitData, "_reaches",
                         lambda sd, h: reached.append(h) or original(sd, h))
     g = parse_word(B3, "a1^5 a2^3")
     assert not solve_proper_power_conjugacy(g).is_solution
-    assert calls["translation_triple"] == 1
+    assert calls["_summit_triple"] == 1
+    assert summits.count(g) == 1
     assert calls["_sss_walk"] <= 1
     # Six root candidates of this word reach its summit invariants, all on one walk.
-    calls["translation_triple"] = 0
+    calls["_summit_triple"] = 0
+    summits.clear()
     g = parse_word(B3, "a2^3 a1^-2 a2")
     assert not solve_proper_power_conjugacy(g).is_solution
-    assert calls["translation_triple"] == 1
+    assert calls["_summit_triple"] == 1
+    assert summits.count(g) == 1
     assert len(reached) == 6
     assert calls["_sss_walk"] == 1
 

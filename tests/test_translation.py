@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 from math import ceil, floor
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +17,7 @@ from garside import (
     multiply,
     normalize,
     power,
+    simple_element,
     straightness,
     structure_from_descriptor,
     summit,
@@ -28,7 +28,7 @@ from garside import translation
 from garside.cli import parse_word
 
 from .conftest import elements_of, random_word_element
-from .oracle import scan_rational_in_interval, two_summit_triple
+from .oracle import power_summit_triple, scan_rational_in_interval, two_summit_triple
 
 B3 = BraidStructure(3)
 B4 = BraidStructure(4)
@@ -225,21 +225,66 @@ def test_one_summit_triple_matches_two_summit_reference(S, lo, hi, data):
     assert translation_triple(g) == two_summit_triple(g)
 
 
-def test_translation_triple_makes_one_power_and_one_summit(monkeypatch):
-    calls = {"power": 0, "summit": 0}
+def rigid_or_shifted_elements_of(S):
+    """Shifted products of simples, Delta^k, atom powers a^j and their
+    products Delta^k · a^j: Delta^k and a^j have rigid summits, and an odd k
+    puts tau^{-p} into the wrap pair."""
+    atoms = st.integers(0, len(S.atoms()) - 1).map(lambda i: simple_element(S.atom_simple(i)))
+    delta_powers = st.integers(-3, 3).map(lambda k: Element(S, k, ()))
+    atom_powers = st.builds(power, atoms, st.integers(-5, 5))
+    return st.one_of(
+        shifted_elements_of(S, -3, 3),
+        delta_powers,
+        atom_powers,
+        st.builds(multiply, delta_powers, atom_powers),
+    )
+
+
+@pytest.mark.parametrize("S", REFERENCE_STRUCTURES, ids=lambda S: S.descriptor())
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_triple_matches_the_power_summit_oracle(S, data):
+    g = data.draw(rigid_or_shifted_elements_of(S))
+    assert translation_triple(g) == power_summit_triple(g)
+
+
+def test_rigidity_tests_the_wrap_pair_through_tau():
+    # The representative Delta^-1 · s, s = a4a3a5a4, is its own summit:
+    # (s, s) is left-weighted, but the wrap pair (s, tau(s)) is not, so the
+    # triple comes from the power and is not the (-1, 0) a read-off gives.
+    g = parse_word(BraidStructure(6), "D^-1 a4 a3 a5 a4")
+    (s,) = summit(g).representative.factors
+    assert s.structure.slide(s, s)[0] is s
+    t = translation_triple(g)
+    assert (t.t_inf, t.t_sup) == (-1, Fraction(-2, 3))
+    assert t == power_summit_triple(g)
+
+
+def test_translation_triple_powers_only_a_non_rigid_summit(monkeypatch):
+    calls = {"power": [], "summit": []}
 
     def counting(name, fn):
         def wrapper(*args):
-            calls[name] += 1
+            calls[name].append(args[0])
             return fn(*args)
 
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(translation, name, counting(name, getattr(translation, name)))
-    t = translation_triple(parse_word(PROD, "L.x R.y"))
+    # Not rigid: one summit of g, and one of the power of its representative.
+    g = parse_word(PROD, "L.x R.y")
+    t = translation_triple(g)
     assert (t.t_inf, t.t_sup) == (Fraction(1, 3), Fraction(1, 2))
-    assert calls == {"power": 1, "summit": 1}
+    assert calls["power"] == [summit(g).representative]
+    assert len(calls["summit"]) == 2 and calls["summit"][0] == g
+    # Rigid: the one summit of g, and no power.
+    calls["power"].clear()
+    calls["summit"].clear()
+    g = parse_word(B3, "a1 a2^-1")
+    t = translation_triple(g)
+    assert (t.t_inf, t.t_sup) == (-1, 1)
+    assert calls == {"power": [], "summit": [g]}
 
 
 def bounded_rationals(N):
@@ -254,15 +299,10 @@ def bounded_rationals(N):
 def test_read_out_recovers_every_bounded_limit(data, N):
     # Every admissible pair t_inf <= t_sup at every N from 1 (braid:2) to 30
     # (torus:N:2), fed to the read-out as the summit of g^n it implies.
-    S = BraidStructure(2) if N == 1 else TorusStructure(N, 2)
-    assert S.delta_norm() == N
     t_inf, t_sup = sorted(data.draw(st.tuples(bounded_rationals(N), bounded_rationals(N))))
     n = max(N * N, 2)
     inf_s, sup_s = floor(n * t_inf), ceil(n * t_sup)
-    fake = SimpleNamespace(inf_s=inf_s, sup_s=sup_s)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(translation, "summit", lambda x: fake)
-        t = translation_triple(Element(S, 0, ()))
+    t = translation._read_out(inf_s, sup_s, n, N)
     assert (t.t_inf, t.t_sup) == (t_inf, t_sup)
     assert scan_rational_in_interval(Fraction(inf_s, n), Fraction(inf_s + 1, n), N) == t_inf
     assert scan_rational_in_interval(Fraction(sup_s - 1, n), Fraction(sup_s, n), N) == t_sup
