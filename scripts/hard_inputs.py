@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the hard inputs H1-H11 of ROADMAP.md, each in a fresh interpreter.
+"""Time the hard inputs H1-H12 of ROADMAP.md, each in a fresh interpreter.
 
     python3 scripts/hard_inputs.py [ID ...] [--src SRC] [--timeout 60]
 
@@ -68,6 +68,13 @@ The words are pinned here from the recipes of the ROADMAP table:
   ``product:(braid:4,torus:5:3)`` word whose super summit set is drained
   to the cap of 100,000 elements and answers ``resource_limit`` after
   14 to 19 s.
+* H12: ``tnum`` on ``product:(braid:8,braid:8)``, whose summit
+  representatives are seldom rigid: ``L.a1^3000 R.a1 R.a2^-1`` (H12a) and
+  the 10-letter mixed word drawn with ``random.Random(12)``, each letter
+  ``<L|R>.a<randint(1, 7)>`` with exponent ±1 (H12b).  Their triples are
+  read off the components, a non-rigid one powered to 28^2 = 784 on its
+  short summit; the summit of the whole word, powered to
+  (28 + 28)^2 = 3136, took 2.6 s on H12b and more than 40 s on H12a.
 """
 
 from __future__ import annotations
@@ -147,6 +154,9 @@ INPUTS: dict[str, tuple[str, object]] = {
     "H11": ("cli", ["sss", "--group", "product:(braid:4,torus:5:3)",
                     "R.y^-2 L.a2 R.y R.y L.a1^-23 L.a1^2 L.a1^-1 L.a3^28 R.y R.x^-1 L.a2 "
                     "R.x^2 R.x^2"]),
+    "H12a": ("cli", ["tnum", "--group", "product:(braid:8,braid:8)", "L.a1^3000 R.a1 R.a2^-1"]),
+    "H12b": ("cli", ["tnum", "--group", "product:(braid:8,braid:8)",
+                     "R.a3 R.a2^-1 R.a4^-1 R.a6 L.a5^-1 L.a4^-1 R.a2^-1 L.a1 R.a6^-1 L.a1"]),
 }
 
 # Runs in the subprocess: argv[1] is the source tree, argv[2] the input as

@@ -251,6 +251,7 @@ _COMMANDS = {
 
 @functools.cache
 def _build_parser() -> _Parser:
+    """The full parser; `parser.commands` maps each command to its subparser."""
     parser = _Parser(prog="garside", description="Garside group calculator")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (words, help_text, option, _) in _COMMANDS.items():
@@ -261,7 +262,22 @@ def _build_parser() -> _Parser:
             p.add_argument(word)
         if option is not None:
             p.add_argument(option[0], **option[1])
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments of argv.  When argv[0] names a command, its own
+    subparser reads the rest, as the full parser would after one more level
+    of dispatch; help, an unknown command or an empty argv go through the
+    full parser."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _run(args) -> int:
@@ -282,10 +298,8 @@ def _run(args) -> int:
 
 def run_command(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _run(args)
+        return _run(_parse(argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,9 @@ Torus-relation groups <x, y | x^N = y^M> have the simples
 is the identity; mixed-letter proper simples meet in the identity.
 
 A direct product of two structures is again a Garside structure with all
-primitives componentwise and Delta = (Delta_1, Delta_2).
+primitives componentwise and Delta = (Delta_1, Delta_2), and
+`ProductStructure.split` reads the two components of an element off its
+normal form.
 
 `core` derives the product of two simples and an atom word of each simple,
 peeling the lowest-index atom first: a braid simple reads as its
@@ -42,7 +44,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import GarsideStructure
+from .core import Element, GarsideStructure
 
 # The n! simples of braid:n are tabulated on demand, so n is capped.
 MAX_STRANDS = 8
@@ -293,6 +295,28 @@ class ProductStructure(GarsideStructure):
 
     def _all_payloads(self):
         return itertools.product(self.left.enumerate_simples(), self.right.enumerate_simples())
+
+    def split(self, g: Element) -> tuple[Element, Element]:
+        """The components (g_L, g_R) of g, read off its normal form with no slides.
+
+        Meets are componentwise, so each column of g's factor pairs is a
+        left-weighted sequence.  In it a Delta follows only a Delta, since
+        ∂(a) ∧ Delta = ∂(a) is the identity only for a = Delta, and only the
+        identity follows the identity, since ∂(1) ∧ b = b.  So the column is
+        a run of Deltas, then proper simples, then a run of identities, and
+        g_c = Delta_c^(inf + run) · (the proper simples) is in normal form.
+        """
+        parts = []
+        for c, S in enumerate((self.left, self.right)):
+            column = [s.payload[c] for s in g.factors]
+            delta = S.delta()
+            start, end = 0, len(column)
+            while start < end and column[start] is delta:
+                start += 1
+            while end > start and column[end - 1].atom_norm == 0:
+                end -= 1
+            parts.append(Element(S, g.inf + start, tuple(column[start:end])))
+        return parts[0], parts[1]
 
 
 # ----------------------------------------------------------------------

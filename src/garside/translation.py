@@ -13,10 +13,12 @@ them in a closed interval of width 1/n,
 The t_sup bracket is the t_inf bracket of g^{-1} negated, since
 inf_s(x^{-1}) = -sup_s(x).  Two distinct rationals with denominator <= N
 lie at least 1/N^2 apart, with equality only when N = 1, and n = max(N^2, 2)
-makes that more than 1/n, the bracket width.  So the limit is the one such
-rational within 1/(2n) of its bracket's midpoint, the best approximation of
-the midpoint with denominator <= N, which `Fraction.limit_denominator(N)`
-finds by continued fractions: the computation is finite.
+makes that more than 1/n, the bracket width.  So each bracket [k/n, (k+1)/n]
+holds exactly one rational with denominator <= N, and a scan over q = 1..N
+finds it: p = ceil(q·k/n) is the least numerator at or above the bracket's
+lower end, and the first q with p·n <= q·(k + 1) gives the limit p/q, in
+lowest terms because no smaller denominator hit.  The computation is
+finite.
 
 When the summit representative x = Delta^p · x_1 ... x_r of g is rigid,
 that is when the wrap pair (x_r, tau^{-p}(x_1)) is left-weighted, no power
@@ -34,6 +36,17 @@ invariants, so otherwise the bracket is read from a summit of x^n, and x
 is no longer than g.  `_summit_triple` computes the triple from the
 summit data of g, and the solvers in `problems`, which hold that summit
 already, call it directly.
+
+On a direct product G_L × G_R the triple is read off the components,
+which `ProductStructure.split` gives with no slides.  Delta^k =
+(Delta_L^k, Delta_R^k) divides a pair on the left exactly when it divides
+both components, so inf(g^m) = min(inf(g_L^m), inf(g_R^m)) and
+sup(g^m) = max(sup(g_L^m), sup(g_R^m)) for every m.  Dividing by m and
+letting m grow, t_inf(g) = min(t_inf(g_L), t_inf(g_R)) and
+t_sup(g) = max(t_sup(g_L), t_sup(g_R)).  Each component is handled as a
+group of its own, nested products recursively: a rigid read-off or a
+power to max(N_c^2, 2) for its own N_c <= N, never a summit or a power of
+the product.
 
 The limits round to the summit values of g itself: inf_s(g) =
 floor(t_inf(g)) and sup_s(g) = ceil(t_sup(g)).  `TranslationTriple.t_D` and
@@ -57,6 +70,7 @@ from fractions import Fraction
 
 from .conjugacy import SummitData, summit
 from .core import Element, power
+from .structures import ProductStructure
 
 
 @dataclass(frozen=True)
@@ -80,20 +94,28 @@ class TranslationTriple:
 
 def _read_out(inf_s: int, sup_s: int, n: int, N: int) -> TranslationTriple:
     """The limits of g bracketed by the summit invariants (inf_s, sup_s) of
-    a conjugate of g^n, n = max(N^2, 2): the best approximation of each
-    bracket's midpoint with denominator <= N, checked to lie in its bracket."""
-    t_inf = Fraction(2 * inf_s + 1, 2 * n).limit_denominator(N)
-    t_sup = Fraction(2 * sup_s - 1, 2 * n).limit_denominator(N)
-    if not (inf_s <= n * t_inf <= inf_s + 1 and sup_s - 1 <= n * t_sup <= sup_s):
-        raise AssertionError("a translation limit fell outside its bracket")
-    return TranslationTriple(t_inf, t_sup)
+    a conjugate of g^n, n = max(N^2, 2): the one rational with denominator
+    <= N in each bracket."""
+    return TranslationTriple(_bracketed(inf_s, n, N), _bracketed(sup_s - 1, n, N))
+
+
+def _bracketed(k: int, n: int, N: int) -> Fraction:
+    """The rational p/q in [k/n, (k+1)/n] with the least q <= N."""
+    for q in range(1, N + 1):
+        p = -(-q * k // n)
+        if p * n <= q * (k + 1):
+            return Fraction(p, q)
+    raise AssertionError("a translation limit fell outside its bracket")
 
 
 def _summit_triple(sd: SummitData) -> TranslationTriple:
     """Exact (t_inf, t_sup, t_len) for the class of sd = summit(g): read off
-    a rigid representative, else from one summit of its n-th power."""
+    the components of a product representative, else off a rigid
+    representative, else from one summit of its n-th power."""
     x = sd.representative
     S = x.structure
+    if isinstance(S, ProductStructure):
+        return _triple(x)
     p, factors = x.inf, x.factors
     if not factors:
         return TranslationTriple(Fraction(p), Fraction(p))
@@ -112,11 +134,22 @@ def _summit_triple(sd: SummitData) -> TranslationTriple:
     return _read_out(sd_n.inf_s, sd_n.sup_s, n, N)
 
 
-def translation_triple(g: Element) -> TranslationTriple:
-    """Exact (t_inf, t_sup, t_len) for g, from one summit of g and, when
-    its representative is not rigid, one summit of that representative's
-    n-th power."""
+def _triple(g: Element) -> TranslationTriple:
+    """The triple of g: the min and max of its components' limits on a
+    product, else from the summit of g."""
+    S = g.structure
+    if isinstance(S, ProductStructure):
+        left, right = map(_triple, S.split(g))
+        return TranslationTriple(min(left.t_inf, right.t_inf), max(left.t_sup, right.t_sup))
     return _summit_triple(summit(g))
+
+
+def translation_triple(g: Element) -> TranslationTriple:
+    """Exact (t_inf, t_sup, t_len) for g, from one summit of g (of each
+    component on a product) and, when its representative is not rigid, one
+    summit of that representative's n-th power.  Nested products recurse
+    through `_triple`, so each query is one `translation_triple` call."""
+    return _triple(g)
 
 
 def translation_number(g: Element) -> Fraction:

@@ -13,6 +13,7 @@ from garside import (
     multiply,
     problems,
 )
+from garside import cli
 from garside.cli import WordParseError, element_json, parse_word, render_word, run_command
 
 B3 = BraidStructure(3)
@@ -208,6 +209,51 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+def _parsed(parse, argv):
+    try:
+        return vars(parse(argv))
+    except cli._UsageError as exc:
+        return f"usage error: {exc}"
+
+
+def test_command_dispatch_parses_as_the_full_parser():
+    # The argvs of test_cli_exit_codes, then malformed and abbreviated ones:
+    # a command's own subparser gives the namespace and the error messages
+    # of the full parser.
+    deep = "product:(braid:2," * 3000 + "braid:2" + ")" * 3000
+    argvs = [
+        ["nf", "--group", "braid:3", "a5"],
+        ["nf", "--group", "wat:3", "a1"],
+        ["nf", "--group", "braid:0_3", "a1"],
+        ["nf", "--group", deep, "D"],
+        ["tnum", "--group", "torus:2000:1999", "x y^-1 x"],
+        ["nf", "--group", "braid:9", "a1"],
+        *(["root", "--group", "braid:3", "-n", d, "D^2"] for d in ("٣", "+3", "0_3", " 3", "-1", "")),
+        ["root", "--group", "braid:3", "-n", "0", "D^2"],
+        ["bogus"],
+        ["nf"],
+        [],
+        ["genpower", "--group", "torus:5:3", "x", "y"],
+        ["nf", "--group", "braid:3", "a1^1000000000"],
+        ["root", "--group", "braid:3", "-n", "2", "a1"],
+        ["tnum", "--group", "braid:3"],
+        ["tnum", "--group", "braid:3", "a1", "a2"],
+        ["tnum", "--group"],
+        ["tnum", "--gro", "braid:3", "--js", "a1"],
+        ["tnum", "--group=braid:3", "a1"],
+        ["root", "--group", "braid:3", "a1"],
+        ["root", "-n3", "--group", "braid:3", "a1"],
+        ["conj", "--group", "braid:3", "a1"],
+        ["power", "--group", "braid:3", "a1", "a2", "--conj"],
+        ["genpower", "--group", "braid:3", "a1", "a2", "--conjugacy=1"],
+        ["nf", "--group", "braid:3", "--bogus", "a1"],
+        ["--json", "nf", "--group", "braid:3", "a1"],
+    ]
+    full = cli._build_parser().parse_args
+    for argv in argvs:
+        assert _parsed(cli._parse, argv) == _parsed(full, argv)
+
+
 def test_cli_every_limit_answers_on_stdout(capsys, monkeypatch):
     # a1 and a2 share a two-element super summit set, above this cap.
     monkeypatch.setattr(conjugacy, "DEFAULT_SSS_CAP", 1)
@@ -273,6 +319,15 @@ def test_cli_reads_a_rigid_triple_without_a_power(capsys):
     assert run_command(["genpower", "--group", "braid:7", "a1", "a1^100000"]) == 1
     assert capsys.readouterr() == (
         f"resource limit: power has more than {core.MAX_POWER_FACTORS} factors\n", "")
+
+
+def test_cli_reads_a_product_triple_off_its_components(capsys):
+    # The left component a1^3000 is rigid, and the right one's two-factor
+    # summit is powered to 28^2 = 784; the 3,001-factor summit of the whole
+    # word, powered to (28 + 28)^2 = 3136, ran past 40 s.
+    argv = ["tnum", "--group", "product:(braid:8,braid:8)", "L.a1^3000 R.a1 R.a2^-1"]
+    assert run_command(argv) == 0
+    assert capsys.readouterr() == ("t_inf=-1 t_sup=3000 t_len=3001 t_D=3001 t_Dbar=3001\n", "")
 
 
 def test_cli_sss_reads_the_cap_at_call_time(capsys, monkeypatch):

@@ -23,20 +23,23 @@ from garside import (
     summit,
     translation_number,
     translation_triple,
+    validate_element,
 )
 from garside import translation
 from garside.cli import parse_word
 
 from .conftest import elements_of, random_word_element
 from .oracle import power_summit_triple, scan_rational_in_interval, two_summit_triple
+from .test_repair_paths import normal_forms_of
 
 B3 = BraidStructure(3)
 B4 = BraidStructure(4)
 T53 = TorusStructure(5, 3)
 PROD = ProductStructure(TorusStructure(2, 3), TorusStructure(2, 3))
 
-# braid:2 is the infinite-cyclic case N = 1, bracketed at n = 2; the two
-# products are those of test_repair_paths.
+# braid:2 is the infinite-cyclic case N = 1, bracketed at n = 2; the first
+# two products are those of test_repair_paths, and the third has a braid:2
+# component.
 REFERENCE_STRUCTURES = [
     structure_from_descriptor(d)
     for d in (
@@ -46,8 +49,10 @@ REFERENCE_STRUCTURES = [
         "torus:5:3",
         "product:(torus:2:3,torus:2:3)",
         "product:(product:(braid:3,torus:2:3),braid:3)",
+        "product:(braid:2,braid:3)",
     )
 ]
+PRODUCTS = [S for S in REFERENCE_STRUCTURES if isinstance(S, ProductStructure)]
 
 
 def shifted_elements_of(S, lo, hi):
@@ -248,6 +253,21 @@ def test_triple_matches_the_power_summit_oracle(S, data):
     assert translation_triple(g) == power_summit_triple(g)
 
 
+@pytest.mark.parametrize("S", PRODUCTS, ids=lambda S: S.descriptor())
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_split_reads_the_normal_form_of_each_component(S, data):
+    # Each column of factor pairs, with its Deltas and identities, normalizes
+    # to the component; split reads it with no slides.
+    g = data.draw(st.one_of(normal_forms_of(S), rigid_or_shifted_elements_of(S)))
+    parts = S.split(g)
+    for c, (C, part) in enumerate(zip((S.left, S.right), parts)):
+        assert part.structure is C
+        validate_element(part)
+        assert part == normalize(C, g.inf, [s.payload[c] for s in g.factors])
+    assert (g.inf, g.sup) == (min(p.inf for p in parts), max(p.sup for p in parts))
+
+
 def test_rigidity_tests_the_wrap_pair_through_tau():
     # The representative Delta^-1 · s, s = a4a3a5a4, is its own summit:
     # (s, s) is left-weighted, but the wrap pair (s, tau(s)) is not, so the
@@ -273,11 +293,23 @@ def test_translation_triple_powers_only_a_non_rigid_summit(monkeypatch):
     for name in calls:
         monkeypatch.setattr(translation, name, counting(name, getattr(translation, name)))
     # Not rigid: one summit of g, and one of the power of its representative.
-    g = parse_word(PROD, "L.x R.y")
+    g = parse_word(B4, "a3 a3 a1^-1")
     t = translation_triple(g)
-    assert (t.t_inf, t.t_sup) == (Fraction(1, 3), Fraction(1, 2))
+    assert (t.t_inf, t.t_sup) == (-1, 2)
     assert calls["power"] == [summit(g).representative]
     assert len(calls["summit"]) == 2 and calls["summit"][0] == g
+    # A product: no summit or power of a product element, but one summit of
+    # each component and one power of each non-rigid component's
+    # representative (x and y of torus:2:3 are both non-rigid).
+    calls["power"].clear()
+    calls["summit"].clear()
+    g = parse_word(PROD, "L.x R.y")
+    left, right = PROD.split(g)
+    t = translation_triple(g)
+    assert (t.t_inf, t.t_sup) == (Fraction(1, 3), Fraction(1, 2))
+    assert calls["power"] == [summit(left).representative, summit(right).representative]
+    assert len(calls["summit"]) == 4 and calls["summit"][0::2] == [left, right]
+    assert all(h.structure is not PROD for h in calls["power"] + calls["summit"])
     # Rigid: the one summit of g, and no power.
     calls["power"].clear()
     calls["summit"].clear()
