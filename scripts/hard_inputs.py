@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the hard inputs H1-H12 of ROADMAP.md, each in a fresh interpreter.
+"""Time the hard inputs H1-H13 of ROADMAP.md, each in a fresh interpreter.
 
     python3 scripts/hard_inputs.py [ID ...] [--src SRC] [--timeout 60]
 
@@ -72,9 +72,14 @@ The words are pinned here from the recipes of the ROADMAP table:
   representatives are seldom rigid: ``L.a1^3000 R.a1 R.a2^-1`` (H12a) and
   the 10-letter mixed word drawn with ``random.Random(12)``, each letter
   ``<L|R>.a<randint(1, 7)>`` with exponent ±1 (H12b).  Their triples are
-  read off the components, a non-rigid one powered to 28^2 = 784 on its
-  short summit; the summit of the whole word, powered to
-  (28 + 28)^2 = 3136, took 2.6 s on H12b and more than 40 s on H12a.
+  read off the components, each non-rigid one from the summits of the
+  first powers of its short summit; the summit of the whole word, powered
+  to (28 + 28)^2 = 3136, took 2.6 s on H12b and more than 40 s on H12a.
+* H13: ``tnum`` on ``braid:7`` words whose summit representatives are not
+  rigid: a 20-token mixed word (H13a) and ``a1^20 a2^-20 a4 a5^-1 a6``
+  (H13b).  Their triples come from the summits of the powers x^m of the
+  representative x, up to the first rigid one or m = N = 21; the summit of
+  x^(21^2) took 0.4 s on H13a and 4.1 s on H13b.
 """
 
 from __future__ import annotations
@@ -157,6 +162,10 @@ INPUTS: dict[str, tuple[str, object]] = {
     "H12a": ("cli", ["tnum", "--group", "product:(braid:8,braid:8)", "L.a1^3000 R.a1 R.a2^-1"]),
     "H12b": ("cli", ["tnum", "--group", "product:(braid:8,braid:8)",
                      "R.a3 R.a2^-1 R.a4^-1 R.a6 L.a5^-1 L.a4^-1 R.a2^-1 L.a1 R.a6^-1 L.a1"]),
+    "H13a": ("cli", ["tnum", "--group", "braid:7",
+                     "a5^-2 a4^-1 a5^-2 a2^-1 a2^2 a5^-2 a5^-2 a3^3 a5^3 a4^-2 a5^-2 a2^-1 a3^-2 "
+                     "a1^3 a4^3 a1^-2 a4 a5^3 a5^3 a2"]),
+    "H13b": ("cli", ["tnum", "--group", "braid:7", "a1^20 a2^-20 a4 a5^-1 a6"]),
 }
 
 # Runs in the subprocess: argv[1] is the source tree, argv[2] the input as

@@ -25,6 +25,10 @@ JSON and the text output are checked.  The list is
   token reversal, which share degree and cycle types, so that the walk of
   the super summit set decides them (built from the drawn tokens, with no
   further draw, so every other query keeps its words);
+* ``tnum`` on ``--per-command`` random words of 4 to 8 tokens each on
+  ``braid:7`` and ``braid:8``, drawn after all of the above, whose summit
+  representatives are seldom rigid, so that the triple comes from the
+  summits of their powers;
 * ``nf`` of five invalid words per family, built from its first atom name
   a: a malformed token ``a^x``, a zero exponent ``a^0``, an unknown
   generator ``az``, an unknown generator before a malformed token, and a
@@ -63,6 +67,7 @@ STRUCTURES = (
     "product:(product:(braid:3,torus:2:3),braid:3)",
     "torus:4:6",
 )
+TNUM_STRUCTURES = ("braid:7", "braid:8")
 # A whole tree's run must end within this many seconds.
 RUN_TIMEOUT_S = 3600
 
@@ -158,6 +163,11 @@ def _generate(src: str, seed: int, per_workload: int, per_command: int) -> list[
     for desc in STRUCTURES:
         atoms = [atom.name for atom in structure_from_descriptor(desc).atoms()]
         queries += _command_queries(desc, atoms, rng, per_command)
+    for desc in TNUM_STRUCTURES:
+        atoms = [atom.name for atom in structure_from_descriptor(desc).atoms()]
+        for _ in range(per_command):
+            word = " ".join(_token(atoms, rng) for _ in range(rng.randint(4, 8)))
+            queries.append(["tnum", "--group", desc, "--json", word])
     for desc in STRUCTURES:
         atom = structure_from_descriptor(desc).atoms()[0].name
         queries += _invalid_queries(desc, atom) + _identity_queries(desc, atom)

@@ -3,39 +3,37 @@ Exact translation numbers and straightness predicates.
 
 The limits t_inf(g) = lim inf(g^n)/n and t_sup(g) = lim sup(g^n)/n are
 rational with denominator at most N = ||Delta||, and t_len = t_sup - t_inf
-has denominator at most N^2.  Both are pinned down exactly by a single
-summit computation: for n >= N^2 the summit of x = g^n brackets each of
-them in a closed interval of width 1/n,
+has denominator at most N^2.  The limits round to the summit values of g
+itself: inf_s(g) = floor(t_inf(g)) and sup_s(g) = ceil(t_sup(g)).
+`TranslationTriple.t_D` and the one-window root search in `problems` rest
+on this, and so does the triple.  The limits are conjugacy invariants and
+t_inf(x^m) = m·t_inf(x), so for x conjugate to g
 
-    t_inf(g)  in  [ inf_s(x)/n ,  (inf_s(x) + 1)/n ],
-    t_sup(g)  in  [ (sup_s(x) - 1)/n ,  sup_s(x)/n ].
+    inf_s(x^m)/m = floor(m·t_inf(g))/m <= t_inf(g),
 
-The t_sup bracket is the t_inf bracket of g^{-1} negated, since
-inf_s(x^{-1}) = -sup_s(x).  Two distinct rationals with denominator <= N
-lie at least 1/N^2 apart, with equality only when N = 1, and n = max(N^2, 2)
-makes that more than 1/n, the bracket width.  So each bracket [k/n, (k+1)/n]
-holds exactly one rational with denominator <= N, and a scan over q = 1..N
-finds it: p = ceil(q·k/n) is the least numerator at or above the bracket's
-lower end, and the first q with p·n <= q·(k + 1) gives the limit p/q, in
-lowest terms because no smaller denominator hit.  The computation is
-finite.
+with equality exactly when the denominator q <= N of t_inf(g) divides m.
+So t_inf(g) is the largest of inf_s(x^m)/m over m = 1..N, and likewise
+t_sup(g) the least of sup_s(x^m)/m: the summits of the first N powers
+pin both limits down, and the computation is finite.
 
-When the summit representative x = Delta^p · x_1 ... x_r of g is rigid,
-that is when the wrap pair (x_r, tau^{-p}(x_1)) is left-weighted, no power
-is needed (Birman, Gebhardt and González-Meneses, "Conjugacy in Garside
-groups I: cyclings, powers and rigidity", Groups Geom. Dyn. 1, 2007).
-Moving the Deltas of x^m to the front writes it as Delta^{mp} followed by
-the m blocks tau^{(m-1)p}(x_1 ... x_r), ..., tau^p(x_1 ... x_r),
-x_1 ... x_r.  Each pair inside a block is a tau-image of a pair of x, and
-each junction of two blocks is a tau-image of the wrap pair; tau is an
-automorphism of the lattice of simples, so it keeps pairs left-weighted,
-and x^m is in normal form as written.  So inf(x^m) = mp and
+When the summit representative x = Delta^p · x_1 ... x_r of a power is
+rigid, that is when the wrap pair (x_r, tau^{-p}(x_1)) is left-weighted,
+no further power is needed (Birman, Gebhardt and González-Meneses,
+"Conjugacy in Garside groups I: cyclings, powers and rigidity", Groups
+Geom. Dyn. 1, 2007).  Moving the Deltas of x^m to the front writes it as
+Delta^{mp} followed by the m blocks tau^{(m-1)p}(x_1 ... x_r), ...,
+tau^p(x_1 ... x_r), x_1 ... x_r.  Each pair inside a block is a tau-image
+of a pair of x, and each junction of two blocks is a tau-image of the wrap
+pair; tau is an automorphism of the lattice of simples, so it keeps pairs
+left-weighted, and x^m is in normal form as written.  So inf(x^m) = mp and
 sup(x^m) = m(p + r) for every m, and t_inf = p, t_sup = p + r exactly; a
-representative with no factors is rigid.  The limits are conjugacy
-invariants, so otherwise the bracket is read from a summit of x^n, and x
-is no longer than g.  `_summit_triple` computes the triple from the
-summit data of g, and the solvers in `problems`, which hold that summit
-already, call it directly.
+representative with no factors is rigid.  `_summit_triple` walks
+m = 1, 2, ..., N from the summit representative x of g, forming x^m with
+one multiply per step: it stops at the first m whose summit
+representative is rigid and reads the limits off it, divided by m, and
+otherwise keeps the best bounds.  At m = 1 that representative is x
+itself.  The solvers in `problems`, which hold the summit of g already,
+call it directly.
 
 On a direct product G_L × G_R the triple is read off the components,
 which `ProductStructure.split` gives with no slides.  Delta^k =
@@ -44,13 +42,8 @@ both components, so inf(g^m) = min(inf(g_L^m), inf(g_R^m)) and
 sup(g^m) = max(sup(g_L^m), sup(g_R^m)) for every m.  Dividing by m and
 letting m grow, t_inf(g) = min(t_inf(g_L), t_inf(g_R)) and
 t_sup(g) = max(t_sup(g_L), t_sup(g_R)).  Each component is handled as a
-group of its own, nested products recursively: a rigid read-off or a
-power to max(N_c^2, 2) for its own N_c <= N, never a summit or a power of
-the product.
-
-The limits round to the summit values of g itself: inf_s(g) =
-floor(t_inf(g)) and sup_s(g) = ceil(t_sup(g)).  `TranslationTriple.t_D` and
-the one-window root search in `problems` rest on this.
+group of its own, nested products recursively: the summits of at most
+its own N_c <= N powers, never a summit or a power of the product.
 
 The translation number t_D(g) with respect to the simples is the largest of
 t_sup, -t_inf and t_len.  It is at least 1/N for g != 1, and the
@@ -68,8 +61,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import core
 from .conjugacy import SummitData, summit
-from .core import Element, power
+from .core import Element, ResourceLimitError, multiply, power
 from .structures import ProductStructure
 
 
@@ -92,46 +86,40 @@ class TranslationTriple:
         return max(self.t_sup, -self.t_inf, self.t_len)
 
 
-def _read_out(inf_s: int, sup_s: int, n: int, N: int) -> TranslationTriple:
-    """The limits of g bracketed by the summit invariants (inf_s, sup_s) of
-    a conjugate of g^n, n = max(N^2, 2): the one rational with denominator
-    <= N in each bracket."""
-    return TranslationTriple(_bracketed(inf_s, n, N), _bracketed(sup_s - 1, n, N))
-
-
-def _bracketed(k: int, n: int, N: int) -> Fraction:
-    """The rational p/q in [k/n, (k+1)/n] with the least q <= N."""
-    for q in range(1, N + 1):
-        p = -(-q * k // n)
-        if p * n <= q * (k + 1):
-            return Fraction(p, q)
-    raise AssertionError("a translation limit fell outside its bracket")
+def _rigid(x: Element) -> bool:
+    """Whether x = Delta^p · x_1 ... x_r is rigid: r = 0, or its wrap pair
+    (x_r, tau^{-p}(x_1)) is left-weighted, that is its slide leaves it as is."""
+    if not x.factors:
+        return True
+    S = x.structure
+    a, b = x.factors[-1], S.twist(-x.inf)[x.factors[0]]
+    pair = a.slides.get(b)
+    if pair is None:
+        pair = a.slides[b] = S.slide(a, b)
+    return pair[0] is a
 
 
 def _summit_triple(sd: SummitData) -> TranslationTriple:
     """Exact (t_inf, t_sup, t_len) for the class of sd = summit(g): read off
-    the components of a product representative, else off a rigid
-    representative, else from one summit of its n-th power."""
+    the components of a product representative, else off the first rigid
+    summit representative of x^m, m = 1..N, for the representative x, else
+    as the largest inf_s(x^m)/m and the least sup_s(x^m)/m."""
     x = sd.representative
     S = x.structure
     if isinstance(S, ProductStructure):
         return _triple(x)
-    p, factors = x.inf, x.factors
-    if not factors:
-        return TranslationTriple(Fraction(p), Fraction(p))
-    # The wrap pair is left-weighted exactly when its slide leaves it as is.
-    a, b = factors[-1], S.twist(-p)[factors[0]]
-    pair = a.slides.get(b)
-    if pair is None:
-        pair = a.slides[b] = S.slide(a, b)
-    if pair[0] is a:
-        return TranslationTriple(Fraction(p), Fraction(p + len(factors)))
-    N = S.delta_norm()
-    # n = 2 covers the infinite-cyclic case N = 1, where the integers are
-    # exactly 1 apart and would both lie in a closed bracket of width 1.
-    n = max(N * N, 2)
-    sd_n = summit(power(x, n))
-    return _read_out(sd_n.inf_s, sd_n.sup_s, n, N)
+    t_inf, t_sup = Fraction(x.inf), Fraction(x.sup)
+    y = r = x
+    for m in range(1, S.delta_norm() + 1):
+        if m > 1:
+            y = multiply(y, x)
+            if len(y.factors) > core.MAX_POWER_FACTORS:
+                raise ResourceLimitError(f"power has more than {core.MAX_POWER_FACTORS} factors")
+            r = summit(y).representative
+        if _rigid(r):
+            return TranslationTriple(Fraction(r.inf, m), Fraction(r.sup, m))
+        t_inf, t_sup = max(t_inf, Fraction(r.inf, m)), min(t_sup, Fraction(r.sup, m))
+    return TranslationTriple(t_inf, t_sup)
 
 
 def _triple(g: Element) -> TranslationTriple:
@@ -146,9 +134,10 @@ def _triple(g: Element) -> TranslationTriple:
 
 def translation_triple(g: Element) -> TranslationTriple:
     """Exact (t_inf, t_sup, t_len) for g, from one summit of g (of each
-    component on a product) and, when its representative is not rigid, one
-    summit of that representative's n-th power.  Nested products recurse
-    through `_triple`, so each query is one `translation_triple` call."""
+    component on a product) and, when its representative x is not rigid,
+    the summits of x^2, ..., x^m up to the first rigid one or m = N.
+    Nested products recurse through `_triple`, so each query is one
+    `translation_triple` call."""
     return _triple(g)
 
 

@@ -296,14 +296,14 @@ def test_cli_word_errors_come_in_a_fixed_order(capsys):
 
 
 def test_cli_refuses_a_power_of_too_many_factors(capsys, monkeypatch):
-    # The summit representative Delta^-1 · a1a2a1a3a2 · a3 · a3 of this word
-    # is not rigid, so its triple forms the representative's power
-    # (N^2 = 36), whose squared base x^32 peaks at 108 factors.
+    # The summit representative x = Delta^-1 · a1a2a1a3a2 · a3 · a3 of this
+    # word is not rigid, nor is the summit of any power up to x^N, so its
+    # triple forms x^2, ..., x^6 (N = 6), the last of 18 factors.
     word = "a3 a3 a1^-1"
-    monkeypatch.setattr(core, "MAX_POWER_FACTORS", 107)
+    monkeypatch.setattr(core, "MAX_POWER_FACTORS", 17)
     assert run_command(["tnum", "--group", "braid:4", word]) == 1
-    assert capsys.readouterr() == ("resource limit: power has more than 107 factors\n", "")
-    monkeypatch.setattr(core, "MAX_POWER_FACTORS", 108)
+    assert capsys.readouterr() == ("resource limit: power has more than 17 factors\n", "")
+    monkeypatch.setattr(core, "MAX_POWER_FACTORS", 18)
     assert run_command(["tnum", "--group", "braid:4", word]) == 0
     assert capsys.readouterr() == ("t_inf=-1 t_sup=2 t_len=3 t_D=3 t_Dbar=3\n", "")
 
@@ -323,8 +323,9 @@ def test_cli_reads_a_rigid_triple_without_a_power(capsys):
 
 def test_cli_reads_a_product_triple_off_its_components(capsys):
     # The left component a1^3000 is rigid, and the right one's two-factor
-    # summit is powered to 28^2 = 784; the 3,001-factor summit of the whole
-    # word, powered to (28 + 28)^2 = 3136, ran past 40 s.
+    # summit x is not, nor is the summit of any x^m up to m = N = 28; the
+    # 3,001-factor summit of the whole word, powered to (28 + 28)^2 = 3136,
+    # ran past 40 s.
     argv = ["tnum", "--group", "product:(braid:8,braid:8)", "L.a1^3000 R.a1 R.a2^-1"]
     assert run_command(argv) == 0
     assert capsys.readouterr() == ("t_inf=-1 t_sup=3000 t_len=3001 t_D=3001 t_Dbar=3001\n", "")

@@ -15,7 +15,7 @@ adjacent pair marked dirty, or against the word evaluated one letter or
 token at a time.  The summit representative and witness, the witness
 normalized on first read from the recorded conjugators, are checked against a summit
 that renormalises the whole word at every step and grows the witness one
-step at a time, also on the long words g^(N^2) that `tnum` summits.
+step at a time, also on long powers g^(N^2) of short words.
 The step of the walk, c^{-1} h c, is checked against two `multiply` calls
 and an `invert`, and the step at its edges (an identity or Delta at
 either end) against `multiply`.  At scale,
@@ -199,7 +199,8 @@ def test_summit_witness_matches_stepwise_product(g):
 
 
 def powered_elements_of(S):
-    """g^(N^2) for short g with Delta powers: long words, as `tnum` summits them."""
+    """g^(N^2) for short g with Delta powers: words longer than any power
+    x^m, m <= N, of a summit representative that `tnum` summits."""
     return normal_forms_of(S, max_raw=3).map(lambda g: power(g, S.delta_norm() ** 2))
 
 

@@ -36,7 +36,7 @@ def test_same_answers_smoke():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.strip().endswith("698 queries, 0 differences")
+    assert result.stdout.strip().endswith("702 queries, 0 differences")
 
 
 def test_hard_inputs_smoke():
@@ -72,14 +72,15 @@ def test_hard_inputs_know_every_id():
     script = load_script("hard_inputs")
     expected = [*(f"H1{c}" for c in "abcd"), *(f"H2{c}" for c in "abcd"), "H3a", "H3b", "H3c",
                 "H4a", "H4b", "H5a", "H5b", "H5c", "H6a", "H6b", "H7",
-                *(f"H8{c}" for c in "abcde"), "H9a", "H9b", "H10", "H11", "H12a", "H12b"]
+                *(f"H8{c}" for c in "abcde"), "H9a", "H9b", "H10", "H11", "H12a", "H12b",
+                "H13a", "H13b"]
     assert list(script.INPUTS) == expected
     # Every CLI input is a valid command on words that parse.
     for kind, argv in script.INPUTS.values():
         if kind == "cli":
             parse_cli_words(argv)
     with pytest.raises(SystemExit):
-        script.main(["H13"])
+        script.main(["H14"])
 
 
 def test_hard_inputs_report_a_timeout():

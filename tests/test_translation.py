@@ -37,9 +37,9 @@ B4 = BraidStructure(4)
 T53 = TorusStructure(5, 3)
 PROD = ProductStructure(TorusStructure(2, 3), TorusStructure(2, 3))
 
-# braid:2 is the infinite-cyclic case N = 1, bracketed at n = 2; the first
-# two products are those of test_repair_paths, and the third has a braid:2
-# component.
+# braid:2 is the infinite-cyclic case N = 1, where every element is rigid;
+# the first two products are those of test_repair_paths, and the third has
+# a braid:2 component.
 REFERENCE_STRUCTURES = [
     structure_from_descriptor(d)
     for d in (
@@ -271,7 +271,7 @@ def test_split_reads_the_normal_form_of_each_component(S, data):
 def test_rigidity_tests_the_wrap_pair_through_tau():
     # The representative Delta^-1 · s, s = a4a3a5a4, is its own summit:
     # (s, s) is left-weighted, but the wrap pair (s, tau(s)) is not, so the
-    # triple comes from the power and is not the (-1, 0) a read-off gives.
+    # triple comes from its powers and is not the (-1, 0) a read-off gives.
     g = parse_word(BraidStructure(6), "D^-1 a4 a3 a5 a4")
     (s,) = summit(g).representative.factors
     assert s.structure.slide(s, s)[0] is s
@@ -292,31 +292,53 @@ def test_translation_triple_powers_only_a_non_rigid_summit(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(translation, name, counting(name, getattr(translation, name)))
-    # Not rigid: one summit of g, and one of the power of its representative.
+    # Not rigid at any m <= N = 6: one summit of g, then one of each power
+    # x^2, ..., x^6 of its representative x, formed without `power`.
     g = parse_word(B4, "a3 a3 a1^-1")
+    x = summit(g).representative
     t = translation_triple(g)
     assert (t.t_inf, t.t_sup) == (-1, 2)
-    assert calls["power"] == [summit(g).representative]
-    assert len(calls["summit"]) == 2 and calls["summit"][0] == g
+    assert calls == {"power": [], "summit": [g, *(power(x, m) for m in range(2, 7))]}
     # A product: no summit or power of a product element, but one summit of
-    # each component and one power of each non-rigid component's
-    # representative (x and y of torus:2:3 are both non-rigid).
-    calls["power"].clear()
+    # each component and of its representative's powers up to the first
+    # rigid one: x^2 = Delta on the left, y^3 = Delta on the right.
     calls["summit"].clear()
     g = parse_word(PROD, "L.x R.y")
     left, right = PROD.split(g)
+    x, y = summit(left).representative, summit(right).representative
     t = translation_triple(g)
     assert (t.t_inf, t.t_sup) == (Fraction(1, 3), Fraction(1, 2))
-    assert calls["power"] == [summit(left).representative, summit(right).representative]
-    assert len(calls["summit"]) == 4 and calls["summit"][0::2] == [left, right]
-    assert all(h.structure is not PROD for h in calls["power"] + calls["summit"])
+    assert calls == {"power": [], "summit": [left, power(x, 2), right, power(y, 2), power(y, 3)]}
     # Rigid: the one summit of g, and no power.
-    calls["power"].clear()
     calls["summit"].clear()
     g = parse_word(B3, "a1 a2^-1")
     t = translation_triple(g)
     assert (t.t_inf, t.t_sup) == (-1, 1)
     assert calls == {"power": [], "summit": [g]}
+
+
+@pytest.mark.parametrize("desc, word, exit_m", [
+    ("braid:3", "a1 a2", 3),  # rigid only at m = N, with t = 2/3
+    ("torus:2:3", "x", 2),
+    ("braid:5", "a1 a2 a3", 2),  # x^2 has sup 2, its summit sup 1: t_sup = 1/2
+    ("braid:4", "a3 a3 a1^-1", None),
+    ("braid:5", "a1 a3^-1", None),
+    ("braid:2", "a1^-2", 1),  # N = 1: Delta powers only
+], ids=lambda v: str(v))
+def test_every_exit_of_the_power_loop_matches_the_oracle(monkeypatch, desc, word, exit_m):
+    # The loop summits x^m for m = 2, 3, ... and stops at the first rigid
+    # representative, or after m = N with none.
+    S = structure_from_descriptor(desc)
+    g = parse_word(S, word)
+    summits = []
+
+    def counted(h):
+        summits.append(h)
+        return summit(h)
+
+    monkeypatch.setattr(translation, "summit", counted)
+    assert translation_triple(g) == power_summit_triple(g)
+    assert len(summits) == (exit_m or S.delta_norm())
 
 
 def bounded_rationals(N):
@@ -328,16 +350,13 @@ def bounded_rationals(N):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), N=st.integers(1, 30))
-def test_read_out_recovers_every_bounded_limit(data, N):
-    # Every admissible pair t_inf <= t_sup at every N from 1 (braid:2) to 30
-    # (torus:N:2), fed to the read-out as the summit of g^n it implies.
-    t_inf, t_sup = sorted(data.draw(st.tuples(bounded_rationals(N), bounded_rationals(N))))
-    n = max(N * N, 2)
-    inf_s, sup_s = floor(n * t_inf), ceil(n * t_sup)
-    t = translation._read_out(inf_s, sup_s, n, N)
-    assert (t.t_inf, t.t_sup) == (t_inf, t_sup)
-    assert scan_rational_in_interval(Fraction(inf_s, n), Fraction(inf_s + 1, n), N) == t_inf
-    assert scan_rational_in_interval(Fraction(sup_s - 1, n), Fraction(sup_s, n), N) == t_sup
+def test_first_powers_recover_every_bounded_limit(data, N):
+    # The loop's lemma at every N from 1 (braid:2) to 30 (torus:N:2): for t
+    # with denominator <= N, floor(m·t)/m <= t <= ceil(m·t)/m, with equality
+    # at m = denominator, so the best bounds over m = 1..N are t itself.
+    t = data.draw(bounded_rationals(N))
+    assert max(Fraction(floor(m * t), m) for m in range(1, N + 1)) == t
+    assert min(Fraction(ceil(m * t), m) for m in range(1, N + 1)) == t
 
 
 @pytest.mark.parametrize("S", REFERENCE_STRUCTURES, ids=lambda S: S.descriptor())
